@@ -7,6 +7,7 @@
 *)
 
 open Cmdliner
+module J = Support.Json
 
 let kernels_arg =
   let doc = "Benchmark kernel name (see `regulate list`)." in
@@ -136,6 +137,33 @@ let traced ~name trace f =
     | exception e ->
       ignore (Support.Trace.stop ());
       raise e)
+
+(* The --json mode of the per-kernel commands: [f emit] prints each row
+   as soon as it is produced (a big kernel's row is not held back by the
+   next one), and the array is closed even when [f] raises, so a machine
+   consumer always receives a complete document. Without --json, [emit]
+   is a no-op and nothing is printed. *)
+let json_rows json f =
+  if not json then f ignore
+  else begin
+    print_string "[";
+    let first = ref true in
+    let emit row =
+      if not !first then print_string ",";
+      first := false;
+      print_string (J.to_string row)
+    in
+    Fun.protect ~finally:(fun () -> print_endline "]") (fun () -> f emit)
+  end
+
+let json_int i = J.Num (float_of_int i)
+
+(* A --json FILE document: one line, parent directories created. *)
+let write_json path j =
+  Support.Trace.ensure_parent_dir path;
+  Out_channel.with_open_text path (fun oc -> output_string oc (J.to_string j ^ "\n"))
+
+let json_arg = Arg.(value & flag & info [ "json" ] ~doc:"Emit machine-readable JSON.")
 
 (* ---- list ---- *)
 
@@ -421,10 +449,7 @@ let fuzz_cmd =
     (match json with
     | None -> ()
     | Some path ->
-      Support.Trace.ensure_parent_dir path;
-      Out_channel.with_open_text path (fun oc ->
-          output_string oc (Fuzz.Harness.stats_to_json s);
-          output_char oc '\n');
+      write_json path (Fuzz.Harness.stats_to_json s);
       Printf.printf "stats written to %s\n" path);
     if s.Fuzz.Harness.s_violations > 0 then exit 1
   in
@@ -531,7 +556,6 @@ let lint_cmd =
   let names =
     Arg.(value & pos_all string [] & info [] ~docv:"KERNEL" ~doc:"Kernels (default: all nine).")
   in
-  let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit machine-readable JSON.") in
   let fail_on_warning =
     Arg.(value & flag & info [ "fail-on-warning" ] ~doc:"Exit non-zero on warnings too.")
   in
@@ -563,32 +587,25 @@ let lint_cmd =
                        Support.Pool.submit pool (fun () -> lint_kernel ~levels ~cycle_cap k) ))
               |> List.fold_left (fun acc (name, fut) -> f acc name (Support.Pool.await fut)) init)
       in
-      if json then print_string "[";
       let failed =
+        json_rows json @@ fun emit ->
         fold_reports
-          (fun (failed, i) name r ->
-            if json then begin
-              if i > 0 then print_string ",";
-              print_string (Lint.Engine.report_to_json ~label:name r)
-            end
+          (fun failed name r ->
+            if json then emit (Lint.Engine.report_to_json ~label:name r)
             else Format.printf "%-15s %a@." name Lint.Engine.pp_report r;
             Format.print_flush ();
             flush stdout;
-            ( failed
-              || (not (Lint.Engine.ok r))
-              || (fail_on_warning && not (Lint.Engine.clean r)),
-              i + 1 ))
-          (false, 0)
-        |> fst
+            failed || (not (Lint.Engine.ok r)) || (fail_on_warning && not (Lint.Engine.clean r)))
+          false
       in
-      if json then print_endline "]";
       if failed then exit 1
     end
   in
   Cmd.v
     (Cmd.info "lint"
        ~doc:"Statically verify kernels: DFG structure, netlist, LUT mapping, MILP certificate.")
-    Term.(const run $ names $ json $ fail_on_warning $ levels $ cycle_cap_arg $ rules $ jobs_arg)
+    Term.(
+      const run $ names $ json_arg $ fail_on_warning $ levels $ cycle_cap_arg $ rules $ jobs_arg)
 
 (* A repeated kernel name would be run (and reported) twice for no new
    information; keep the first occurrence and warn on stderr so stdout
@@ -627,17 +644,16 @@ let absint_cmd =
   let names =
     Arg.(value & pos_all string [] & info [] ~docv:"KERNEL" ~doc:"Kernels (default: all nine).")
   in
-  let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit machine-readable JSON.") in
   let run names json =
     let ks =
       match dedupe_kernel_names ~cli:"regulate" names with
       | [] -> Hls.Kernels.all
       | names -> List.map Hls.Kernels.by_name names
     in
-    if json then print_string "[";
     let failed =
+      json_rows json @@ fun emit ->
       List.fold_left
-        (fun (failed, i) k ->
+        (fun failed k ->
           let name = k.Hls.Kernels.name in
           let g, res, report, lint = absint_kernel k in
           let unit_ranges =
@@ -653,32 +669,38 @@ let absint_cmd =
                 (n, outs))
           in
           if json then begin
-            if i > 0 then print_string ",";
-            let b = Buffer.create 4096 in
-            Printf.bprintf b "{\"label\":\"%s\",\"diverged\":%b,\"evals\":%d,\"units\":["
-              (Lint.Diagnostic.json_escape name)
-              res.Absint.Analyze.diverged res.Absint.Analyze.evals;
-            List.iteri
-              (fun j (n, outs) ->
-                if j > 0 then Buffer.add_char b ',';
-                Printf.bprintf b "{\"uid\":%d,\"kind\":\"%s\",\"label\":\"%s\",\"width\":%d,\"outs\":[%s]}"
-                  n.Dataflow.Graph.uid
-                  (Lint.Diagnostic.json_escape (Dataflow.Unit_kind.name n.Dataflow.Graph.kind))
-                  (Lint.Diagnostic.json_escape n.Dataflow.Graph.label)
-                  n.Dataflow.Graph.width
-                  (String.concat ","
-                     (List.map (fun s -> "\"" ^ Lint.Diagnostic.json_escape s ^ "\"") outs)))
-              unit_ranges;
-            Printf.bprintf b
-              "],\"narrowing\":{\"narrowed\":%d,\"folded\":%d,\"rewired\":%d,\"deleted\":%d,\"bits_before\":%d,\"bits_after\":%d,\"units_before\":%d,\"units_after\":%d},\"report\":%s}"
-              (List.length report.Absint.Narrow.r_narrowed)
-              (List.length report.Absint.Narrow.r_folded)
-              (List.length report.Absint.Narrow.r_rewired)
-              (List.length report.Absint.Narrow.r_deleted)
-              report.Absint.Narrow.r_bits_before report.Absint.Narrow.r_bits_after
-              report.Absint.Narrow.r_units_before report.Absint.Narrow.r_units_after
-              (Lint.Engine.report_to_json lint);
-            print_string (Buffer.contents b)
+            let unit_json (n, outs) =
+              J.Obj
+                [
+                  ("uid", json_int n.Dataflow.Graph.uid);
+                  ("kind", J.Str (Dataflow.Unit_kind.name n.Dataflow.Graph.kind));
+                  ("label", J.Str n.Dataflow.Graph.label);
+                  ("width", json_int n.Dataflow.Graph.width);
+                  ("outs", J.Arr (List.map (fun s -> J.Str s) outs));
+                ]
+            in
+            let count l = json_int (List.length l) in
+            emit
+              (J.Obj
+                 [
+                   ("label", J.Str name);
+                   ("diverged", J.Bool res.Absint.Analyze.diverged);
+                   ("evals", json_int res.Absint.Analyze.evals);
+                   ("units", J.Arr (List.map unit_json unit_ranges));
+                   ( "narrowing",
+                     J.Obj
+                       [
+                         ("narrowed", count report.Absint.Narrow.r_narrowed);
+                         ("folded", count report.Absint.Narrow.r_folded);
+                         ("rewired", count report.Absint.Narrow.r_rewired);
+                         ("deleted", count report.Absint.Narrow.r_deleted);
+                         ("bits_before", json_int report.Absint.Narrow.r_bits_before);
+                         ("bits_after", json_int report.Absint.Narrow.r_bits_after);
+                         ("units_before", json_int report.Absint.Narrow.r_units_before);
+                         ("units_after", json_int report.Absint.Narrow.r_units_after);
+                       ] );
+                   ("report", Lint.Engine.report_to_json lint);
+                 ])
           end
           else begin
             Printf.printf "%s: %d units, %d evals%s\n" name (Dataflow.Graph.n_units g)
@@ -696,11 +718,9 @@ let absint_cmd =
           end;
           Format.print_flush ();
           flush stdout;
-          (failed || not (Lint.Engine.ok lint), i + 1))
-        (false, 0) ks
-      |> fst
+          failed || not (Lint.Engine.ok lint))
+        false ks
     in
-    if json then print_endline "]";
     if failed then exit 1
   in
   Cmd.v
@@ -710,7 +730,7 @@ let absint_cmd =
           (intervals plus known bits), the verified narrowing report (width shrinks, constant \
           folds, dead-code deletions), and the range-* lint findings. Exits non-zero on any \
           range-* error.")
-    Term.(const run $ names $ json)
+    Term.(const run $ names $ json_arg)
 
 (* ---- verify ---- *)
 
@@ -757,7 +777,6 @@ let verify_cmd =
   let names =
     Arg.(value & pos_all string [] & info [] ~docv:"KERNEL" ~doc:"Kernels (default: all nine).")
   in
-  let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit machine-readable JSON.") in
   let milp =
     Arg.(
       value & flag
@@ -783,49 +802,40 @@ let verify_cmd =
        and the array is still closed before the non-zero exit, which
        itself happens only after the trace sink (if any) is written. *)
     let body () =
-      if json then print_string "[";
-      let failed =
-        List.fold_left
-          (fun (failed, i) k ->
-            let name = k.Hls.Kernels.name in
-            match verify_kernel ~levels ~milp ~cycle_cap k with
-            | cert, r ->
-              if json then begin
-                if i > 0 then print_string ",";
-                Printf.printf "{\"label\":\"%s\",\"certificate\":%s,\"report\":%s}"
-                  (Lint.Diagnostic.json_escape name)
-                  (Analysis.Certify.to_json cert)
-                  (Lint.Engine.report_to_json r)
-              end
-              else begin
-                Format.printf "%-15s %a (Howard/Karp %s)@." name Analysis.Certify.pp cert
-                  (if Analysis.Certify.karp_agrees cert then "agree" else "DISAGREE");
-                if r.Lint.Engine.diagnostics <> [] then
-                  Format.printf "  %a@." Lint.Engine.pp_report r
-              end;
-              Format.print_flush ();
-              flush stdout;
-              ( failed
-                || (not (Lint.Engine.ok r))
-                || (fail_on_warning && not (Lint.Engine.clean r))
-                || not (Analysis.Certify.karp_agrees cert),
-                i + 1 )
-            | exception e ->
-              let msg = Printexc.to_string e in
-              if json then begin
-                if i > 0 then print_string ",";
-                Printf.printf "{\"label\":\"%s\",\"error\":\"%s\"}"
-                  (Lint.Diagnostic.json_escape name) (Lint.Diagnostic.json_escape msg)
-              end
-              else Format.printf "%-15s ERROR: %s@." name msg;
-              Format.print_flush ();
-              flush stdout;
-              (true, i + 1))
-          (false, 0) ks
-        |> fst
-      in
-      if json then print_endline "]";
-      failed
+      json_rows json @@ fun emit ->
+      List.fold_left
+        (fun failed k ->
+          let name = k.Hls.Kernels.name in
+          match verify_kernel ~levels ~milp ~cycle_cap k with
+          | cert, r ->
+            if json then
+              emit
+                (J.Obj
+                   [
+                     ("label", J.Str name);
+                     ("certificate", Analysis.Certify.to_json cert);
+                     ("report", Lint.Engine.report_to_json r);
+                   ])
+            else begin
+              Format.printf "%-15s %a (Howard/Karp %s)@." name Analysis.Certify.pp cert
+                (if Analysis.Certify.karp_agrees cert then "agree" else "DISAGREE");
+              if r.Lint.Engine.diagnostics <> [] then
+                Format.printf "  %a@." Lint.Engine.pp_report r
+            end;
+            Format.print_flush ();
+            flush stdout;
+            failed
+            || (not (Lint.Engine.ok r))
+            || (fail_on_warning && not (Lint.Engine.clean r))
+            || not (Analysis.Certify.karp_agrees cert)
+          | exception e ->
+            let msg = Printexc.to_string e in
+            if json then emit (J.Obj [ ("label", J.Str name); ("error", J.Str msg) ])
+            else Format.printf "%-15s ERROR: %s@." name msg;
+            Format.print_flush ();
+            flush stdout;
+            true)
+        false ks
     in
     match with_cache cache_dir (fun () -> traced ~name:"regulate:verify" trace body) with
     | Error _ as e -> e
@@ -838,7 +848,7 @@ let verify_cmd =
           with --milp, audit the MILP's claims against them.")
     (Term.term_result
        Term.(
-         const run $ names $ json $ milp $ fail_on_warning $ levels $ cycle_cap_arg $ trace_arg
+         const run $ names $ json_arg $ milp $ fail_on_warning $ levels $ cycle_cap_arg $ trace_arg
          $ cache_dir_arg))
 
 (* ---- tv ---- *)
@@ -883,7 +893,6 @@ let tv_cmd =
   let names =
     Arg.(value & pos_all string [] & info [] ~docv:"KERNEL" ~doc:"Kernels (default: all nine).")
   in
-  let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit machine-readable JSON.") in
   let flavor =
     let fconv = Arg.enum [ ("iterative", `Iterative); ("baseline", `Baseline); ("both", `Both) ] in
     Arg.(
@@ -925,54 +934,47 @@ let tv_cmd =
                      (k, fn, Support.Pool.submit pool (fun () -> tv_kernel ~levels ~exact fl k)))
               |> List.map (fun (k, fn, fut) -> (k, fn, Support.Pool.await fut)))
       in
-      if json then print_string "[";
-      let failed =
-        List.fold_left
-          (fun (failed, i) (k, fn, (res, ms)) ->
-            let name = k.Hls.Kernels.name in
-            let ok = match res with Ok (r, _) -> Lint.Engine.ok r | Error _ -> false in
-            if json then begin
-              if i > 0 then print_string ",";
+      json_rows json @@ fun emit ->
+      List.fold_left
+        (fun failed (k, fn, (res, ms)) ->
+          let name = k.Hls.Kernels.name in
+          let ok = match res with Ok (r, _) -> Lint.Engine.ok r | Error _ -> false in
+          if json then begin
+            let fields =
               match res with
               | Ok (r, tv) ->
-                Printf.printf
-                  "{\"label\":\"%s\",\"flavor\":\"%s\",\"ok\":%b,\"wall_ms\":%.1f,\"luts\":%d,\"cos\":%d,\"vectors\":%d,\"signature\":\"%s\",\"report\":%s}"
-                  (Lint.Diagnostic.json_escape name)
-                  fn ok ms tv.Tv.Equiv.luts_checked tv.Tv.Equiv.cos_checked tv.Tv.Equiv.vectors
-                  (Tv.Equiv.signature_hex tv) (Lint.Engine.report_to_json r)
-              | Error (`Lint r) ->
-                Printf.printf
-                  "{\"label\":\"%s\",\"flavor\":\"%s\",\"ok\":false,\"wall_ms\":%.1f,\"report\":%s}"
-                  (Lint.Diagnostic.json_escape name)
-                  fn ms (Lint.Engine.report_to_json r)
-              | Error (`Exn msg) ->
-                Printf.printf
-                  "{\"label\":\"%s\",\"flavor\":\"%s\",\"ok\":false,\"wall_ms\":%.1f,\"error\":\"%s\"}"
-                  (Lint.Diagnostic.json_escape name)
-                  fn ms (Lint.Diagnostic.json_escape msg)
-            end
-            else begin
-              (match res with
-              | Ok (r, tv) ->
-                Printf.printf "%-15s %-9s %s luts=%-5d cos=%-4d vectors=%d sig=%s %7.1f ms\n" name
-                  fn
-                  (if ok then "ok  " else "FAIL")
-                  tv.Tv.Equiv.luts_checked tv.Tv.Equiv.cos_checked tv.Tv.Equiv.vectors
-                  (Tv.Equiv.signature_hex tv) ms;
-                if not ok then Format.printf "  %a@." Lint.Engine.pp_report r
-              | Error (`Lint r) ->
-                Printf.printf "%-15s %-9s FAIL (lint gate) %7.1f ms\n" name fn ms;
-                Format.printf "  %a@." Lint.Engine.pp_report r
-              | Error (`Exn msg) -> Printf.printf "%-15s %-9s ERROR: %s %7.1f ms\n" name fn msg ms);
-              Format.print_flush ()
-            end;
-            flush stdout;
-            (failed || not ok, i + 1))
-          (false, 0) results
-        |> fst
-      in
-      if json then print_endline "]";
-      failed
+                [
+                  ("luts", json_int tv.Tv.Equiv.luts_checked);
+                  ("cos", json_int tv.Tv.Equiv.cos_checked);
+                  ("vectors", json_int tv.Tv.Equiv.vectors);
+                  ("signature", J.Str (Tv.Equiv.signature_hex tv));
+                  ("report", Lint.Engine.report_to_json r);
+                ]
+              | Error (`Lint r) -> [ ("report", Lint.Engine.report_to_json r) ]
+              | Error (`Exn msg) -> [ ("error", J.Str msg) ]
+            in
+            emit
+              (J.Obj
+                 (("label", J.Str name) :: ("flavor", J.Str fn) :: ("ok", J.Bool ok)
+                 :: ("wall_ms", J.Num ms) :: fields))
+          end
+          else begin
+            (match res with
+            | Ok (r, tv) ->
+              Printf.printf "%-15s %-9s %s luts=%-5d cos=%-4d vectors=%d sig=%s %7.1f ms\n" name fn
+                (if ok then "ok  " else "FAIL")
+                tv.Tv.Equiv.luts_checked tv.Tv.Equiv.cos_checked tv.Tv.Equiv.vectors
+                (Tv.Equiv.signature_hex tv) ms;
+              if not ok then Format.printf "  %a@." Lint.Engine.pp_report r
+            | Error (`Lint r) ->
+              Printf.printf "%-15s %-9s FAIL (lint gate) %7.1f ms\n" name fn ms;
+              Format.printf "  %a@." Lint.Engine.pp_report r
+            | Error (`Exn msg) -> Printf.printf "%-15s %-9s ERROR: %s %7.1f ms\n" name fn msg ms);
+            Format.print_flush ()
+          end;
+          flush stdout;
+          failed || not ok)
+        false results
     in
     match with_cache cache_dir (fun () -> traced ~name:"regulate:tv" trace body) with
     | Error _ as e -> e
@@ -985,7 +987,7 @@ let tv_cmd =
           (netlist/AIG/LUT-cover), label & domain soundness, and buffer-insertion refinement.")
     (Term.term_result
        Term.(
-         const run $ names $ json $ flavor $ exact $ levels $ jobs_arg $ trace_arg $ cache_dir_arg))
+         const run $ names $ json_arg $ flavor $ exact $ levels $ jobs_arg $ trace_arg $ cache_dir_arg))
 
 (* ---- compare ---- *)
 
@@ -1041,7 +1043,7 @@ let cache_cmd =
   let stats_cmd =
     let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit one JSON object.") in
     let run dir json =
-      if json then print_endline (Cache.Store.stats_json dir)
+      if json then print_endline (J.to_string (Cache.Store.stats_json dir))
       else begin
         let s = Cache.Store.disk_stats dir in
         let rate h m = if h + m = 0 then 0. else float_of_int h /. float_of_int (h + m) in
@@ -1322,9 +1324,9 @@ let loadgen_cmd =
               (List.length res.Serve.Loadgen.l_digests);
             Ok
               [
-                ("oneshot_rps", Serve.Json.Num oneshot_rps);
-                ("speedup", Serve.Json.Num speedup);
-                ("digests_match", Serve.Json.Bool true);
+                ("oneshot_rps", J.Num oneshot_rps);
+                ("speedup", J.Num speedup);
+                ("digests_match", J.Bool true);
               ]
           end
           else
@@ -1339,15 +1341,10 @@ let loadgen_cmd =
       (match json with
       | None -> ()
       | Some path ->
-        Support.Trace.ensure_parent_dir path;
-        Out_channel.with_open_text path (fun oc ->
-            let base =
-              match Serve.Loadgen.result_to_json res with
-              | Serve.Json.Obj kvs -> kvs
-              | j -> [ ("result", j) ]
-            in
-            output_string oc (Serve.Json.to_string (Serve.Json.Obj (base @ extra)));
-            output_char oc '\n');
+        let base =
+          match Serve.Loadgen.result_to_json res with J.Obj kvs -> kvs | j -> [ ("result", j) ]
+        in
+        write_json path (J.Obj (base @ extra));
         Printf.printf "summary written to %s\n" path);
       if shutdown then Serve.Loadgen.shutdown ~socket;
       if res.Serve.Loadgen.l_completed < res.Serve.Loadgen.l_sent then

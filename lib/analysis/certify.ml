@@ -196,24 +196,25 @@ let pp fmt t =
     t.howard_iterations t.karp_checks
 
 let to_json t =
-  let b = Buffer.create 256 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"throughput_bound\":%.6f,\"live\":%b,\"violations\":%d,"
-       t.throughput t.live (List.length t.violations));
-  Buffer.add_string b
-    (Printf.sprintf
-       "\"howard_iterations\":%d,\"cycles_evaluated\":%d,\"karp_checks\":%d,\"sccs\":["
-       t.howard_iterations t.cycles_evaluated t.karp_checks);
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "{\"units\":%d,\"ratio\":%s,\"bound\":%.6f,\"karp\":%s,\"violations\":%d}"
-           (List.length s.sc_units)
-           (if s.sc_ratio = infinity then "null" else Printf.sprintf "%.6f" s.sc_ratio)
-           s.sc_bound
-           (match s.sc_karp with None -> "null" | Some k -> Printf.sprintf "%.6f" k)
-           (List.length s.sc_violations)))
-    t.sccs;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let module J = Support.Json in
+  let int i = J.Num (float_of_int i) in
+  let scc s =
+    J.Obj
+      [
+        ("units", int (List.length s.sc_units));
+        ("ratio", J.Num s.sc_ratio);
+        ("bound", J.Num s.sc_bound);
+        ("karp", match s.sc_karp with None -> J.Null | Some k -> J.Num k);
+        ("violations", int (List.length s.sc_violations));
+      ]
+  in
+  J.Obj
+    [
+      ("throughput_bound", J.Num t.throughput);
+      ("live", J.Bool t.live);
+      ("violations", int (List.length t.violations));
+      ("howard_iterations", int t.howard_iterations);
+      ("cycles_evaluated", int t.cycles_evaluated);
+      ("karp_checks", int t.karp_checks);
+      ("sccs", J.Arr (List.map scc t.sccs));
+    ]

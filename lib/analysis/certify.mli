@@ -69,5 +69,7 @@ val pp_cycle : Dataflow.Graph.t -> Format.formatter -> cycle -> unit
 val pp : Format.formatter -> t -> unit
 (** One-line human summary. *)
 
-val to_json : t -> string
-(** One JSON object (bound, liveness, per-SCC ratios, counters). *)
+val to_json : t -> Support.Json.t
+(** One JSON object (bound, liveness, per-SCC ratios, counters). An
+    SCC whose ratio is [infinity] (no cycle ratio found) prints it as
+    [null]. *)

@@ -227,33 +227,29 @@ let disk_stats root =
 
 let rate h m = if h + m = 0 then 0. else float_of_int h /. float_of_int (h + m)
 
-let json_string s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
 let stats_json root =
+  let module J = Support.Json in
+  let int i = J.Num (float_of_int i) in
   let s = disk_stats root in
   let last =
     match s.ds_last with
-    | None -> "null"
+    | None -> J.Null
     | Some (h, m, p) ->
-      Printf.sprintf {|{"hits":%d,"misses":%d,"puts":%d,"hit_rate":%.4f}|} h m p (rate h m)
+      J.Obj
+        [ ("hits", int h); ("misses", int m); ("puts", int p); ("hit_rate", J.Num (rate h m)) ]
   in
-  Printf.sprintf
-    {|{"dir":%s,"entries":%d,"bytes":%d,"sessions":%d,"hits":%d,"misses":%d,"puts":%d,"hit_rate":%.4f,"last_session":%s}|}
-    (json_string root) s.ds_entries s.ds_bytes s.ds_sessions s.ds_hits s.ds_misses s.ds_puts
-    (rate s.ds_hits s.ds_misses) last
+  J.Obj
+    [
+      ("dir", J.Str root);
+      ("entries", int s.ds_entries);
+      ("bytes", int s.ds_bytes);
+      ("sessions", int s.ds_sessions);
+      ("hits", int s.ds_hits);
+      ("misses", int s.ds_misses);
+      ("puts", int s.ds_puts);
+      ("hit_rate", J.Num (rate s.ds_hits s.ds_misses));
+      ("last_session", last);
+    ]
 
 let remove_tmp root =
   let tmp = root / "tmp" in

@@ -79,7 +79,7 @@ val disk_stats : string -> disk_stats
 (** Stats for the store rooted at a path ([stats.log] totals plus an
     object walk). An empty or absent directory yields all zeros. *)
 
-val stats_json : string -> string
+val stats_json : string -> Support.Json.t
 (** {!disk_stats} as one JSON object, including derived [hit_rate]
     fields (cumulative and last-session). *)
 

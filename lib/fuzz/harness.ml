@@ -136,33 +136,27 @@ let run ?gen_cfg ?config ?mutations ?budget_s ?(minimize = true) ?(log = ignore)
   in
   { stats; findings = List.rev !findings }
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let stats_to_json s =
-  let hist kv =
-    String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%d" (json_escape k) v) kv)
-  in
+  let module J = Support.Json in
+  let int i = J.Num (float_of_int i) in
+  let hist kv = J.Obj (List.map (fun (k, v) -> (k, int v)) kv) in
   (* feature coverage includes zero rows for never-emitted features *)
   let full_features =
     List.map
       (fun k -> (k, Option.value (List.assoc_opt k s.s_features) ~default:0))
       Hls.Generate.feature_keys
   in
-  Printf.sprintf
-    "{\"kernels\":%d,\"violations\":%d,\"explained\":%d,\"duration_s\":%.2f,\"budget_hit\":%b,\"failures_by_kind\":{%s},\"explained_by_kind\":{%s},\"features\":{%s}}"
-    s.s_kernels s.s_violations s.s_explained s.s_duration_s s.s_budget_hit
-    (hist s.s_failures_by_kind) (hist s.s_explained_by_kind) (hist full_features)
+  J.Obj
+    [
+      ("kernels", int s.s_kernels);
+      ("violations", int s.s_violations);
+      ("explained", int s.s_explained);
+      ("duration_s", J.Num s.s_duration_s);
+      ("budget_hit", J.Bool s.s_budget_hit);
+      ("failures_by_kind", hist s.s_failures_by_kind);
+      ("explained_by_kind", hist s.s_explained_by_kind);
+      ("features", hist full_features);
+    ]
 
 let write_repro ~dir f =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;

@@ -51,7 +51,7 @@ val run :
     {!Minimize.shrink_func} re-running the single-seed oracle as the
     predicate. [log] receives one progress line per batch. *)
 
-val stats_to_json : stats -> string
+val stats_to_json : stats -> Support.Json.t
 (** One JSON object: totals, failure histogram and feature coverage —
     the payload CI renders into the step summary. *)
 

@@ -44,35 +44,16 @@ let pp_location fmt loc =
 let pp fmt d =
   Fmt.pf fmt "%-7s %s @@ %a: %s" (severity_name d.severity) d.rule pp_location d.loc d.message
 
-(* Minimal JSON string escaping: quotes, backslashes and control bytes
-   (rule messages embed unit labels, which are user-controlled in the
-   mini-C front end). *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module J = Support.Json
 
 let to_json d =
   let kind, id = location_parts d.loc in
-  let loc =
-    match id with
-    | Some i -> Printf.sprintf "{\"kind\":\"%s\",\"id\":%d}" kind i
-    | None -> Printf.sprintf "{\"kind\":\"%s\"}" kind
-  in
-  let extra =
-    String.concat ""
-      (List.map
-         (fun (k, v) -> Printf.sprintf ",\"%s\":\"%s\"" (json_escape k) (json_escape v))
-         d.extra)
-  in
-  Printf.sprintf "{\"rule\":\"%s\",\"severity\":\"%s\",\"loc\":%s,\"message\":\"%s\"%s}"
-    (json_escape d.rule) (severity_name d.severity) loc (json_escape d.message) extra
+  let id = match id with Some i -> [ ("id", J.Num (float_of_int i)) ] | None -> [] in
+  J.Obj
+    ([
+       ("rule", J.Str d.rule);
+       ("severity", J.Str (severity_name d.severity));
+       ("loc", J.Obj (("kind", J.Str kind) :: id));
+       ("message", J.Str d.message);
+     ]
+    @ List.map (fun (k, v) -> (k, J.Str v)) d.extra)

@@ -43,10 +43,6 @@ val pp_location : location Fmt.t
 val pp : t Fmt.t
 (** [rule-id severity @ location: message] on one line. *)
 
-val to_json : t -> string
+val to_json : t -> Support.Json.t
 (** One JSON object: [{"rule":…,"severity":…,"loc":{"kind":…,"id":…},"message":…}]
     plus one string member per [extra] pair. *)
-
-val json_escape : string -> string
-(** Escape a string for embedding in a JSON literal (quotes, backslashes,
-    control bytes). *)

@@ -1,4 +1,5 @@
 module D = Diagnostic
+module J = Support.Json
 
 type report = {
   diagnostics : D.t list;
@@ -74,21 +75,15 @@ let pp_report fmt r =
   end
 
 let report_to_json ?label r =
-  let b = Buffer.create 256 in
-  Buffer.add_char b '{';
-  (match label with
-  | Some l -> Buffer.add_string b (Printf.sprintf "\"label\":\"%s\"," (D.json_escape l))
-  | None -> ());
-  Buffer.add_string b
-    (Printf.sprintf "\"errors\":%d,\"warnings\":%d,\"infos\":%d,\"diagnostics\":[" r.errors
-       r.warnings r.infos);
-  List.iteri
-    (fun i d ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (D.to_json d))
-    r.diagnostics;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let int i = J.Num (float_of_int i) in
+  J.Obj
+    ((match label with Some l -> [ ("label", J.Str l) ] | None -> [])
+    @ [
+        ("errors", int r.errors);
+        ("warnings", int r.warnings);
+        ("infos", int r.infos);
+        ("diagnostics", J.Arr (List.map D.to_json r.diagnostics));
+      ])
 
 let catalogue () =
   (* the list heads force linkage of every rule module *)

@@ -98,7 +98,7 @@ val check_refinement :
 (** {2 Rendering} *)
 
 val pp_report : Format.formatter -> report -> unit
-val report_to_json : ?label:string -> report -> string
+val report_to_json : ?label:string -> report -> Support.Json.t
 (** One JSON object; [label] (e.g. the kernel name) is included when
     given. *)
 

@@ -1,3 +1,5 @@
+module J = Support.Json
+
 type result = {
   l_sent : int;
   l_completed : int;
@@ -42,7 +44,7 @@ let read_event ic =
 (* Ask for server stats and skip any in-flight events (none are expected
    when called outside the send loop, but interleaving is legal). *)
 let query_stats ic oc =
-  send oc (Json.to_string (Json.Obj [ ("stats", Json.Bool true) ]));
+  send oc (J.to_string (J.Obj [ ("stats", J.Bool true) ]));
   let rec wait () =
     match read_event ic with Protocol.Stats_reply s -> s | _ -> wait ()
   in
@@ -129,27 +131,27 @@ let shutdown ~socket =
   let fd, ic, oc = connect socket in
   Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
   @@ fun () ->
-  send oc (Json.to_string (Json.Obj [ ("shutdown", Json.Bool true) ]));
+  send oc (J.to_string (J.Obj [ ("shutdown", J.Bool true) ]));
   let rec wait () = match read_event ic with Protocol.Bye -> () | _ -> wait () in
   (* the daemon drains before it byes; treat a dropped connection as done *)
   try wait () with Failure _ -> ()
 
 let result_to_json r =
-  Json.Obj
+  J.Obj
     [
-      ("sent", Json.Num (float_of_int r.l_sent));
-      ("completed", Json.Num (float_of_int r.l_completed));
-      ("errors", Json.Num (float_of_int r.l_errors));
-      ("rejected", Json.Num (float_of_int r.l_rejected));
-      ("cancelled", Json.Num (float_of_int r.l_cancelled));
-      ("wall_s", Json.Num r.l_wall_s);
-      ("mean_ms", Json.Num r.l_mean_ms);
-      ("p50_ms", Json.Num r.l_p50_ms);
-      ("p99_ms", Json.Num r.l_p99_ms);
-      ("throughput_rps", Json.Num r.l_throughput);
-      ("cache_hits", Json.Num (float_of_int r.l_hits));
-      ("cache_misses", Json.Num (float_of_int r.l_misses));
-      ("hit_rate", Json.Num (Protocol.hit_rate r.l_hits r.l_misses));
+      ("sent", J.Num (float_of_int r.l_sent));
+      ("completed", J.Num (float_of_int r.l_completed));
+      ("errors", J.Num (float_of_int r.l_errors));
+      ("rejected", J.Num (float_of_int r.l_rejected));
+      ("cancelled", J.Num (float_of_int r.l_cancelled));
+      ("wall_s", J.Num r.l_wall_s);
+      ("mean_ms", J.Num r.l_mean_ms);
+      ("p50_ms", J.Num r.l_p50_ms);
+      ("p99_ms", J.Num r.l_p99_ms);
+      ("throughput_rps", J.Num r.l_throughput);
+      ("cache_hits", J.Num (float_of_int r.l_hits));
+      ("cache_misses", J.Num (float_of_int r.l_misses));
+      ("hit_rate", J.Num (Protocol.hit_rate r.l_hits r.l_misses));
     ]
 
 (* ---- sequential one-shot comparison ---- *)

@@ -32,7 +32,7 @@ val run : ?window:int -> socket:string -> Protocol.request list -> result
 val shutdown : socket:string -> unit
 (** Send [{"shutdown":true}] and wait for the daemon's [bye]. *)
 
-val result_to_json : result -> Json.t
+val result_to_json : result -> Support.Json.t
 (** The CI-facing summary: percentiles, throughput, hit rate. *)
 
 (** {1 Sequential one-shot comparison} *)

@@ -1,3 +1,5 @@
+module J = Support.Json
+
 type flavor = [ `Iterative | `Baseline ]
 
 let flavor_name = function `Iterative -> "iterative" | `Baseline -> "baseline"
@@ -18,64 +20,64 @@ type command = Compile of request | Cancel of string | Stats | Shutdown
 
 let request_to_json (r : request) =
   let opt k f v rest = match v with None -> rest | Some v -> (k, f v) :: rest in
-  Json.Obj
-    (("id", Json.Str r.id)
-     :: opt "kernel" (fun s -> Json.Str s) r.kernel
-          (opt "source" (fun s -> Json.Str s) r.source
-             (("flavor", Json.Str (flavor_name r.flavor))
-              :: opt "levels" (fun i -> Json.Num (float_of_int i)) r.levels
-                   (opt "milp_nodes" (fun i -> Json.Num (float_of_int i)) r.milp_nodes
-                      (opt "milp_budget_s" (fun f -> Json.Num f) r.milp_budget_s [])))))
+  J.Obj
+    (("id", J.Str r.id)
+     :: opt "kernel" (fun s -> J.Str s) r.kernel
+          (opt "source" (fun s -> J.Str s) r.source
+             (("flavor", J.Str (flavor_name r.flavor))
+              :: opt "levels" (fun i -> J.Num (float_of_int i)) r.levels
+                   (opt "milp_nodes" (fun i -> J.Num (float_of_int i)) r.milp_nodes
+                      (opt "milp_budget_s" (fun f -> J.Num f) r.milp_budget_s [])))))
 
-let request_to_line r = Json.to_string (request_to_json r)
+let request_to_line r = J.to_string (request_to_json r)
 
 let ( let* ) = Result.bind
 
 let parse_request j =
   let* id =
-    match Json.str_mem "id" j with
+    match J.str_mem "id" j with
     | Some id when id <> "" -> Ok id
     | Some _ -> Error "empty request id"
     | None -> (
-      match Json.mem "id" j with
+      match J.mem "id" j with
       | Some _ -> Error "request id must be a non-empty string"
       | None -> Error "missing request id")
   in
   let* kernel, source =
-    match (Json.mem "kernel" j, Json.mem "source" j) with
+    match (J.mem "kernel" j, J.mem "source" j) with
     | Some _, Some _ -> Error "request has both \"kernel\" and \"source\""
     | None, None -> Error "request needs a \"kernel\" name or inline \"source\""
     | Some k, None -> (
-      match Json.str k with
+      match J.str k with
       | Some k when k <> "" -> Ok (Some k, None)
       | _ -> Error "\"kernel\" must be a non-empty string")
     | None, Some s -> (
-      match Json.str s with
+      match J.str s with
       | Some s when s <> "" -> Ok (None, Some s)
       | _ -> Error "\"source\" must be a non-empty string")
   in
   let* flavor =
-    match Json.mem "flavor" j with
+    match J.mem "flavor" j with
     | None -> Ok `Iterative
-    | Some (Json.Str "iterative") -> Ok `Iterative
-    | Some (Json.Str "baseline") -> Ok `Baseline
+    | Some (J.Str "iterative") -> Ok `Iterative
+    | Some (J.Str "baseline") -> Ok `Baseline
     | Some _ -> Error "\"flavor\" must be \"iterative\" or \"baseline\""
   in
   let pos_int k =
-    match Json.mem k j with
+    match J.mem k j with
     | None -> Ok None
     | Some v -> (
-      match Json.int v with
+      match J.int v with
       | Some i when i >= 1 -> Ok (Some i)
       | _ -> Error (Printf.sprintf "%S must be an integer >= 1" k))
   in
   let* levels = pos_int "levels" in
   let* milp_nodes = pos_int "milp_nodes" in
   let* milp_budget_s =
-    match Json.mem "milp_budget_s" j with
+    match J.mem "milp_budget_s" j with
     | None -> Ok None
     | Some v -> (
-      match Json.num v with
+      match J.num v with
       | Some f when f > 0. -> Ok (Some f)
       | _ -> Error "\"milp_budget_s\" must be a number > 0")
   in
@@ -83,15 +85,15 @@ let parse_request j =
 
 let command_of_line line =
   let* j =
-    match Json.of_string line with
-    | Ok (Json.Obj _ as j) -> Ok j
+    match J.of_string line with
+    | Ok (J.Obj _ as j) -> Ok j
     | Ok _ -> Error "request must be a JSON object"
     | Error msg -> Error ("bad JSON: " ^ msg)
   in
-  if Json.bool_mem "shutdown" j = Some true then Ok Shutdown
-  else if Json.bool_mem "stats" j = Some true then Ok Stats
-  else if Json.bool_mem "cancel" j = Some true then
-    match Json.str_mem "id" j with
+  if J.bool_mem "shutdown" j = Some true then Ok Shutdown
+  else if J.bool_mem "stats" j = Some true then Ok Stats
+  else if J.bool_mem "cancel" j = Some true then
+    match J.str_mem "id" j with
     | Some id when id <> "" -> Ok (Cancel id)
     | _ -> Error "cancel needs the \"id\" of the in-flight request"
   else parse_request j
@@ -145,36 +147,36 @@ let hit_rate hits misses =
 
 let event_to_json = function
   | Accepted { id; inflight } ->
-    Json.Obj
+    J.Obj
       [
-        ("id", Json.Str id);
-        ("event", Json.Str "accepted");
-        ("inflight", Json.Num (float_of_int inflight));
+        ("id", J.Str id);
+        ("event", J.Str "accepted");
+        ("inflight", J.Num (float_of_int inflight));
       ]
   | Rejected { id; code; message } ->
-    Json.Obj
+    J.Obj
       [
-        ("id", Json.Str id);
-        ("event", Json.Str "rejected");
-        ("code", Json.Str code);
-        ("message", Json.Str message);
+        ("id", J.Str id);
+        ("event", J.Str "rejected");
+        ("code", J.Str code);
+        ("message", J.Str message);
       ]
   | Status { id; stage } ->
-    Json.Obj [ ("id", Json.Str id); ("event", Json.Str "status"); ("stage", Json.Str stage) ]
+    J.Obj [ ("id", J.Str id); ("event", J.Str "status"); ("stage", J.Str stage) ]
   | Done { id; wall_ms; result = r } ->
     let base =
       [
-        ("id", Json.Str id);
-        ("event", Json.Str "done");
-        ("flavor", Json.Str (flavor_name r.r_flavor));
-        ("digest", Json.Str r.r_digest);
-        ("levels", Json.Num (float_of_int r.r_levels));
-        ("met_target", Json.Bool r.r_met_target);
-        ("buffers", Json.Num (float_of_int r.r_buffers));
-        ("iterations", Json.Num (float_of_int r.r_iterations));
-        ("phi", Json.Num r.r_phi);
-        ("certified_bound", Json.Num r.r_certified);
-        ("wall_ms", Json.Num wall_ms);
+        ("id", J.Str id);
+        ("event", J.Str "done");
+        ("flavor", J.Str (flavor_name r.r_flavor));
+        ("digest", J.Str r.r_digest);
+        ("levels", J.Num (float_of_int r.r_levels));
+        ("met_target", J.Bool r.r_met_target);
+        ("buffers", J.Num (float_of_int r.r_buffers));
+        ("iterations", J.Num (float_of_int r.r_iterations));
+        ("phi", J.Num r.r_phi);
+        ("certified_bound", J.Num r.r_certified);
+        ("wall_ms", J.Num wall_ms);
       ]
     in
     let measured =
@@ -183,89 +185,89 @@ let event_to_json = function
       | Some m ->
         [
           ( "measured",
-            Json.Obj
+            J.Obj
               [
-                ("cp_ns", Json.Num m.m_cp);
-                ("cycles", Json.Num (float_of_int m.m_cycles));
-                ("exec_ns", Json.Num m.m_exec_ns);
-                ("luts", Json.Num (float_of_int m.m_luts));
-                ("ffs", Json.Num (float_of_int m.m_ffs));
-                ("value_ok", Json.Bool m.m_value_ok);
+                ("cp_ns", J.Num m.m_cp);
+                ("cycles", J.Num (float_of_int m.m_cycles));
+                ("exec_ns", J.Num m.m_exec_ns);
+                ("luts", J.Num (float_of_int m.m_luts));
+                ("ffs", J.Num (float_of_int m.m_ffs));
+                ("value_ok", J.Bool m.m_value_ok);
               ] );
         ]
     in
-    Json.Obj (base @ measured)
+    J.Obj (base @ measured)
   | Failed { id; code; message } ->
-    Json.Obj
+    J.Obj
       [
-        ("id", match id with Some id -> Json.Str id | None -> Json.Null);
-        ("event", Json.Str "error");
-        ("code", Json.Str code);
-        ("message", Json.Str message);
+        ("id", match id with Some id -> J.Str id | None -> J.Null);
+        ("event", J.Str "error");
+        ("code", J.Str code);
+        ("message", J.Str message);
       ]
-  | Cancelled { id } -> Json.Obj [ ("id", Json.Str id); ("event", Json.Str "cancelled") ]
+  | Cancelled { id } -> J.Obj [ ("id", J.Str id); ("event", J.Str "cancelled") ]
   | Stats_reply s ->
-    Json.Obj
+    J.Obj
       [
-        ("event", Json.Str "stats");
-        ("served", Json.Num (float_of_int s.s_served));
-        ("errors", Json.Num (float_of_int s.s_errors));
-        ("rejected", Json.Num (float_of_int s.s_rejected));
-        ("cancelled", Json.Num (float_of_int s.s_cancelled));
-        ("inflight", Json.Num (float_of_int s.s_inflight));
-        ("cache_hits", Json.Num (float_of_int s.s_cache_hits));
-        ("cache_misses", Json.Num (float_of_int s.s_cache_misses));
-        ("hit_rate", Json.Num (hit_rate s.s_cache_hits s.s_cache_misses));
-        ("uptime_s", Json.Num s.s_uptime_s);
+        ("event", J.Str "stats");
+        ("served", J.Num (float_of_int s.s_served));
+        ("errors", J.Num (float_of_int s.s_errors));
+        ("rejected", J.Num (float_of_int s.s_rejected));
+        ("cancelled", J.Num (float_of_int s.s_cancelled));
+        ("inflight", J.Num (float_of_int s.s_inflight));
+        ("cache_hits", J.Num (float_of_int s.s_cache_hits));
+        ("cache_misses", J.Num (float_of_int s.s_cache_misses));
+        ("hit_rate", J.Num (hit_rate s.s_cache_hits s.s_cache_misses));
+        ("uptime_s", J.Num s.s_uptime_s);
       ]
-  | Bye -> Json.Obj [ ("event", Json.Str "bye") ]
+  | Bye -> J.Obj [ ("event", J.Str "bye") ]
 
-let event_to_line e = Json.to_string (event_to_json e)
+let event_to_line e = J.to_string (event_to_json e)
 
 (* The client-side decoder. Unknown event names are surfaced as errors so
    a protocol skew between loadgen and daemon is loud, not silent. *)
 let event_of_line line =
   let* j =
-    match Json.of_string line with
-    | Ok (Json.Obj _ as j) -> Ok j
+    match J.of_string line with
+    | Ok (J.Obj _ as j) -> Ok j
     | Ok _ -> Error "event must be a JSON object"
     | Error msg -> Error ("bad JSON: " ^ msg)
   in
   let id () =
-    match Json.str_mem "id" j with Some id -> Ok id | None -> Error "event without id"
+    match J.str_mem "id" j with Some id -> Ok id | None -> Error "event without id"
   in
-  match Json.str_mem "event" j with
+  match J.str_mem "event" j with
   | Some "accepted" ->
     let* id = id () in
-    Ok (Accepted { id; inflight = Option.value (Json.int_mem "inflight" j) ~default:0 })
+    Ok (Accepted { id; inflight = Option.value (J.int_mem "inflight" j) ~default:0 })
   | Some "rejected" ->
     let* id = id () in
     Ok
       (Rejected
          {
            id;
-           code = Option.value (Json.str_mem "code" j) ~default:"";
-           message = Option.value (Json.str_mem "message" j) ~default:"";
+           code = Option.value (J.str_mem "code" j) ~default:"";
+           message = Option.value (J.str_mem "message" j) ~default:"";
          })
   | Some "status" ->
     let* id = id () in
-    Ok (Status { id; stage = Option.value (Json.str_mem "stage" j) ~default:"" })
+    Ok (Status { id; stage = Option.value (J.str_mem "stage" j) ~default:"" })
   | Some "done" ->
     let* id = id () in
     let* flavor =
-      match Json.str_mem "flavor" j with
+      match J.str_mem "flavor" j with
       | Some "baseline" -> Ok `Baseline
       | Some "iterative" | None -> Ok `Iterative
       | Some f -> Error ("unknown flavor " ^ f)
     in
-    let int k = Option.value (Json.int_mem k j) ~default:0 in
-    let num k = Option.value (Json.num_mem k j) ~default:0. in
+    let int k = Option.value (J.int_mem k j) ~default:0 in
+    let num k = Option.value (J.num_mem k j) ~default:0. in
     let measured =
-      match Json.mem "measured" j with
+      match J.mem "measured" j with
       | None -> None
       | Some m ->
-        let mint k = Option.value (Json.int_mem k m) ~default:0 in
-        let mnum k = Option.value (Json.num_mem k m) ~default:0. in
+        let mint k = Option.value (J.int_mem k m) ~default:0 in
+        let mnum k = Option.value (J.num_mem k m) ~default:0. in
         Some
           {
             m_cp = mnum "cp_ns";
@@ -273,7 +275,7 @@ let event_of_line line =
             m_exec_ns = mnum "exec_ns";
             m_luts = mint "luts";
             m_ffs = mint "ffs";
-            m_value_ok = Option.value (Json.bool_mem "value_ok" m) ~default:false;
+            m_value_ok = Option.value (J.bool_mem "value_ok" m) ~default:false;
           }
     in
     Ok
@@ -283,10 +285,10 @@ let event_of_line line =
            wall_ms = num "wall_ms";
            result =
              {
-               r_digest = Option.value (Json.str_mem "digest" j) ~default:"";
+               r_digest = Option.value (J.str_mem "digest" j) ~default:"";
                r_flavor = flavor;
                r_levels = int "levels";
-               r_met_target = Option.value (Json.bool_mem "met_target" j) ~default:false;
+               r_met_target = Option.value (J.bool_mem "met_target" j) ~default:false;
                r_buffers = int "buffers";
                r_iterations = int "iterations";
                r_phi = num "phi";
@@ -298,15 +300,15 @@ let event_of_line line =
     Ok
       (Failed
          {
-           id = Json.str_mem "id" j;
-           code = Option.value (Json.str_mem "code" j) ~default:"";
-           message = Option.value (Json.str_mem "message" j) ~default:"";
+           id = J.str_mem "id" j;
+           code = Option.value (J.str_mem "code" j) ~default:"";
+           message = Option.value (J.str_mem "message" j) ~default:"";
          })
   | Some "cancelled" ->
     let* id = id () in
     Ok (Cancelled { id })
   | Some "stats" ->
-    let int k = Option.value (Json.int_mem k j) ~default:0 in
+    let int k = Option.value (J.int_mem k j) ~default:0 in
     Ok
       (Stats_reply
          {
@@ -317,7 +319,7 @@ let event_of_line line =
            s_inflight = int "inflight";
            s_cache_hits = int "cache_hits";
            s_cache_misses = int "cache_misses";
-           s_uptime_s = Option.value (Json.num_mem "uptime_s" j) ~default:0.;
+           s_uptime_s = Option.value (J.num_mem "uptime_s" j) ~default:0.;
          })
   | Some "bye" -> Ok Bye
   | Some e -> Error ("unknown event " ^ e)

@@ -32,7 +32,7 @@ val command_of_line : string -> (command, string) result
 (** Parse one client line. [Error] is a human-readable reason; the
     server answers it with an [error] event and keeps serving. *)
 
-val request_to_json : request -> Json.t
+val request_to_json : request -> Support.Json.t
 val request_to_line : request -> string
 
 (** {1 Events (daemon → client)} *)
@@ -82,7 +82,7 @@ type event =
 val hit_rate : int -> int -> float
 (** [hit_rate hits misses]; [0.] when both are zero. *)
 
-val event_to_json : event -> Json.t
+val event_to_json : event -> Support.Json.t
 val event_to_line : event -> string
 
 val event_of_line : string -> (event, string) result

@@ -236,67 +236,58 @@ let pp_summary fmt r =
 
 (* ---- Chrome trace-event sink ---- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_chrome_json r =
-  let b = Buffer.create 8192 in
-  let us t = (t -. r.r_t0) *. 1e6 in
-  Buffer.add_string b "{\"traceEvents\":[";
-  let first = ref true in
-  let sep () = if !first then first := false else Buffer.add_char b ',' in
-  List.iter
-    (fun s ->
-      sep ();
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{\"parent\":%s,\"depth\":%d}}"
-           (json_escape s.sp_name) (json_escape s.sp_cat) (us s.sp_start)
-           ((s.sp_stop -. s.sp_start) *. 1e6)
-           s.sp_tid
-           (match s.sp_parent with
-           | None -> "null"
-           | Some p -> "\"" ^ json_escape p ^ "\"")
-           s.sp_depth))
-    r.r_spans;
-  List.iter
-    (fun (k, v) ->
-      sep ();
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":1,\"tid\":0,\"args\":{\"value\":%d}}"
-           (json_escape k) (r.r_wall *. 1e6) v))
-    r.r_counters;
-  Buffer.add_string b "],\"displayTimeUnit\":\"ms\",\"otherData\":{";
-  Buffer.add_string b (Printf.sprintf "\"wall_s\":%.6f,\"counters\":{" r.r_wall);
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":%d" (json_escape k) v))
-    r.r_counters;
-  Buffer.add_string b "},\"summary\":[";
-  List.iteri
-    (fun i row ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "{\"name\":\"%s\",\"calls\":%d,\"total_ms\":%.3f,\"self_ms\":%.3f}"
-           (json_escape row.row_name) row.row_calls (row.row_total *. 1000.)
-           (row.row_self *. 1000.)))
-    (summary r);
-  Buffer.add_string b "]}}";
-  Buffer.contents b
+  let int i = Json.Num (float_of_int i) in
+  let span s =
+    Json.Obj
+      [
+        ("name", Json.Str s.sp_name);
+        ("cat", Json.Str s.sp_cat);
+        ("ph", Json.Str "X");
+        ("ts", Json.Num ((s.sp_start -. r.r_t0) *. 1e6));
+        ("dur", Json.Num ((s.sp_stop -. s.sp_start) *. 1e6));
+        ("pid", int 1);
+        ("tid", int s.sp_tid);
+        ( "args",
+          Json.Obj
+            [
+              ("parent", match s.sp_parent with None -> Json.Null | Some p -> Json.Str p);
+              ("depth", int s.sp_depth);
+            ] );
+      ]
+  in
+  let counter (k, v) =
+    Json.Obj
+      [
+        ("name", Json.Str k);
+        ("ph", Json.Str "C");
+        ("ts", Json.Num (r.r_wall *. 1e6));
+        ("pid", int 1);
+        ("tid", int 0);
+        ("args", Json.Obj [ ("value", int v) ]);
+      ]
+  in
+  let row x =
+    Json.Obj
+      [
+        ("name", Json.Str x.row_name);
+        ("calls", int x.row_calls);
+        ("total_ms", Json.Num (x.row_total *. 1000.));
+        ("self_ms", Json.Num (x.row_self *. 1000.));
+      ]
+  in
+  Json.Obj
+    [
+      ("traceEvents", Json.Arr (List.map span r.r_spans @ List.map counter r.r_counters));
+      ("displayTimeUnit", Json.Str "ms");
+      ( "otherData",
+        Json.Obj
+          [
+            ("wall_s", Json.Num r.r_wall);
+            ("counters", Json.Obj (List.map (fun (k, v) -> (k, int v)) r.r_counters));
+            ("summary", Json.Arr (List.map row (summary r)));
+          ] );
+    ]
 
 let rec mkdir_p dir =
   if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
@@ -311,4 +302,5 @@ let ensure_parent_dir path = mkdir_p (Filename.dirname path)
 
 let write_chrome_json r path =
   ensure_parent_dir path;
-  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc (to_chrome_json r))
+  Out_channel.with_open_text path (fun oc ->
+      Out_channel.output_string oc (Json.to_string (to_chrome_json r)))

@@ -105,7 +105,7 @@ val pp_summary : Format.formatter -> report -> unit
 (** The flat per-stage table (calls, total ms, self ms) followed by the
     counters. Intended for stderr: stdout stays byte-identical. *)
 
-val to_chrome_json : report -> string
+val to_chrome_json : report -> Json.t
 (** Chrome trace-event JSON: one ["X"] (complete) event per span, one
     ["C"] (counter) event per merged counter, plus an [otherData]
     object carrying [wall_s], the merged counters and the summary rows
@@ -113,8 +113,8 @@ val to_chrome_json : report -> string
 
 val write_chrome_json : report -> string -> unit
 (** [write_chrome_json r path] creates [path]'s parent directories as
-    needed and writes {!to_chrome_json}. Raises [Sys_error] with a
-    plain message on an unwritable path (no backtraces). *)
+    needed and writes {!to_chrome_json} as one line. Raises [Sys_error]
+    with a plain message on an unwritable path (no backtraces). *)
 
 val ensure_parent_dir : string -> unit
 (** [ensure_parent_dir path] creates the missing parent directories of

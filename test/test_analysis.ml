@@ -192,14 +192,20 @@ let test_trace_counters () =
     (Support.Trace.counter r "perf.karp.checks" >= 1)
 
 let test_to_json_shape () =
+  let module J = Support.Json in
   let g, _ = Fixtures.loop ~buffered:true () in
-  let s = C.to_json (C.certify g) in
-  List.iter
-    (fun needle ->
-      let nh = String.length s and nn = String.length needle in
-      let rec at i = i + nn <= nh && (String.sub s i nn = needle || at (i + 1)) in
-      check Alcotest.bool ("json has " ^ needle) true (at 0))
-    [ "\"throughput_bound\""; "\"live\":true"; "\"sccs\""; "\"karp\"" ]
+  let cert = C.certify g in
+  match J.of_string (J.to_string (C.to_json cert)) with
+  | Error msg -> Alcotest.failf "certificate JSON does not parse: %s" msg
+  | Ok j -> (
+    check (Alcotest.option (Alcotest.float 1e-9)) "throughput_bound" (Some cert.C.throughput)
+      (J.num_mem "throughput_bound" j);
+    check (Alcotest.option Alcotest.bool) "live" (Some true) (J.bool_mem "live" j);
+    match J.mem "sccs" j with
+    | Some (J.Arr (scc :: _ as sccs)) ->
+      check Alcotest.int "one entry per SCC" (List.length cert.C.sccs) (List.length sccs);
+      check Alcotest.bool "karp member" true (J.mem "karp" scc <> None)
+    | _ -> Alcotest.fail "sccs is not a non-empty array")
 
 (* ------------------------------------------------------------------ *)
 (* SIV-D domain discipline (check_domains) on a fabricated timing graph *)

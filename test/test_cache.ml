@@ -151,9 +151,14 @@ let test_store_gc_clear () =
   Alcotest.(check bool) "gc freed bytes" true (freed > 0);
   Cache.Store.clear dir;
   Alcotest.(check int) "clear empties" 0 (Cache.Store.disk_stats dir).Cache.Store.ds_entries;
-  (* stats_json parses enough to be machine-readable: spot-check shape *)
-  let json = Cache.Store.stats_json dir in
-  Alcotest.(check bool) "json has hit_rate" true (find_sub json "\"hit_rate\":" <> None)
+  (* stats_json of the cleared store parses back: zero rate, no last session *)
+  let module J = Support.Json in
+  match J.of_string (J.to_string (Cache.Store.stats_json dir)) with
+  | Error msg -> Alcotest.failf "stats_json does not parse: %s" msg
+  | Ok j ->
+    Alcotest.(check (option (float 0.))) "hit_rate" (Some 0.) (J.num_mem "hit_rate" j);
+    Alcotest.(check (option int)) "entries" (Some 0) (J.int_mem "entries" j);
+    Alcotest.(check bool) "no last session" true (J.mem "last_session" j = Some J.Null)
 
 (* ------------------------------------------------------------------ *)
 (* memoization through Control *)

@@ -54,8 +54,8 @@ let test_campaign_deterministic_across_jobs () =
   let strip r = { r.Fuzz.Harness.stats with Fuzz.Harness.s_duration_s = 0. } in
   let a = campaign 1 and b = campaign 2 in
   check string "stats agree at any width"
-    (Fuzz.Harness.stats_to_json (strip a))
-    (Fuzz.Harness.stats_to_json (strip b));
+    (Support.Json.to_string (Fuzz.Harness.stats_to_json (strip a)))
+    (Support.Json.to_string (Fuzz.Harness.stats_to_json (strip b)));
   check int "no violations" 0 a.Fuzz.Harness.stats.Fuzz.Harness.s_violations
 
 let test_ddmin () =

@@ -20,11 +20,6 @@ let expect_quiet rule r = check Alcotest.bool (rule ^ " quiet") false (fired rul
 
 let opaque = Some { G.transparent = false; slots = 2 }
 
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec at i = i + nn <= nh && (String.sub haystack i nn = needle || at (i + 1)) in
-  nn = 0 || at 0
-
 (* ------------------------------------------------------------------ *)
 (* DFG rules *)
 
@@ -347,12 +342,46 @@ let test_catalogue () =
   let ids = List.map (fun r -> r.Lint.Rule.id) rules in
   check Alcotest.int "ids unique" (List.length ids) (List.length (List.sort_uniq compare ids))
 
+module J = Support.Json
+
+let reparse j =
+  match J.of_string (J.to_string j) with
+  | Ok v -> v
+  | Error msg -> Alcotest.failf "emitted JSON does not parse: %s" msg
+
 let test_json_rendering () =
   let d = D.make ~rule:"x" ~severity:D.Error ~loc:(D.Channel 3) "say \"hi\"\n" in
-  let j = D.to_json d in
-  check Alcotest.bool "escapes quotes" true (contains j {|say \"hi\"\n|});
-  let r = E.report_to_json ~label:"k" (E.of_diagnostics [ d ]) in
-  check Alcotest.bool "report carries label" true (contains r {|"label":"k"|})
+  let j = reparse (D.to_json d) in
+  check Alcotest.(option string) "message reads back" (Some "say \"hi\"\n") (J.str_mem "message" j);
+  check Alcotest.(option int) "loc id" (Some 3) (Option.bind (J.mem "loc" j) (J.int_mem "id"));
+  let r = reparse (E.report_to_json ~label:"k" (E.of_diagnostics [ d ])) in
+  check Alcotest.(option string) "report carries label" (Some "k") (J.str_mem "label" r);
+  check Alcotest.(option int) "error count" (Some 1) (J.int_mem "errors" r)
+
+(* Trace names, lint messages and labels all go through one escaper: a
+   string with a quote, a backslash, a tab, a CR and a raw control byte
+   reads back unchanged from each emitter. *)
+let test_json_hostile_strings () =
+  let nasty = "q\"b\\t\tr\r\001." in
+  Support.Trace.start ();
+  Support.Trace.with_span nasty (fun () -> Support.Trace.add nasty 1);
+  let trace = reparse (Support.Trace.to_chrome_json (Support.Trace.stop ())) in
+  let span_names =
+    match J.mem "traceEvents" trace with
+    | Some (J.Arr evs) -> List.filter_map (J.str_mem "name") evs
+    | _ -> Alcotest.fail "traceEvents is not an array"
+  in
+  check Alcotest.(list string) "span and counter names" [ nasty; nasty ] span_names;
+  check Alcotest.(option int) "counter key" (Some 1)
+    (Option.bind (J.mem "otherData" trace) (fun o ->
+         Option.bind (J.mem "counters" o) (J.int_mem nasty)));
+  let d = D.make ~rule:"x" ~severity:D.Warning ~loc:D.Whole nasty in
+  let r = reparse (E.report_to_json ~label:nasty (E.of_diagnostics [ d ])) in
+  check Alcotest.(option string) "label" (Some nasty) (J.str_mem "label" r);
+  match J.mem "diagnostics" r with
+  | Some (J.Arr [ dj ]) ->
+    check Alcotest.(option string) "message" (Some nasty) (J.str_mem "message" dj)
+  | _ -> Alcotest.fail "expected one diagnostic"
 
 let test_flow_gate_aborts () =
   let g = G.create "broken" in
@@ -404,6 +433,8 @@ let suite =
     Alcotest.test_case "engine: gate semantics" `Quick test_gate_semantics;
     Alcotest.test_case "engine: catalogue" `Quick test_catalogue;
     Alcotest.test_case "engine: json rendering" `Quick test_json_rendering;
+    Alcotest.test_case "json: hostile strings round-trip trace and lint" `Quick
+      test_json_hostile_strings;
     Alcotest.test_case "flow: gate aborts on broken graph" `Quick test_flow_gate_aborts;
     Alcotest.test_case "flow: report collected" `Quick test_flow_collects_report;
   ]

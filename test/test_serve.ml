@@ -4,7 +4,7 @@
    standing digest-determinism invariant: concurrently served results
    are byte-identical to serial one-shot runs. *)
 
-module J = Serve.Json
+module J = Support.Json
 module P = Serve.Protocol
 module S = Serve.Server
 
@@ -53,13 +53,18 @@ let test_json_roundtrip () =
   in
   List.iter (fun j -> check Alcotest.bool "roundtrip equal" true (json_roundtrip j = j)) cases
 
-let test_json_escapes () =
+let test_json_escaping () =
   (* printing is canonical: control characters escaped, one line *)
   check Alcotest.string "newline escaped" {|"a\nb"|} (J.to_string (J.Str "a\nb"));
   check Alcotest.string "quote escaped" {|"a\"b"|} (J.to_string (J.Str "a\"b"));
   check Alcotest.string "u-escape for control" "\"\\u0001\"" (J.to_string (J.Str "\001"));
   check Alcotest.string "integers print clean" "{\"n\":42}"
     (J.to_string (J.Obj [ ("n", J.Num 42.) ]));
+  check Alcotest.string "fractions print round-trip digits" "0.10000000000000001"
+    (J.to_string (J.Num 0.1));
+  (* JSON has no NaN or infinity: non-finite numbers print as null *)
+  check Alcotest.string "non-finite numbers print as null" "[null,null,null]"
+    (J.to_string (J.Arr [ J.Num nan; J.Num infinity; J.Num neg_infinity ]));
   (* parsing handles \u escapes, including surrogate pairs *)
   (match J.of_string {|"\u0041\u00e9\u2603"|} with
   | Ok (J.Str s) -> check Alcotest.string "BMP escapes decode to UTF-8" "A\xc3\xa9\xe2\x98\x83" s
@@ -567,7 +572,7 @@ let test_control_is_a_shim () =
 let suite =
   [
     Alcotest.test_case "json: value roundtrips" `Quick test_json_roundtrip;
-    Alcotest.test_case "json: escaping, u-escapes, surrogate pairs" `Quick test_json_escapes;
+    Alcotest.test_case "json: escaping, u-escapes, surrogate pairs" `Quick test_json_escaping;
     Alcotest.test_case "json: malformed input rejected" `Quick test_json_rejects;
     Alcotest.test_case "protocol: request roundtrips incl escaping" `Quick test_request_roundtrip;
     Alcotest.test_case "protocol: malformed requests rejected" `Quick test_request_errors;

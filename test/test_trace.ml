@@ -4,9 +4,8 @@
    parent edges at jobs 1, 2 and 8, because task spans re-root under the
    submitter's context; (2) disabled-mode primitives allocate nothing
    visible (the layer is permanently compiled into hot paths);
-   (3) the Chrome trace-event sink emits JSON a minimal independent
-   parser round-trips; (4) counters merge by summation across domain
-   buffers. *)
+   (3) the Chrome trace-event sink emits JSON that Support.Json parses
+   back; (4) counters merge by summation across domain buffers. *)
 
 module Trace = Support.Trace
 module Pool = Support.Pool
@@ -128,155 +127,25 @@ let test_counter_merge_across_domains () =
   Alcotest.(check int) "untouched counter is 0" 0 (Trace.counter r "merge.missing")
 
 (* ------------------------------------------------------------------ *)
-(* minimal JSON parser: enough of RFC 8259 to round-trip the Chrome
-   sink (objects, arrays, strings with escapes, numbers, literals) *)
+(* the Chrome sink read back through Support.Json's parser *)
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
+module J = Support.Json
 
 let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = Alcotest.failf "json parse error at byte %d: %s" !pos msg in
-  let peek () = if !pos >= n then fail "unexpected end of input" else s.[!pos] in
-  let skip_ws () =
-    while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-      incr pos
-    done
-  in
-  let expect c =
-    skip_ws ();
-    if peek () <> c then fail (Printf.sprintf "expected %C, got %C" c (peek ()));
-    incr pos
-  in
-  let literal word v =
-    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word then begin
-      pos := !pos + String.length word;
-      v
-    end
-    else fail ("expected " ^ word)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | '"' ->
-        incr pos;
-        Buffer.contents b
-      | '\\' ->
-        incr pos;
-        (match peek () with
-        | '"' -> Buffer.add_char b '"'
-        | '\\' -> Buffer.add_char b '\\'
-        | '/' -> Buffer.add_char b '/'
-        | 'n' -> Buffer.add_char b '\n'
-        | 't' -> Buffer.add_char b '\t'
-        | 'r' -> Buffer.add_char b '\r'
-        | 'u' ->
-          if !pos + 4 >= n then fail "truncated \\u escape";
-          pos := !pos + 4;
-          Buffer.add_char b '?'
-        | c -> fail (Printf.sprintf "bad escape %C" c));
-        incr pos;
-        go ()
-      | c ->
-        Buffer.add_char b c;
-        incr pos;
-        go ()
-    in
-    go ()
-  in
-  let parse_number () =
-    let start = !pos in
-    while
-      !pos < n
-      && match s.[!pos] with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
-    do
-      incr pos
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> Num f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | '{' ->
-      incr pos;
-      skip_ws ();
-      if peek () = '}' then begin
-        incr pos;
-        Obj []
-      end
-      else
-        let rec members acc =
-          skip_ws ();
-          let k = parse_string () in
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | ',' ->
-            incr pos;
-            members ((k, v) :: acc)
-          | '}' ->
-            incr pos;
-            Obj (List.rev ((k, v) :: acc))
-          | c -> fail (Printf.sprintf "expected ',' or '}', got %C" c)
-        in
-        members []
-    | '[' ->
-      incr pos;
-      skip_ws ();
-      if peek () = ']' then begin
-        incr pos;
-        Arr []
-      end
-      else
-        let rec elements acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | ',' ->
-            incr pos;
-            elements (v :: acc)
-          | ']' ->
-            incr pos;
-            Arr (List.rev (v :: acc))
-          | c -> fail (Printf.sprintf "expected ',' or ']', got %C" c)
-        in
-        elements []
-    | '"' -> Str (parse_string ())
-    | 't' -> literal "true" (Bool true)
-    | 'f' -> literal "false" (Bool false)
-    | 'n' -> literal "null" Null
-    | _ -> parse_number ()
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing characters";
-  v
+  match J.of_string s with Ok v -> v | Error msg -> Alcotest.failf "json parse error: %s" msg
 
-let obj_get key = function
-  | Obj kvs -> (
-    match List.assoc_opt key kvs with
-    | Some v -> v
-    | None -> Alcotest.failf "missing key %S" key)
-  | _ -> Alcotest.failf "not an object (looking for %S)" key
+let chrome_json r = parse_json (J.to_string (Trace.to_chrome_json r))
 
-let as_num = function Num f -> f | _ -> Alcotest.fail "not a number"
-let as_str = function Str s -> s | _ -> Alcotest.fail "not a string"
-let as_arr = function Arr l -> l | _ -> Alcotest.fail "not an array"
+let obj_get key j =
+  match J.mem key j with Some v -> v | None -> Alcotest.failf "missing key %S" key
+
+let as_num j = match J.num j with Some f -> f | None -> Alcotest.fail "not a number"
+let as_str j = match J.str j with Some s -> s | None -> Alcotest.fail "not a string"
+let as_arr = function J.Arr l -> l | _ -> Alcotest.fail "not an array"
 
 let test_chrome_json_roundtrip () =
   let r = workload 1 in
-  let doc = parse_json (Trace.to_chrome_json r) in
+  let doc = chrome_json r in
   let events = as_arr (obj_get "traceEvents" doc) in
   let xs = List.filter (fun e -> as_str (obj_get "ph" e) = "X") events in
   let cs = List.filter (fun e -> as_str (obj_get "ph" e) = "C") events in
@@ -313,7 +182,7 @@ let test_chrome_json_roundtrip () =
   Trace.start ();
   Trace.with_span "we\"ird\\name\nwith\tescapes" (fun () -> ());
   let r2 = Trace.stop () in
-  let doc2 = parse_json (Trace.to_chrome_json r2) in
+  let doc2 = chrome_json r2 in
   let names =
     as_arr (obj_get "traceEvents" doc2)
     |> List.filter (fun e -> as_str (obj_get "ph" e) = "X")
@@ -335,7 +204,7 @@ let test_write_creates_parent_dirs () =
   let ok = Sys.file_exists path in
   Alcotest.(check bool) "file created below fresh directories" true ok;
   (match parse_json (In_channel.with_open_text path In_channel.input_all) with
-  | Obj _ -> ()
+  | J.Obj _ -> ()
   | _ -> Alcotest.fail "written file is not a JSON object");
   match Trace.write_chrome_json r "/proc/definitely/not/t.json" with
   | () -> Alcotest.fail "writing under /proc unexpectedly succeeded"
