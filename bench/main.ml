@@ -49,7 +49,7 @@ let narrow = ref true
 (* rows are computed once and shared between table1 and figure5 *)
 let rows_cache : Core.Experiment.row list option ref = ref None
 
-let rows () =
+let rows session =
   match !rows_cache with
   | Some r -> r
   | None ->
@@ -58,7 +58,7 @@ let rows () =
       (match names with Some ns -> List.length ns | None -> List.length Hls.Kernels.all)
       !jobs;
     let config = { Core.Flow.default_config with Core.Flow.narrow = !narrow } in
-    let r, timings, wall = Core.Experiment.run_all_timed ~config ~jobs:!jobs ?names () in
+    let r, timings, wall = Core.Experiment.run_all_timed ~config ~session ~jobs:!jobs ?names () in
     List.iter
       (fun t ->
         Printf.eprintf "[bench]   %-15s %-9s %8.2fs\n%!" t.Core.Experiment.t_bench
@@ -71,6 +71,10 @@ let rows () =
       (if wall > 0. then seq /. wall else 1.);
     rows_cache := Some r;
     r
+
+(* One flow run under the bench's session, measured. *)
+let metrics session ?config flavor k =
+  fst (Core.Experiment.run_flow ?config ~session ~flavor k)
 
 (* Ablation drivers fan their independent flow runs through the same
    pool: tasks are submitted up front and awaited in submission order, so
@@ -88,9 +92,9 @@ let rec print_pairs print_row labels results =
     print_pairs print_row labels results
   | _ -> ()
 
-let table1 () =
+let table1 session =
   banner "Table I: iterative mapping-aware (Iter.) vs mapping-agnostic (Prev.)";
-  let r = rows () in
+  let r = rows session in
   Core.Report.table1 fmt r;
   Format.fprintf fmt "@\n";
   Core.Report.iterations fmt r;
@@ -105,15 +109,15 @@ let table1 () =
      exit 1);
   Format.fprintf fmt "(wrote results.csv)@."
 
-let figure5 () =
+let figure5 session =
   banner "Figure 5: normalised execution time and resources";
-  Core.Report.figure5 fmt (rows ());
+  Core.Report.figure5 fmt (rows session);
   Format.pp_print_flush fmt ()
 
 (* ------------------------------------------------------------------ *)
 (* A1: the penalty term of Eq. 3 against the plain Eq. 1 objective *)
 
-let ablation_penalty () =
+let ablation_penalty session =
   banner "Ablation A1: Eq. 3 penalty term on/off (iterative flow, subset)";
   let subset = [ "gsum"; "gsumif"; "matrix" ] in
   let no_penalty =
@@ -129,8 +133,8 @@ let ablation_penalty () =
          (fun name ->
            let k = Hls.Kernels.by_name name in
            [
-             (fun () -> fst (Core.Experiment.run_flow ~flavor:`Iterative k));
-             (fun () -> fst (Core.Experiment.run_flow ~config:no_penalty ~flavor:`Iterative k));
+             (fun () -> metrics session `Iterative k);
+             (fun () -> metrics session ~config:no_penalty `Iterative k);
            ])
          subset)
   in
@@ -150,7 +154,7 @@ let ablation_penalty () =
 (* ------------------------------------------------------------------ *)
 (* A2: iteration budget 1 (one-shot mapping-aware) vs full iterative *)
 
-let ablation_iterations () =
+let ablation_iterations session =
   banner "Ablation A2: one-shot mapping-aware vs full iterative (subset)";
   let subset = [ "gsum"; "gsumif"; "matrix" ] in
   let one_cfg = { Core.Flow.default_config with Core.Flow.max_iterations = 1 } in
@@ -160,8 +164,8 @@ let ablation_iterations () =
          (fun name ->
            let k = Hls.Kernels.by_name name in
            [
-             (fun () -> fst (Core.Experiment.run_flow ~config:one_cfg ~flavor:`Iterative k));
-             (fun () -> fst (Core.Experiment.run_flow ~flavor:`Iterative k));
+             (fun () -> metrics session ~config:one_cfg `Iterative k);
+             (fun () -> metrics session `Iterative k);
            ])
          subset)
   in
@@ -177,7 +181,7 @@ let ablation_iterations () =
 (* ------------------------------------------------------------------ *)
 (* A3: routing-aware timing model (the paper's future-work enhancement) *)
 
-let ablation_routing () =
+let ablation_routing session =
   banner "Ablation A3: routing-aware timing model on/off (subset)";
   let subset = [ "gsum"; "gsumif" ] in
   let aware_cfg = { Core.Flow.default_config with Core.Flow.routing_aware = true } in
@@ -187,8 +191,8 @@ let ablation_routing () =
          (fun name ->
            let k = Hls.Kernels.by_name name in
            [
-             (fun () -> fst (Core.Experiment.run_flow ~flavor:`Iterative k));
-             (fun () -> fst (Core.Experiment.run_flow ~config:aware_cfg ~flavor:`Iterative k));
+             (fun () -> metrics session `Iterative k);
+             (fun () -> metrics session ~config:aware_cfg `Iterative k);
            ])
          subset)
   in
@@ -208,7 +212,7 @@ let ablation_routing () =
 (* ------------------------------------------------------------------ *)
 (* A4: slack matching (transparent-buffer sizing) *)
 
-let ablation_slack () =
+let ablation_slack session =
   banner "Ablation A4: slack matching on/off (subset)";
   let subset = [ "matrix"; "mvt" ] in
   let sized_cfg = { Core.Flow.default_config with Core.Flow.slack_match = true } in
@@ -218,8 +222,8 @@ let ablation_slack () =
          (fun name ->
            let k = Hls.Kernels.by_name name in
            [
-             (fun () -> fst (Core.Experiment.run_flow ~flavor:`Iterative k));
-             (fun () -> fst (Core.Experiment.run_flow ~config:sized_cfg ~flavor:`Iterative k));
+             (fun () -> metrics session `Iterative k);
+             (fun () -> metrics session ~config:sized_cfg `Iterative k);
            ])
          subset)
   in
@@ -236,7 +240,7 @@ let ablation_slack () =
 (* ------------------------------------------------------------------ *)
 (* A5: AND-tree balancing before mapping *)
 
-let ablation_balance () =
+let ablation_balance session =
   banner "Ablation A5: AND re-association (balance) before mapping (subset)";
   let subset = [ "gsum"; "matrix" ] in
   let balance_cfg = { Core.Flow.default_config with Core.Flow.balance = true } in
@@ -246,8 +250,8 @@ let ablation_balance () =
          (fun name ->
            let k = Hls.Kernels.by_name name in
            [
-             (fun () -> fst (Core.Experiment.run_flow ~flavor:`Iterative k));
-             (fun () -> fst (Core.Experiment.run_flow ~config:balance_cfg ~flavor:`Iterative k));
+             (fun () -> metrics session `Iterative k);
+             (fun () -> metrics session ~config:balance_cfg `Iterative k);
            ])
          subset)
   in
@@ -263,13 +267,13 @@ let ablation_balance () =
 (* ------------------------------------------------------------------ *)
 (* A6: datapath width (8-bit default vs 16-bit) *)
 
-let ablation_width () =
+let ablation_width session =
   banner "Ablation A6: datapath width 8 vs 16 bits (iterative flow)";
   (* one kernel: the 16-bit MILP instances are several times larger *)
   let subset = [ "gsum" ] in
   let run k width =
     let g = Hls.Kernels.graph ~width k in
-    let outcome = Core.Flow.iterative g in
+    let outcome = Core.Flow.iterative ~session g in
     let net = outcome.Core.Flow.net and lg = outcome.Core.Flow.lutgraph in
     let pr = Placeroute.Sta.analyze ~seed:7 net lg in
     (* functional check at the matching width *)
@@ -303,29 +307,18 @@ let ablation_width () =
 (* E5: target sweep — §VI-B's "achieved CP unpredictably diverges for
    slight target changes" on the baseline, vs the iterative flow *)
 
-let sweep () =
+let sweep session =
   banner "Target sweep (E5): achieved levels under varying level targets (gsumif)";
   let k = Hls.Kernels.by_name "gsumif" in
   let targets = [ 5; 6; 7; 8 ] in
-  let config_for target =
-    {
-      Core.Flow.default_config with
-      Core.Flow.target_levels = target;
-      milp =
-        {
-          Core.Flow.default_config.Core.Flow.milp with
-          Buffering.Formulation.cp_target = float_of_int target *. 0.7;
-        };
-    }
-  in
   let results =
     pooled
       (List.concat_map
          (fun target ->
-           let config = config_for target in
+           let config = Core.Flow.with_levels target Core.Flow.default_config in
            [
-             (fun () -> fst (Core.Experiment.run_flow ~config ~flavor:`Baseline k));
-             (fun () -> fst (Core.Experiment.run_flow ~config ~flavor:`Iterative k));
+             (fun () -> metrics session ~config `Baseline k);
+             (fun () -> metrics session ~config `Iterative k);
            ])
          targets)
   in
@@ -343,7 +336,7 @@ let sweep () =
 (* ------------------------------------------------------------------ *)
 (* B1: Bechamel micro-benchmarks of the flow's stages *)
 
-let micro () =
+let micro _session =
   banner "Micro-benchmarks (Bechamel): per-stage cost on gsum";
   let open Bechamel in
   let k = Hls.Kernels.by_name "gsum" in
@@ -471,52 +464,56 @@ let rec parse_args targets = function
     parse_args targets rest
   | target :: rest -> parse_args (target :: targets) rest
 
-(* Each bench target becomes one top-level span of the trace, so the
-   trace's root durations account for the whole run. Stdout stays
-   byte-identical with tracing on or off: the summary table and the
-   "wrote" confirmation go to stderr, the events to the JSON file. *)
-let run_target name f = Support.Trace.with_span ~cat:"bench" ("bench:" ^ name) f
+let targets =
+  [
+    ("table1", table1);
+    ("figure5", figure5);
+    ("ablation-penalty", ablation_penalty);
+    ("ablation-iterations", ablation_iterations);
+    ("ablation-routing", ablation_routing);
+    ("ablation-slack", ablation_slack);
+    ("ablation-balance", ablation_balance);
+    ("sweep", sweep);
+    ("ablation-width", ablation_width);
+    ("micro", micro);
+  ]
+
+(* the default run: every target except the sweep and the width ablation *)
+let default_targets =
+  [ "table1"; "figure5"; "ablation-penalty"; "ablation-iterations"; "ablation-routing";
+    "ablation-slack"; "ablation-balance"; "micro" ]
 
 let () =
-  let targets = parse_args [] (Array.to_list Sys.argv |> List.tl) in
-  (* the artifact cache persists synth/map results, unit delays and MILP
-     solutions across processes; stdout stays byte-identical either way *)
-  (match Cache.Control.resolve_dir ~flag:!cache_dir with
-  | None -> ()
-  | Some dir -> (
-    match Cache.Control.enable dir with
-    | _store -> Printf.eprintf "[bench] artifact cache at %s\n%!" dir
-    | exception Sys_error msg ->
+  let names = parse_args [] (Array.to_list Sys.argv |> List.tl) in
+  let names = if names = [] then default_targets else names in
+  (* one cache session for the whole run: synth/map results, unit delays
+     and MILP solutions persist across processes; stdout stays
+     byte-identical either way *)
+  let cache =
+    match Cache.Session.of_flag !cache_dir with
+    | Ok cache -> cache
+    | Error msg ->
       Printf.eprintf "bench: --cache-dir: %s\n" msg;
-      exit 1));
+      exit 1
+  in
+  Option.iter
+    (fun s -> Printf.eprintf "[bench] artifact cache at %s\n%!" (Cache.Store.dir s))
+    (Cache.Session.store cache);
+  let session = Core.Session.make ~cache () in
   if !trace_file <> None then Support.Trace.start ();
-  (match targets with
-  | [] ->
-    run_target "table1" table1;
-    run_target "figure5" figure5;
-    run_target "ablation-penalty" ablation_penalty;
-    run_target "ablation-iterations" ablation_iterations;
-    run_target "ablation-routing" ablation_routing;
-    run_target "ablation-slack" ablation_slack;
-    run_target "ablation-balance" ablation_balance;
-    run_target "micro" micro
-  | _ ->
-    List.iter
-      (function
-        | "table1" -> run_target "table1" table1
-        | "figure5" -> run_target "figure5" figure5
-        | "ablation-penalty" -> run_target "ablation-penalty" ablation_penalty
-        | "ablation-iterations" -> run_target "ablation-iterations" ablation_iterations
-        | "ablation-routing" -> run_target "ablation-routing" ablation_routing
-        | "ablation-slack" -> run_target "ablation-slack" ablation_slack
-        | "ablation-balance" -> run_target "ablation-balance" ablation_balance
-        | "sweep" -> run_target "sweep" sweep
-        | "ablation-width" -> run_target "ablation-width" ablation_width
-        | "micro" -> run_target "micro" micro
-        | other ->
-          Printf.eprintf "unknown bench target %S\n" other;
-          exit 1)
-      targets);
+  (* Each bench target becomes one top-level span of the trace, so the
+     trace's root durations account for the whole run. Stdout stays
+     byte-identical with tracing on or off: the summary table and the
+     "wrote" confirmation go to stderr, the events to the JSON file. *)
+  List.iter
+    (fun name ->
+      match List.assoc_opt name targets with
+      | Some target ->
+        Support.Trace.with_span ~cat:"bench" ("bench:" ^ name) (fun () -> target session)
+      | None ->
+        Printf.eprintf "unknown bench target %S\n" name;
+        exit 1)
+    names;
   (match !trace_file with
   | None -> ()
   | Some path -> (
@@ -529,4 +526,4 @@ let () =
       Printf.eprintf "bench: --trace: %s\n" msg;
       exit 1));
   (* appends the session's hit/miss counters to the store's stats.log *)
-  Cache.Control.finish ()
+  Cache.Session.finish cache

@@ -9,9 +9,48 @@
 open Cmdliner
 module J = Support.Json
 
-let kernels_arg =
+(* Kernel names are resolved on the command line: an unknown name is a
+   usage error (exit 124) naming the kernel, not an uncaught Not_found. *)
+let kernel_conv =
+  let parse name =
+    match Hls.Kernels.by_name name with
+    | k -> Ok k
+    | exception Not_found ->
+      Error (`Msg (Printf.sprintf "unknown kernel %S (see `regulate list`)" name))
+  in
+  Arg.conv (parse, fun ppf k -> Format.pp_print_string ppf k.Hls.Kernels.name)
+
+let kernel_arg =
   let doc = "Benchmark kernel name (see `regulate list`)." in
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"KERNEL" ~doc)
+  Arg.(required & pos 0 (some kernel_conv) None & info [] ~docv:"KERNEL" ~doc)
+
+(* The multi-kernel commands' positional kernels, default all nine. A
+   repeated kernel would be run (and reported) twice for no new
+   information; keep the first occurrence and warn on stderr so stdout
+   stays a clean report. *)
+let kernels_arg =
+  let dedupe = function
+    | [] -> Hls.Kernels.all
+    | ks ->
+      let seen = Hashtbl.create 8 in
+      List.filter
+        (fun k ->
+          let n = k.Hls.Kernels.name in
+          let dup = Hashtbl.mem seen n in
+          if dup then Printf.eprintf "[regulate] warning: duplicate kernel %S ignored\n%!" n
+          else Hashtbl.add seen n ();
+          not dup)
+        ks
+  in
+  let doc = "Kernels (default: all nine)." in
+  Term.(const dedupe $ Arg.(value & pos_all kernel_conv [] & info [] ~docv:"KERNEL" ~doc))
+
+let levels_arg =
+  Arg.(value & opt int 6 & info [ "levels" ] ~docv:"N" ~doc:"Target logic levels (default 6).")
+
+(* The MILP configuration of a [levels] target, for the commands that
+   solve the buffer MILP outside a flow. *)
+let milp_at levels = (Core.Flow.with_levels levels Core.Flow.default_config).Core.Flow.milp
 
 let jobs_arg =
   let doc =
@@ -57,8 +96,10 @@ let cycle_cap_arg =
 
 let milp_nodes_arg =
   let doc =
-    "Per-solve MILP branch-and-bound node budget (default 50000). A solve that exhausts it \
-     fails with a clean $(b,node budget exhausted) error instead of running unbounded."
+    Printf.sprintf
+      "Per-solve MILP branch-and-bound node budget (default %d). A solve that exhausts it fails \
+       with a clean $(b,node budget exhausted) error instead of running unbounded."
+      Buffering.Formulation.default_config.Buffering.Formulation.node_limit
   in
   let nodes_conv =
     let parse s =
@@ -73,8 +114,10 @@ let milp_nodes_arg =
 
 let milp_budget_arg =
   let doc =
-    "Per-solve MILP wall-clock budget in seconds (default 120). Exhaustion is reported like a \
-     node-budget blowout: a clean error, never a hang."
+    Printf.sprintf
+      "Per-solve MILP wall-clock budget in seconds (default %g). Exhaustion is reported like a \
+       node-budget blowout: a clean error, never a hang."
+      Buffering.Formulation.default_config.Buffering.Formulation.time_limit
   in
   let budget_conv =
     let parse s =
@@ -95,16 +138,16 @@ let no_narrow_arg =
   in
   Arg.(value & flag & info [ "no-narrow" ] ~doc)
 
-(* Enable the artifact cache around [f] when a directory was configured
-   (flag first, then $REPRO_CACHE); the session's counters are appended
-   to the store's stats.log whichever way [f] exits. *)
-let with_cache dir f =
-  match Cache.Control.resolve_dir ~flag:dir with
-  | None -> f ()
-  | Some d -> (
-    match Cache.Control.enable d with
-    | exception Sys_error msg -> Error (`Msg ("--cache-dir: " ^ msg))
-    | _store -> Fun.protect ~finally:Cache.Control.finish f)
+(* The artifact cache named by --cache-dir or $REPRO_CACHE (the disabled
+   session when neither is set). *)
+let open_cache dir =
+  Result.map_error (fun msg -> `Msg ("--cache-dir: " ^ msg)) (Cache.Session.of_flag dir)
+
+(* Run [f] with the command's one cache session; the session's counters
+   are appended to the store's stats.log whichever way [f] returns. *)
+let with_cache_session dir f =
+  Result.bind (open_cache dir) @@ fun cache ->
+  Fun.protect ~finally:(fun () -> Cache.Session.finish cache) (fun () -> f cache)
 
 (* Open an output file named by a CLI flag: create missing parent
    directories, and turn an unwritable path into a cmdliner `Msg error
@@ -184,10 +227,9 @@ let show_cmd =
   let dot =
     Arg.(value & opt (some string) None & info [ "dot" ] ~docv:"FILE" ~doc:"Write Graphviz to $(docv).")
   in
-  let run name dot =
-    let k = Hls.Kernels.by_name name in
+  let run k dot =
     let g = Hls.Kernels.graph k in
-    Printf.printf "%s: %d units, %d channels, %d marked back edges\n" name
+    Printf.printf "%s: %d units, %d channels, %d marked back edges\n" k.Hls.Kernels.name
       (Dataflow.Graph.n_units g) (Dataflow.Graph.n_channels g)
       (List.length (Dataflow.Graph.marked_back_edges g));
     let net = Elaborate.run (let g' = Dataflow.Graph.copy g in ignore (Core.Flow.seed_back_edges g'); g') in
@@ -204,7 +246,7 @@ let show_cmd =
   in
   Cmd.v
     (Cmd.info "show" ~doc:"Print kernel circuit statistics.")
-    (Term.term_result Term.(const run $ kernels_arg $ dot))
+    (Term.term_result Term.(const run $ kernel_arg $ dot))
 
 (* ---- flow ---- *)
 
@@ -212,9 +254,6 @@ let flow_cmd =
   let flavor =
     let flavor_conv = Arg.enum [ ("iterative", `Iterative); ("baseline", `Baseline) ] in
     Arg.(value & opt flavor_conv `Iterative & info [ "flavor" ] ~docv:"FLAVOR" ~doc:"iterative or baseline.")
-  in
-  let levels =
-    Arg.(value & opt int 6 & info [ "levels" ] ~docv:"N" ~doc:"Target logic levels (default 6).")
   in
   let routing = Arg.(value & flag & info [ "routing-aware" ] ~doc:"Fold placement wire estimates into the model.") in
   let slack = Arg.(value & flag & info [ "slack-match" ] ~doc:"Pad reconvergent paths with transparent capacity.") in
@@ -237,30 +276,21 @@ let flow_cmd =
              plus every per-iteration decision), byte-comparable against the $(b,done) events of \
              `regulate serve`.")
   in
-  let run name flavor levels routing slack balance tv_exact no_narrow digest milp_nodes
+  let run k flavor levels routing slack balance tv_exact no_narrow digest milp_nodes
       milp_budget_s trace cache_dir =
-    let k = Hls.Kernels.by_name name in
     let config =
       {
-        Core.Flow.default_config with
-        Core.Flow.target_levels = levels;
-        routing_aware = routing;
+        (Core.Flow.with_levels levels Core.Flow.default_config) with
+        Core.Flow.routing_aware = routing;
         slack_match = slack;
         balance;
         tv_exact;
         narrow = not no_narrow;
-        milp =
-          {
-            Core.Flow.default_config.Core.Flow.milp with
-            Buffering.Formulation.cp_target = float_of_int levels *. 0.7;
-          };
       }
     in
-    with_cache cache_dir @@ fun () ->
+    with_cache_session cache_dir @@ fun cache ->
     traced ~name:"regulate:flow" trace @@ fun () ->
-    let session =
-      Core.Session.make ~cache:(Cache.Control.session ()) ?milp_nodes ?milp_budget_s ()
-    in
+    let session = Core.Session.make ~cache ?milp_nodes ?milp_budget_s () in
     let metrics, outcome = Core.Experiment.run_flow ~config ~session ~flavor k in
     List.iter
       (fun (it : Core.Flow.iteration) ->
@@ -299,15 +329,15 @@ let flow_cmd =
     (Cmd.info "flow" ~doc:"Run one buffering flow on one kernel.")
     (Term.term_result
        Term.(
-         const run $ kernels_arg $ flavor $ levels $ routing $ slack $ balance $ tv_exact
+         const run $ kernel_arg $ flavor $ levels_arg $ routing $ slack $ balance $ tv_exact
          $ no_narrow_arg $ digest $ milp_nodes_arg $ milp_budget_arg $ trace_arg
          $ cache_dir_arg))
 
 (* ---- export ---- *)
 
 let export_cmd =
-  let run name =
-    let k = Hls.Kernels.by_name name in
+  let run k =
+    let name = k.Hls.Kernels.name in
     let outcome = Core.Flow.iterative (Hls.Kernels.graph k) in
     let g = outcome.Core.Flow.graph in
     Out_channel.with_open_text (name ^ ".dot") (fun oc -> Dataflow.Dot.to_channel oc g);
@@ -323,7 +353,7 @@ let export_cmd =
   in
   Cmd.v
     (Cmd.info "export" ~doc:"Optimise a kernel and export DOT, BLIF and VCD artefacts.")
-    Term.(const run $ kernels_arg)
+    Term.(const run $ kernel_arg)
 
 (* ---- compile (user-provided mini-C file) ---- *)
 
@@ -409,11 +439,12 @@ let fuzz_cmd =
           ~doc:"Write the campaign statistics (coverage and failure histograms) as JSON.")
   in
   let run seeds start_seed budget mutate no_minimize repro_dir json jobs trace cache_dir =
-    with_cache cache_dir @@ fun () ->
+    with_cache_session cache_dir @@ fun cache ->
     traced ~name:"regulate:fuzz" trace @@ fun () ->
+    let session = Core.Session.make ~cache () in
     let result =
       Support.Pool.run ~jobs (fun pool ->
-          Fuzz.Harness.run ~mutations:mutate ?budget_s:budget ~minimize:(not no_minimize)
+          Fuzz.Harness.run ~session ~mutations:mutate ?budget_s:budget ~minimize:(not no_minimize)
             ~log:(fun l -> Printf.eprintf "%s\n%!" l)
             ~pool ~start_seed ~seeds ())
     in
@@ -468,8 +499,8 @@ let fuzz_cmd =
 (* ---- profile ---- *)
 
 let profile_cmd =
-  let run name =
-    let k = Hls.Kernels.by_name name in
+  let run k =
+    let name = k.Hls.Kernels.name in
     let outcome = Core.Flow.iterative (Hls.Kernels.graph k) in
     let g = outcome.Core.Flow.graph in
     let r = Sim.Elastic.run ~memories:(k.Hls.Kernels.mems ()) g in
@@ -498,7 +529,7 @@ let profile_cmd =
   in
   Cmd.v
     (Cmd.info "profile" ~doc:"Simulate a kernel and report hot channels and the critical path.")
-    Term.(const run $ kernels_arg)
+    Term.(const run $ kernel_arg)
 
 (* ---- lint ---- *)
 
@@ -520,8 +551,8 @@ let lint_kernel ~levels ~cycle_cap k =
   let lg = Techmap.Mapper.run ~k:6 synth in
   let tg, model = Timing.Mapping_aware.build_with_graph g ~net lg in
   let r_map = Lint.Engine.check_mapping g lg tg model in
-  let cp_target = float_of_int levels *. 0.7 in
-  let milp_cfg = { Buffering.Formulation.default_config with cp_target } in
+  let milp_cfg = milp_at levels in
+  let cp_target = milp_cfg.Buffering.Formulation.cp_target in
   let cfdfcs = Buffering.Cfdfc.extract ?cycle_limit:cycle_cap g in
   let r_milp, r_perf =
     match Buffering.Formulation.solve milp_cfg g model cfdfcs with
@@ -553,24 +584,13 @@ let lint_kernel ~levels ~cycle_cap k =
     [ pre; post; r_ranges; r_net; r_map; r_milp; r_perf ]
 
 let lint_cmd =
-  let names =
-    Arg.(value & pos_all string [] & info [] ~docv:"KERNEL" ~doc:"Kernels (default: all nine).")
-  in
   let fail_on_warning =
     Arg.(value & flag & info [ "fail-on-warning" ] ~doc:"Exit non-zero on warnings too.")
   in
-  let levels =
-    Arg.(value & opt int 6 & info [ "levels" ] ~docv:"N" ~doc:"Target logic levels (default 6).")
-  in
   let rules = Arg.(value & flag & info [ "rules" ] ~doc:"Print the rule catalogue and exit.") in
-  let run names json fail_on_warning levels cycle_cap rules jobs =
+  let run ks json fail_on_warning levels cycle_cap rules jobs =
     if rules then Format.printf "%a" Lint.Engine.pp_catalogue ()
     else begin
-      let ks =
-        match names with
-        | [] -> Hls.Kernels.all
-        | names -> List.map Hls.Kernels.by_name names
-      in
       (* at --jobs 1 each kernel is linted as its report is printed, so
          big-kernel MILP solves still stream; wider pools fan the lint
          runs out and print in submission order, identical output *)
@@ -605,24 +625,8 @@ let lint_cmd =
     (Cmd.info "lint"
        ~doc:"Statically verify kernels: DFG structure, netlist, LUT mapping, MILP certificate.")
     Term.(
-      const run $ names $ json_arg $ fail_on_warning $ levels $ cycle_cap_arg $ rules $ jobs_arg)
-
-(* A repeated kernel name would be run (and reported) twice for no new
-   information; keep the first occurrence and warn on stderr so stdout
-   stays a clean report. *)
-let dedupe_kernel_names ~cli names =
-  let seen = Hashtbl.create 8 in
-  List.filter
-    (fun n ->
-      if Hashtbl.mem seen n then begin
-        Printf.eprintf "[%s] warning: duplicate kernel %S ignored\n%!" cli n;
-        false
-      end
-      else begin
-        Hashtbl.add seen n ();
-        true
-      end)
-    names
+      const run $ kernels_arg $ json_arg $ fail_on_warning $ levels_arg $ cycle_cap_arg $ rules
+      $ jobs_arg)
 
 (* ---- absint ---- *)
 
@@ -641,15 +645,7 @@ let absint_kernel k =
   (g, res, report, lint)
 
 let absint_cmd =
-  let names =
-    Arg.(value & pos_all string [] & info [] ~docv:"KERNEL" ~doc:"Kernels (default: all nine).")
-  in
-  let run names json =
-    let ks =
-      match dedupe_kernel_names ~cli:"regulate" names with
-      | [] -> Hls.Kernels.all
-      | names -> List.map Hls.Kernels.by_name names
-    in
+  let run ks json =
     let failed =
       json_rows json @@ fun emit ->
       List.fold_left
@@ -730,7 +726,7 @@ let absint_cmd =
           (intervals plus known bits), the verified narrowing report (width shrinks, constant \
           folds, dead-code deletions), and the range-* lint findings. Exits non-zero on any \
           range-* error.")
-    Term.(const run $ names $ json_arg)
+    Term.(const run $ kernels_arg $ json_arg)
 
 (* ---- verify ---- *)
 
@@ -740,7 +736,7 @@ let absint_cmd =
    across the whole suite. [--milp] additionally solves the
    pre-characterised buffer MILP and audits its phi claims against the
    certified bound of the placement it proposed. *)
-let verify_kernel ~levels ~milp ~cycle_cap k =
+let verify_kernel ~levels ~milp ~cycle_cap ~cache k =
   let g = Dataflow.Graph.copy (Hls.Kernels.graph k) in
   ignore (Core.Flow.seed_back_edges g);
   if not milp then begin
@@ -749,12 +745,11 @@ let verify_kernel ~levels ~milp ~cycle_cap k =
     (cert, Lint.Engine.check_perf ~truncated ~phi:[] cert g)
   end
   else begin
-    let model = Timing.Precharacterized.build g in
+    let model = Timing.Precharacterized.build ~cache g in
     let cfdfcs = Buffering.Cfdfc.extract ?cycle_limit:cycle_cap g in
     let truncated = List.exists (fun cf -> cf.Buffering.Cfdfc.truncated) cfdfcs in
-    let cp_target = float_of_int levels *. 0.7 in
-    let cfg = { Buffering.Formulation.default_config with cp_target; use_penalty = false } in
-    match Buffering.Formulation.solve cfg g model cfdfcs with
+    let cfg = { (milp_at levels) with Buffering.Formulation.use_penalty = false } in
+    match Buffering.Formulation.solve ~cache cfg g model cfdfcs with
     | Error msg ->
       (Analysis.Certify.certify g, Lint.Engine.of_diagnostics [ Lint.Milp_rules.solve_failure msg ])
     | Ok p ->
@@ -774,9 +769,6 @@ let verify_kernel ~levels ~milp ~cycle_cap k =
   end
 
 let verify_cmd =
-  let names =
-    Arg.(value & pos_all string [] & info [] ~docv:"KERNEL" ~doc:"Kernels (default: all nine).")
-  in
   let milp =
     Arg.(
       value & flag
@@ -788,25 +780,17 @@ let verify_cmd =
   let fail_on_warning =
     Arg.(value & flag & info [ "fail-on-warning" ] ~doc:"Exit non-zero on warnings too.")
   in
-  let levels =
-    Arg.(value & opt int 6 & info [ "levels" ] ~docv:"N" ~doc:"Target logic levels (default 6).")
-  in
-  let run names json milp fail_on_warning levels cycle_cap trace cache_dir =
-    let ks =
-      match dedupe_kernel_names ~cli:"regulate" names with
-      | [] -> Hls.Kernels.all
-      | names -> List.map Hls.Kernels.by_name names
-    in
+  let run ks json milp fail_on_warning levels cycle_cap trace cache_dir =
     (* Machine consumers must always receive the complete JSON document:
        a kernel whose certification throws is recorded as an error entry
        and the array is still closed before the non-zero exit, which
        itself happens only after the trace sink (if any) is written. *)
-    let body () =
+    let body cache () =
       json_rows json @@ fun emit ->
       List.fold_left
         (fun failed k ->
           let name = k.Hls.Kernels.name in
-          match verify_kernel ~levels ~milp ~cycle_cap k with
+          match verify_kernel ~levels ~milp ~cycle_cap ~cache k with
           | cert, r ->
             if json then
               emit
@@ -837,7 +821,9 @@ let verify_cmd =
             true)
         false ks
     in
-    match with_cache cache_dir (fun () -> traced ~name:"regulate:verify" trace body) with
+    match
+      with_cache_session cache_dir (fun cache -> traced ~name:"regulate:verify" trace (body cache))
+    with
     | Error _ as e -> e
     | Ok failed -> if failed then exit 1 else Ok ()
   in
@@ -848,8 +834,8 @@ let verify_cmd =
           with --milp, audit the MILP's claims against them.")
     (Term.term_result
        Term.(
-         const run $ names $ json_arg $ milp $ fail_on_warning $ levels $ cycle_cap_arg $ trace_arg
-         $ cache_dir_arg))
+         const run $ kernels_arg $ json_arg $ milp $ fail_on_warning $ levels_arg $ cycle_cap_arg
+         $ trace_arg $ cache_dir_arg))
 
 (* ---- tv ---- *)
 
@@ -858,26 +844,15 @@ let verify_cmd =
    intermediate iteration), then re-checks the final netlist / AIG / LUT
    cover triple once more to report its semantic signature and witness
    counts alongside the wall time. *)
-let tv_kernel ~levels ~exact flavor k =
-  let config =
-    {
-      Core.Flow.default_config with
-      Core.Flow.target_levels = levels;
-      tv_exact = exact;
-      milp =
-        {
-          Core.Flow.default_config.Core.Flow.milp with
-          Buffering.Formulation.cp_target = float_of_int levels *. 0.7;
-        };
-    }
-  in
+let tv_kernel ~levels ~exact ~session flavor k =
+  let config = { (Core.Flow.with_levels levels Core.Flow.default_config) with tv_exact = exact } in
   let g = Hls.Kernels.graph k in
   let t0 = Unix.gettimeofday () in
   let res =
     match
       match flavor with
-      | `Iterative -> Core.Flow.iterative ~config g
-      | `Baseline -> Core.Flow.baseline ~config g
+      | `Iterative -> Core.Flow.iterative ~config ~session g
+      | `Baseline -> Core.Flow.baseline ~config ~session g
     with
     | outcome ->
       let ds, tv =
@@ -890,9 +865,6 @@ let tv_kernel ~levels ~exact flavor k =
   (res, (Unix.gettimeofday () -. t0) *. 1000.)
 
 let tv_cmd =
-  let names =
-    Arg.(value & pos_all string [] & info [] ~docv:"KERNEL" ~doc:"Kernels (default: all nine).")
-  in
   let flavor =
     let fconv = Arg.enum [ ("iterative", `Iterative); ("baseline", `Baseline); ("both", `Both) ] in
     Arg.(
@@ -907,15 +879,7 @@ let tv_cmd =
             "Confirm every signature mismatch by scalar replay and exhaustive evaluation of the \
              offending LUT cone.")
   in
-  let levels =
-    Arg.(value & opt int 6 & info [ "levels" ] ~docv:"N" ~doc:"Target logic levels (default 6).")
-  in
-  let run names json flavor exact levels jobs trace cache_dir =
-    let ks =
-      match dedupe_kernel_names ~cli:"regulate" names with
-      | [] -> Hls.Kernels.all
-      | names -> List.map Hls.Kernels.by_name names
-    in
+  let run ks json flavor exact levels jobs trace cache_dir =
     let flavors =
       match flavor with
       | `Both -> [ ("iterative", `Iterative); ("baseline", `Baseline) ]
@@ -923,16 +887,13 @@ let tv_cmd =
       | `Baseline -> [ ("baseline", `Baseline) ]
     in
     let tasks = List.concat_map (fun k -> List.map (fun fl -> (k, fl)) flavors) ks in
-    let body () =
+    let body cache () =
+      let session = Core.Session.make ~cache () in
       let results =
-        if jobs <= 1 then
-          List.map (fun (k, (fn, fl)) -> (k, fn, tv_kernel ~levels ~exact fl k)) tasks
-        else
-          Support.Pool.run ~jobs (fun pool ->
-              tasks
-              |> List.map (fun (k, (fn, fl)) ->
-                     (k, fn, Support.Pool.submit pool (fun () -> tv_kernel ~levels ~exact fl k)))
-              |> List.map (fun (k, fn, fut) -> (k, fn, Support.Pool.await fut)))
+        Support.Pool.run ~jobs (fun pool ->
+            Support.Pool.map_list pool
+              (fun (k, (fn, fl)) -> (k, fn, tv_kernel ~levels ~exact ~session fl k))
+              tasks)
       in
       json_rows json @@ fun emit ->
       List.fold_left
@@ -976,7 +937,9 @@ let tv_cmd =
           failed || not ok)
         false results
     in
-    match with_cache cache_dir (fun () -> traced ~name:"regulate:tv" trace body) with
+    match
+      with_cache_session cache_dir (fun cache -> traced ~name:"regulate:tv" trace (body cache))
+    with
     | Error _ as e -> e
     | Ok failed -> if failed then exit 1 else Ok ()
   in
@@ -987,35 +950,18 @@ let tv_cmd =
           (netlist/AIG/LUT-cover), label & domain soundness, and buffer-insertion refinement.")
     (Term.term_result
        Term.(
-         const run $ names $ json_arg $ flavor $ exact $ levels $ jobs_arg $ trace_arg $ cache_dir_arg))
+         const run $ kernels_arg $ json_arg $ flavor $ exact $ levels_arg $ jobs_arg $ trace_arg
+         $ cache_dir_arg))
 
 (* ---- compare ---- *)
 
 let compare_cmd =
-  let names =
-    Arg.(value & pos_all string [] & info [] ~docv:"KERNEL" ~doc:"Kernels (default: all nine).")
-  in
-  let run names no_narrow milp_nodes milp_budget_s jobs trace cache_dir =
-    let names =
-      match dedupe_kernel_names ~cli:"regulate" names with [] -> None | names -> Some names
-    in
-    (* budgets land in the flow config, so the per-task ambient sessions
-       the pool workers build see them uniformly *)
-    let base = Core.Flow.default_config in
-    let milp =
-      {
-        base.Core.Flow.milp with
-        Buffering.Formulation.node_limit =
-          Option.value milp_nodes ~default:base.Core.Flow.milp.Buffering.Formulation.node_limit;
-        time_limit =
-          Option.value milp_budget_s
-            ~default:base.Core.Flow.milp.Buffering.Formulation.time_limit;
-      }
-    in
-    let config = { base with Core.Flow.milp; narrow = not no_narrow } in
-    with_cache cache_dir @@ fun () ->
+  let run kernels no_narrow milp_nodes milp_budget_s jobs trace cache_dir =
+    let config = { Core.Flow.default_config with Core.Flow.narrow = not no_narrow } in
+    with_cache_session cache_dir @@ fun cache ->
     traced ~name:"regulate:compare" trace @@ fun () ->
-    let rows = Core.Experiment.run_all_parallel ~config ~jobs ?names () in
+    let session = Core.Session.make ~cache ?milp_nodes ?milp_budget_s () in
+    let rows = Core.Experiment.run_all_parallel ~config ~session ~jobs ~kernels () in
     Core.Report.table1 Format.std_formatter rows;
     Format.print_newline ();
     Core.Report.figure5 Format.std_formatter rows;
@@ -1026,7 +972,7 @@ let compare_cmd =
     (Cmd.info "compare" ~doc:"Reproduce Table I / Figure 5 for the given kernels.")
     (Term.term_result
        Term.(
-         const run $ names $ no_narrow_arg $ milp_nodes_arg $ milp_budget_arg $ jobs_arg
+         const run $ kernels_arg $ no_narrow_arg $ milp_nodes_arg $ milp_budget_arg $ jobs_arg
          $ trace_arg $ cache_dir_arg))
 
 (* ---- cache ---- *)
@@ -1034,7 +980,7 @@ let compare_cmd =
 let cache_cmd =
   let dir_term =
     let resolve dir =
-      match Cache.Control.resolve_dir ~flag:dir with
+      match Cache.Session.resolve_dir dir with
       | Some d -> Ok d
       | None -> Error (`Msg "no cache directory: pass --cache-dir or set REPRO_CACHE")
     in
@@ -1128,17 +1074,9 @@ let serve_cmd =
           ~doc:"Server-wide target logic levels (requests may override per request).")
   in
   let run socket jobs queue_limit levels no_narrow milp_nodes milp_budget_s cache_dir =
-    (* the daemon owns its cache session outright: no process-global
-       Cache.Control state is involved, which is what lets one process
-       serve concurrent requests against one shared store *)
-    match
-      match Cache.Control.resolve_dir ~flag:cache_dir with
-      | None -> Ok Cache.Session.disabled
-      | Some d -> (
-        match Cache.Session.of_dir d with
-        | s -> Ok s
-        | exception Sys_error msg -> Error (`Msg ("--cache-dir: " ^ msg)))
-    with
+    (* the daemon owns its cache session outright and shares it across
+       concurrent requests; [Serve.Server.drain] finishes it *)
+    match open_cache cache_dir with
     | Error _ as e -> e
     | Ok cache ->
       let cfg =
@@ -1206,7 +1144,7 @@ let loadgen_cmd =
   in
   let kernels =
     Arg.(
-      value & pos_all string []
+      value & pos_all kernel_conv []
       & info [] ~docv:"KERNEL" ~doc:"Kernels to cycle through (default: gsum).")
   in
   let flavor =
@@ -1240,116 +1178,113 @@ let loadgen_cmd =
   in
   let run socket count window kernels flavor levels milp_nodes milp_budget_s json
       compare_oneshot shutdown =
-    let kernels = match kernels with [] -> [ "gsum" ] | ks -> ks in
-    match
-      List.find_opt (fun n -> match Hls.Kernels.by_name n with _ -> false | exception Not_found -> true) kernels
-    with
-    | Some bad -> Error (`Msg (Printf.sprintf "unknown kernel %S (see `regulate list`)" bad))
-    | None ->
-      let nk = List.length kernels in
-      let requests =
-        List.init count (fun i ->
-            {
-              Serve.Protocol.id = Printf.sprintf "r%d" (i + 1);
-              kernel = Some (List.nth kernels (i mod nk));
-              source = None;
-              flavor;
-              levels;
-              milp_nodes;
-              milp_budget_s;
-            })
-      in
-      let res = Serve.Loadgen.run ~window ~socket requests in
-      Printf.printf
-        "loadgen: %d sent, %d completed, %d errors, %d rejected, %d cancelled in %.2fs\n"
-        res.Serve.Loadgen.l_sent res.Serve.Loadgen.l_completed res.Serve.Loadgen.l_errors
-        res.Serve.Loadgen.l_rejected res.Serve.Loadgen.l_cancelled res.Serve.Loadgen.l_wall_s;
-      Printf.printf "latency: mean=%.1fms p50=%.1fms p99=%.1fms; throughput=%.2f req/s\n"
-        res.Serve.Loadgen.l_mean_ms res.Serve.Loadgen.l_p50_ms res.Serve.Loadgen.l_p99_ms
-        res.Serve.Loadgen.l_throughput;
-      Printf.printf "cache: %d hits, %d misses (hit rate %.3f)\n" res.Serve.Loadgen.l_hits
-        res.Serve.Loadgen.l_misses
-        (Serve.Protocol.hit_rate res.Serve.Loadgen.l_hits res.Serve.Loadgen.l_misses);
-      let comparison =
-        if not compare_oneshot then Ok []
-        else begin
-          (* one sequential cold process per distinct request shape: the
-             workflow the daemon replaces. Digests must agree shape by
-             shape with everything the daemon served. *)
-          let shape (r : Serve.Protocol.request) = { r with Serve.Protocol.id = "" } in
-          let distinct =
-            List.fold_left
-              (fun acc r -> if List.mem (shape r) (List.map shape acc) then acc else r :: acc)
-              [] requests
-            |> List.rev
-          in
-          let one = Serve.Loadgen.run_oneshot ~exe:Sys.executable_name distinct in
-          let oneshot_rps =
-            if one.Serve.Loadgen.o_wall_s > 0. then
-              float_of_int (List.length distinct) /. one.Serve.Loadgen.o_wall_s
-            else 0.
-          in
-          let speedup =
-            if oneshot_rps > 0. then res.Serve.Loadgen.l_throughput /. oneshot_rps else 0.
-          in
-          let mismatches =
-            List.filter
-              (fun (id, d) ->
-                match
-                  List.find_opt
-                    (fun (r : Serve.Protocol.request) -> r.Serve.Protocol.id = id)
-                    requests
-                with
-                | None -> false
-                | Some r ->
-                  let s = shape r in
-                  List.exists
-                    (fun (oid, od) ->
-                      (match
-                         List.find_opt
-                           (fun (r' : Serve.Protocol.request) -> r'.Serve.Protocol.id = oid)
-                           distinct
-                       with
-                      | Some r' -> shape r' = s
-                      | None -> false)
-                      && od <> d)
-                    one.Serve.Loadgen.o_digests)
-              res.Serve.Loadgen.l_digests
-          in
-          Printf.printf
-            "one-shot: %d distinct runs in %.2fs (%.3f req/s) -> daemon speedup x%.1f\n"
-            (List.length distinct) one.Serve.Loadgen.o_wall_s oneshot_rps speedup;
-          if mismatches = [] then begin
-            Printf.printf "digests: all %d served results byte-identical to one-shot runs\n"
-              (List.length res.Serve.Loadgen.l_digests);
-            Ok
-              [
-                ("oneshot_rps", J.Num oneshot_rps);
-                ("speedup", J.Num speedup);
-                ("digests_match", J.Bool true);
-              ]
-          end
-          else
-            Error
-              (`Msg
-                (Printf.sprintf "digest mismatch on %d request(s), e.g. %s"
-                   (List.length mismatches)
-                   (fst (List.hd mismatches))))
-        end
-      in
-      Result.bind comparison @@ fun extra ->
-      (match json with
-      | None -> ()
-      | Some path ->
-        let base =
-          match Serve.Loadgen.result_to_json res with J.Obj kvs -> kvs | j -> [ ("result", j) ]
+    let kernels =
+      match kernels with [] -> [ "gsum" ] | ks -> List.map (fun k -> k.Hls.Kernels.name) ks
+    in
+    let nk = List.length kernels in
+    let requests =
+      List.init count (fun i ->
+          {
+            Serve.Protocol.id = Printf.sprintf "r%d" (i + 1);
+            kernel = Some (List.nth kernels (i mod nk));
+            source = None;
+            flavor;
+            levels;
+            milp_nodes;
+            milp_budget_s;
+          })
+    in
+    let res = Serve.Loadgen.run ~window ~socket requests in
+    Printf.printf
+      "loadgen: %d sent, %d completed, %d errors, %d rejected, %d cancelled in %.2fs\n"
+      res.Serve.Loadgen.l_sent res.Serve.Loadgen.l_completed res.Serve.Loadgen.l_errors
+      res.Serve.Loadgen.l_rejected res.Serve.Loadgen.l_cancelled res.Serve.Loadgen.l_wall_s;
+    Printf.printf "latency: mean=%.1fms p50=%.1fms p99=%.1fms; throughput=%.2f req/s\n"
+      res.Serve.Loadgen.l_mean_ms res.Serve.Loadgen.l_p50_ms res.Serve.Loadgen.l_p99_ms
+      res.Serve.Loadgen.l_throughput;
+    Printf.printf "cache: %d hits, %d misses (hit rate %.3f)\n" res.Serve.Loadgen.l_hits
+      res.Serve.Loadgen.l_misses
+      (Serve.Protocol.hit_rate res.Serve.Loadgen.l_hits res.Serve.Loadgen.l_misses);
+    let comparison =
+      if not compare_oneshot then Ok []
+      else begin
+        (* one sequential cold process per distinct request shape: the
+           workflow the daemon replaces. Digests must agree shape by
+           shape with everything the daemon served. *)
+        let shape (r : Serve.Protocol.request) = { r with Serve.Protocol.id = "" } in
+        let distinct =
+          List.fold_left
+            (fun acc r -> if List.mem (shape r) (List.map shape acc) then acc else r :: acc)
+            [] requests
+          |> List.rev
         in
-        write_json path (J.Obj (base @ extra));
-        Printf.printf "summary written to %s\n" path);
-      if shutdown then Serve.Loadgen.shutdown ~socket;
-      if res.Serve.Loadgen.l_completed < res.Serve.Loadgen.l_sent then
-        Error (`Msg "not every request completed (errors, rejections or cancellations above)")
-      else Ok ()
+        let one = Serve.Loadgen.run_oneshot ~exe:Sys.executable_name distinct in
+        let oneshot_rps =
+          if one.Serve.Loadgen.o_wall_s > 0. then
+            float_of_int (List.length distinct) /. one.Serve.Loadgen.o_wall_s
+          else 0.
+        in
+        let speedup =
+          if oneshot_rps > 0. then res.Serve.Loadgen.l_throughput /. oneshot_rps else 0.
+        in
+        let mismatches =
+          List.filter
+            (fun (id, d) ->
+              match
+                List.find_opt
+                  (fun (r : Serve.Protocol.request) -> r.Serve.Protocol.id = id)
+                  requests
+              with
+              | None -> false
+              | Some r ->
+                let s = shape r in
+                List.exists
+                  (fun (oid, od) ->
+                    (match
+                       List.find_opt
+                         (fun (r' : Serve.Protocol.request) -> r'.Serve.Protocol.id = oid)
+                         distinct
+                     with
+                    | Some r' -> shape r' = s
+                    | None -> false)
+                    && od <> d)
+                  one.Serve.Loadgen.o_digests)
+            res.Serve.Loadgen.l_digests
+        in
+        Printf.printf
+          "one-shot: %d distinct runs in %.2fs (%.3f req/s) -> daemon speedup x%.1f\n"
+          (List.length distinct) one.Serve.Loadgen.o_wall_s oneshot_rps speedup;
+        if mismatches = [] then begin
+          Printf.printf "digests: all %d served results byte-identical to one-shot runs\n"
+            (List.length res.Serve.Loadgen.l_digests);
+          Ok
+            [
+              ("oneshot_rps", J.Num oneshot_rps);
+              ("speedup", J.Num speedup);
+              ("digests_match", J.Bool true);
+            ]
+        end
+        else
+          Error
+            (`Msg
+              (Printf.sprintf "digest mismatch on %d request(s), e.g. %s"
+                 (List.length mismatches)
+                 (fst (List.hd mismatches))))
+      end
+    in
+    Result.bind comparison @@ fun extra ->
+    (match json with
+    | None -> ()
+    | Some path ->
+      let base =
+        match Serve.Loadgen.result_to_json res with J.Obj kvs -> kvs | j -> [ ("result", j) ]
+      in
+      write_json path (J.Obj (base @ extra));
+      Printf.printf "summary written to %s\n" path);
+    if shutdown then Serve.Loadgen.shutdown ~socket;
+    if res.Serve.Loadgen.l_completed < res.Serve.Loadgen.l_sent then
+      Error (`Msg "not every request completed (errors, rejections or cancellations above)")
+    else Ok ()
   in
   Cmd.v
     (Cmd.info "loadgen"

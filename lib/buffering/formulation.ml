@@ -34,8 +34,7 @@ type placement = {
   solution : float array;
 }
 
-let solve ?cache ?warm cfg g (model : M.t) cfdfcs =
-  let cache = match cache with Some c -> c | None -> Cache.Control.session () in
+let solve ?(cache = Cache.Session.disabled) ?warm cfg g (model : M.t) cfdfcs =
   let lp = Milp.Lp.create (G.name g ^ "_buffering") in
   let cp = cfg.cp_target in
   let unfixable = ref 0 in

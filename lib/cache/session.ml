@@ -6,6 +6,17 @@ let of_dir ?mem_bytes dir = of_store (Store.open_dir ?mem_bytes dir)
 let enabled t = t.store <> None
 let store t = t.store
 
+let resolve_dir flag =
+  match (flag, Sys.getenv_opt "REPRO_CACHE") with
+  | Some _, _ -> flag
+  | None, Some d when String.trim d <> "" -> Some d
+  | None, _ -> None
+
+let of_flag ?mem_bytes flag =
+  match resolve_dir flag with
+  | None -> Ok disabled
+  | Some dir -> ( try Ok (of_dir ?mem_bytes dir) with Sys_error msg -> Error msg)
+
 let memo t ~kind ~key f =
   match t.store with
   | None -> f ()

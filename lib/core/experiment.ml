@@ -78,7 +78,7 @@ let run_all ?(config = Flow.default_config) ?names ?kernels () =
 
 type task_timing = { t_bench : string; t_flavor : string; t_seconds : float }
 
-let run_all_timed ?(config = Flow.default_config) ?jobs ?names ?kernels () =
+let run_all_timed ?(config = Flow.default_config) ?session ?jobs ?names ?kernels () =
   let jobs = match jobs with Some j -> j | None -> Support.Pool.default_jobs () in
   let ks = resolve_kernels ?names ?kernels () in
   (* rule registration runs at module initialisation, on the main domain;
@@ -101,7 +101,7 @@ let run_all_timed ?(config = Flow.default_config) ?jobs ?names ?kernels () =
           Support.Pool.submit pool (fun () ->
               Trace.with_context ctx (fun () ->
                   Trace.timed ~cat:"task" label (fun () ->
-                      fst (run_flow ~config ~flavor k))))
+                      fst (run_flow ~config ?session ~flavor k))))
         in
         ks
         |> List.map (fun k -> (k, submit k `Baseline, submit k `Iterative))
@@ -119,6 +119,6 @@ let run_all_timed ?(config = Flow.default_config) ?jobs ?names ?kernels () =
   let timings = List.concat_map snd results in
   (rows, timings, Unix.gettimeofday () -. wall0)
 
-let run_all_parallel ?config ?jobs ?names ?kernels () =
-  let rows, _, _ = run_all_timed ?config ?jobs ?names ?kernels () in
+let run_all_parallel ?config ?session ?jobs ?names ?kernels () =
+  let rows, _, _ = run_all_timed ?config ?session ?jobs ?names ?kernels () in
   rows

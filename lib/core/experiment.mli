@@ -31,8 +31,9 @@ val run_flow :
   flavor:[ `Baseline | `Iterative ] ->
   Hls.Kernels.t ->
   metrics * Flow.outcome
-(** [session] (default {!Session.ambient}) is threaded into the flow:
-    cache handle, MILP budget overrides, cancellation, status sink. *)
+(** [session] is threaded into the flow: cache handle, MILP budget
+    overrides, cancellation, status sink. Without one the flow runs
+    uncached on [config]'s budgets. *)
 
 val run_kernel : ?config:Flow.config -> Hls.Kernels.t -> row
 
@@ -49,6 +50,7 @@ type task_timing = {
 
 val run_all_timed :
   ?config:Flow.config ->
+  ?session:Session.t ->
   ?jobs:int ->
   ?names:string list ->
   ?kernels:Hls.Kernels.t list ->
@@ -57,10 +59,13 @@ val run_all_timed :
 (** Like {!run_all_parallel}, also returning per-task wall-clock timings
     (in submission order) and the total wall-clock of the whole batch.
     The sum of task timings approximates the sequential cost, so
-    [sum /. wall] is the realised parallel speedup. *)
+    [sum /. wall] is the realised parallel speedup. Every task runs
+    under the one [session] (as in {!run_flow}); its store is
+    domain-safe. *)
 
 val run_all_parallel :
   ?config:Flow.config ->
+  ?session:Session.t ->
   ?jobs:int ->
   ?names:string list ->
   ?kernels:Hls.Kernels.t list ->

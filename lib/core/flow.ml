@@ -16,20 +16,28 @@ type config = {
   narrow : bool;
 }
 
-let default_config =
+let with_levels levels cfg =
   {
-    target_levels = 6;
-    level_delay = 0.7;
-    max_iterations = 6;
-    milp = { Buffering.Formulation.default_config with cp_target = 6. *. 0.7 };
-    lut_k = 6;
-    routing_aware = false;
-    slack_match = false;
-    balance = false;
-    lint_gates = true;
-    tv_exact = false;
-    narrow = true;
+    cfg with
+    target_levels = levels;
+    milp = { cfg.milp with cp_target = float_of_int levels *. cfg.level_delay };
   }
+
+let default_config =
+  with_levels 6
+    {
+      target_levels = 6;
+      level_delay = 0.7;
+      max_iterations = 6;
+      milp = Buffering.Formulation.default_config;
+      lut_k = 6;
+      routing_aware = false;
+      slack_match = false;
+      balance = false;
+      lint_gates = true;
+      tv_exact = false;
+      narrow = true;
+    }
 
 type iteration = {
   it_index : int;
@@ -82,11 +90,9 @@ let synth_map_net cfg net =
   let synth = if cfg.balance then Techmap.Balance.run synth else synth in
   Techmap.Mapper.run ~k:cfg.lut_k synth
 
-let synth_map ?session cfg g =
+let synth_map ?(session = Session.make ()) cfg g =
   Trace.with_span "flow:synth+map" @@ fun () ->
-  let cache =
-    match session with Some s -> s.Session.cache | None -> Cache.Control.session ()
-  in
+  let cache = session.Session.cache in
   let net = Elaborate.run g in
   let lg =
     if Cache.Session.enabled cache then
@@ -98,10 +104,6 @@ let synth_map ?session cfg g =
     else synth_map_net cfg net
   in
   (net, lg)
-
-let levels_of cfg g =
-  let _, lg = synth_map cfg g in
-  lg.Techmap.Lutgraph.max_level
 
 let apply_buffers base channels =
   let g = G.copy base in
@@ -205,9 +207,8 @@ let certify_placement config audit ~cfdfcs
       Lint.Engine.check_perf ~truncated ~phi cert candidate);
   (cert, List.fold_left Float.min 1. placement.Buffering.Formulation.throughput)
 
-let iterative ?(config = default_config) ?session input =
+let iterative ?(config = default_config) ?(session = Session.make ()) input =
   Trace.with_span "flow:iterative" @@ fun () ->
-  let session = match session with Some s -> s | None -> Session.ambient () in
   let milp_cfg = Session.milp_config session config.milp in
   let g0 = G.copy input in
   G.clear_buffers g0;
@@ -386,9 +387,8 @@ let iterative ?(config = default_config) ?session input =
   in
   iterate 1 [] None
 
-let baseline ?(config = default_config) ?session input =
+let baseline ?(config = default_config) ?(session = Session.make ()) input =
   Trace.with_span "flow:baseline" @@ fun () ->
-  let session = match session with Some s -> s | None -> Session.ambient () in
   let g = G.copy input in
   G.clear_buffers g;
   let _ = Trace.with_span "flow:seed" (fun () -> seed_back_edges g) in

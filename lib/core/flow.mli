@@ -52,6 +52,14 @@ type config = {
 }
 
 val default_config : config
+(** The paper's configuration: [with_levels 6], six iterations, 6-LUTs,
+    every gate armed, narrowing on. *)
+
+val with_levels : int -> config -> config
+(** [with_levels n cfg] targets [n] logic levels: it sets
+    [target_levels = n] and the MILP clock-period target
+    [milp.cp_target = n * level_delay]. Every CLI and the serve daemon
+    derive a level target through this one function. *)
 
 type iteration = {
   it_index : int;
@@ -105,20 +113,18 @@ val seed_back_edges : Dataflow.Graph.t -> Dataflow.Graph.channel_id list
 
 val iterative : ?config:config -> ?session:Session.t -> Dataflow.Graph.t -> outcome
 (** Mapping-aware iterative flow. The input graph is not mutated.
-    [session] (default {!Session.ambient}) supplies the cache handle,
-    MILP budget overrides, the cooperative-cancellation poll (checked at
-    every iteration boundary and before every MILP solve — raises
-    {!Session.Cancelled}) and the status sink. *)
+    [session] supplies the cache handle, MILP budget overrides, the
+    cooperative-cancellation poll (checked at every iteration boundary
+    and before every MILP solve — raises {!Session.Cancelled}) and the
+    status sink. The default, [Session.make ()], caches nothing and
+    keeps [config]'s budgets. *)
 
 val baseline : ?config:config -> ?session:Session.t -> Dataflow.Graph.t -> outcome
 (** Mapping-agnostic one-shot flow (the paper's "Prev."). Takes the same
     [session] environment as {!iterative}. *)
 
-val levels_of : config -> Dataflow.Graph.t -> int
-(** Synthesise and map the graph as-is; return its logic-level count. *)
-
 val synth_map :
   ?session:Session.t -> config -> Dataflow.Graph.t -> Net.t * Techmap.Lutgraph.t
 (** Elaborate, synthesise (with the configured optimisation passes) and
     LUT-map the graph, memoizing through the session's cache (default
-    {!Session.ambient}). *)
+    [Session.make ()], which computes in place). *)

@@ -8,20 +8,9 @@ type t = {
   on_status : (string -> unit) option;
 }
 
-let never_cancelled () = false
-
 let make ?(cache = Cache.Session.disabled) ?milp_nodes ?milp_budget_s
-    ?(cancelled = never_cancelled) ?on_status () =
+    ?(cancelled = fun () -> false) ?on_status () =
   { cache; milp_nodes; milp_budget_s; cancelled; on_status }
-
-let ambient () =
-  {
-    cache = Cache.Control.session ();
-    milp_nodes = None;
-    milp_budget_s = None;
-    cancelled = never_cancelled;
-    on_status = None;
-  }
 
 let check_cancel t = if t.cancelled () then raise Cancelled
 

@@ -6,9 +6,10 @@
     status — lives in this record instead of process-global state. One
     long-lived process (the [regulate serve] daemon) builds one session
     per request, all sharing one {!Cache.Store.t}, and serves them
-    concurrently on a {!Support.Pool} with no cross-request leakage; the
-    one-shot CLIs simply run with {!ambient}, which mirrors the old
-    process-global behaviour exactly. *)
+    concurrently on a {!Support.Pool} with no cross-request leakage; each
+    one-shot CLI builds one session from its flags and passes it down.
+    A flow called without a session runs with [make ()]: no cache,
+    default budgets, never cancelled. *)
 
 exception Cancelled
 (** Raised by {!check_cancel} (i.e. from inside a flow, between
@@ -35,12 +36,7 @@ val make :
   unit ->
   t
 (** A session with explicit fields; [cache] defaults to
-    {!Cache.Session.disabled} (note: {e not} the ambient store — a
-    made session owns its environment). *)
-
-val ambient : unit -> t
-(** The CLI shim: the process-global {!Cache.Control} store (captured at
-    call time), default budgets, never cancelled, no status sink. *)
+    {!Cache.Session.disabled}. *)
 
 val check_cancel : t -> unit
 (** Raise {!Cancelled} if the session was cancelled. *)

@@ -36,6 +36,7 @@ type t = { stats : stats; findings : finding list }
 val run :
   ?gen_cfg:Hls.Generate.cfg ->
   ?config:Core.Flow.config ->
+  ?session:Core.Session.t ->
   ?mutations:int ->
   ?budget_s:float ->
   ?minimize:bool ->
@@ -45,11 +46,12 @@ val run :
   seeds:int ->
   unit ->
   t
-(** Check seeds [start_seed .. start_seed + seeds - 1]. [budget_s]
-    (default none) stops submitting new batches once exceeded;
-    [minimize] (default [true]) shrinks each finding's kernel with
-    {!Minimize.shrink_func} re-running the single-seed oracle as the
-    predicate. [log] receives one progress line per batch. *)
+(** Check seeds [start_seed .. start_seed + seeds - 1], each with
+    {!Oracle.check} under [session] (the minimizer's re-checks too).
+    [budget_s] (default none) stops submitting new batches once
+    exceeded; [minimize] (default [true]) shrinks each finding's kernel
+    with {!Minimize.shrink_func} re-running the single-seed oracle as
+    the predicate. [log] receives one progress line per batch. *)
 
 val stats_to_json : stats -> Support.Json.t
 (** One JSON object: totals, failure histogram and feature coverage —

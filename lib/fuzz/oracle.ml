@@ -106,7 +106,8 @@ let pp_mems fmt ms =
         (String.concat "," (List.map string_of_int (Array.to_list arr))))
     ms
 
-let check_program ?(config = flow_config) ?(mutations = 2) (p : Hls.Generate.program) =
+let check_program ?(config = flow_config) ?(session = Core.Session.make ()) ?(mutations = 2)
+    (p : Hls.Generate.program) =
   let seed = p.Hls.Generate.seed in
   let violations = ref [] in
   let explained = ref [] in
@@ -230,7 +231,7 @@ let check_program ?(config = flow_config) ?(mutations = 2) (p : Hls.Generate.pro
         end;
         (* warm re-run: with the cache on, the second run hits the memo
            tables and must decide byte-identically *)
-        if Cache.Control.enabled () then begin
+        if Cache.Session.enabled session.Core.Session.cache then begin
           match flow ~config (G.copy g0) with
           | exception e -> fail "cache-divergence" ("warm run raised " ^ Printexc.to_string e)
           | o2 ->
@@ -272,8 +273,8 @@ let check_program ?(config = flow_config) ?(mutations = 2) (p : Hls.Generate.pro
     in
     List.iter run_flavor
       [
-        ("iterative", fun ~config g -> Core.Flow.iterative ~config g);
-        ("baseline", fun ~config g -> Core.Flow.baseline ~config g);
+        ("iterative", fun ~config g -> Core.Flow.iterative ~config ~session g);
+        ("baseline", fun ~config g -> Core.Flow.baseline ~config ~session g);
       ]
   | _ -> ());
   if !violations <> [] then Support.Trace.add "fuzz.violations" (List.length !violations);
@@ -285,10 +286,10 @@ let check_program ?(config = flow_config) ?(mutations = 2) (p : Hls.Generate.pro
     source = p.Hls.Generate.source;
   }
 
-let check ?gen_cfg ?config ?mutations seed =
+let check ?gen_cfg ?config ?session ?mutations seed =
   let p =
     match gen_cfg with
     | None -> Hls.Generate.generate seed
     | Some cfg -> Hls.Generate.generate ~cfg seed
   in
-  check_program ?config ?mutations p
+  check_program ?config ?session ?mutations p

@@ -26,8 +26,8 @@
     - {b sim-beats-bound}: measured steady-state transfers on every
       channel inside a cyclic SCC stay within [sc_bound * cycles + 4]
       — the simulator never outruns the Howard certificate;
-    - {b cache-divergence}: with the cache enabled, a warm re-run of the
-      flow produces a byte-identical canonical summary;
+    - {b cache-divergence}: when the session's cache is enabled, a warm
+      re-run of the flow produces a byte-identical canonical summary;
     - {b mutant-*}: additive DFG mutations ({!Mutate}) of the final
       circuit keep the exit value, memories and liveness. *)
 
@@ -53,15 +53,20 @@ val flow_config : Core.Flow.config
 val check :
   ?gen_cfg:Hls.Generate.cfg ->
   ?config:Core.Flow.config ->
+  ?session:Core.Session.t ->
   ?mutations:int ->
   int ->
   report
 (** [check seed] runs the whole battery on one generated kernel.
     [mutations] (default 2) mutants are derived from the final circuit
-    of each flavor. Deterministic: same arguments, same report. *)
+    of each flavor. Both flows run under [session] (default
+    [Core.Session.make ()], no cache); when its cache is enabled each
+    flow runs a second, warm time for the [cache-divergence] check.
+    Deterministic: same arguments, same report. *)
 
 val check_program :
   ?config:Core.Flow.config ->
+  ?session:Core.Session.t ->
   ?mutations:int ->
   Hls.Generate.program ->
   report

@@ -16,9 +16,9 @@
     Emits [milp.simplex.pivots] and [milp.simplex.refactors]
     {!Support.Trace} counters.
 
-    The previous dense two-phase tableau is retained as
-    {!Dense_reference} and cross-checked against this solver by the
-    differential test suite. *)
+    The previous dense two-phase tableau is retained under [test/] as
+    the [Dense_reference] oracle and cross-checked against this solver
+    by the differential test suite. *)
 
 type result =
   | Optimal of { obj : float; x : float array }

@@ -44,10 +44,9 @@ let with_lock mu f =
   Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
 
 let flow_config cfg (req : Protocol.request) =
-  let base = cfg.flow in
-  match (match req.levels with Some _ as l -> l | None -> cfg.levels) with
-  | None -> base
-  | Some l -> { base with Core.Flow.target_levels = l }
+  match (req.levels, cfg.levels) with
+  | Some l, _ | None, Some l -> Core.Flow.with_levels l cfg.flow
+  | None, None -> cfg.flow
 
 (* Key for whole-completion memoisation: every input that can change
    the result — program, flavor, the effective flow config and the

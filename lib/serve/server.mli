@@ -23,7 +23,9 @@
 type config = {
   jobs : int;              (** worker-pool width *)
   queue_limit : int;       (** max accepted-but-unfinished compiles; reject beyond *)
-  levels : int option;     (** server-wide target-levels override *)
+  levels : int option;
+      (** server-wide target-levels override (a request's own [levels]
+          wins); applied with {!Core.Flow.with_levels} *)
   milp_nodes : int option;      (** default per-request MILP node budget *)
   milp_budget_s : float option; (** default per-request MILP wall budget *)
   cache : Cache.Session.t; (** shared across all requests; [finish]ed on drain *)

@@ -62,8 +62,7 @@ let characterize g uid =
   let lg = Techmap.Mapper.run synth in
   float_of_int lg.Techmap.Lutgraph.max_level *. level_delay
 
-let unit_delay ?cache:cs g uid =
-  let cs = match cs with Some cs -> cs | None -> Cache.Control.session () in
+let unit_delay ?cache:(cs = Cache.Session.disabled) g uid =
   let key = signature g uid in
   match Mutex.protect cache_mutex (fun () -> Hashtbl.find_opt cache key) with
   | Some d -> d

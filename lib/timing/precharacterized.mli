@@ -14,6 +14,9 @@ val unit_delay :
   ?cache:Cache.Session.t -> Dataflow.Graph.t -> Dataflow.Graph.unit_id -> float
 (** Characterised delay of one unit (cached by kind and width
     signature, first in a process-wide table, then in the session's
-    artifact cache — default {!Cache.Control.session}). *)
+    artifact cache — default {!Cache.Session.disabled}, i.e. the table
+    only). *)
 
 val build : ?cache:Cache.Session.t -> Dataflow.Graph.t -> Model.t
+(** The whole-circuit baseline model, every unit's delay looked up
+    through {!unit_delay} with the same [cache]. *)

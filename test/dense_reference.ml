@@ -2,6 +2,8 @@
    as a differential-testing oracle (modulo the free-variable bound fix
    below). It is never used on the hot path and emits no trace counters. *)
 
+open Milp
+
 type result = Simplex.result =
   | Optimal of { obj : float; x : float array }
   | Infeasible

@@ -161,49 +161,57 @@ let test_store_gc_clear () =
     Alcotest.(check bool) "no last session" true (J.mem "last_session" j = Some J.Null)
 
 (* ------------------------------------------------------------------ *)
-(* memoization through Control *)
+(* memoization through Cache.Session *)
 
-let with_cache_enabled dir f =
-  ignore (Cache.Control.enable dir);
-  Fun.protect ~finally:Cache.Control.finish f
+(* One session over [dir] for the duration of [f], finished afterwards:
+   what a CLI invocation with --cache-dir does. *)
+let with_session dir f =
+  let s = Cache.Session.of_dir dir in
+  Fun.protect ~finally:(fun () -> Cache.Session.finish s) (fun () -> f s)
 
 let test_memo () =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let calls = ref 0 in
-  let f () = incr calls; !calls * 10 in
-  Alcotest.(check int) "disabled memo is transparent" 10
-    (Cache.Control.memo ~kind:"t" ~key:"k" f);
-  with_cache_enabled dir (fun () ->
-      Alcotest.(check int) "first enabled call computes" 20
-        (Cache.Control.memo ~kind:"t" ~key:"k" f);
-      Alcotest.(check int) "second call served from cache" 20
-        (Cache.Control.memo ~kind:"t" ~key:"k" f);
-      Alcotest.(check int) "f ran twice in total" 2 !calls);
-  (* a fresh process-equivalent: new Control session, same directory *)
-  with_cache_enabled dir (fun () ->
-      Alcotest.(check int) "persists across sessions" 20
-        (Cache.Control.memo ~kind:"t" ~key:"k" f);
-      Alcotest.(check int) "no recomputation" 2 !calls)
+  let f () = incr calls; [ !calls * 10 ] in
+  let memo s = Cache.Session.memo s ~kind:"t" ~key:"k" f in
+  let ints = Alcotest.(list int) in
+  (* the disabled session always computes *)
+  Alcotest.(check bool) "disabled" false (Cache.Session.enabled Cache.Session.disabled);
+  Alcotest.check ints "disabled memo is transparent" [ 10 ] (memo Cache.Session.disabled);
+  Alcotest.check ints "and computes every time" [ 20 ] (memo Cache.Session.disabled);
+  with_session dir (fun s ->
+      Alcotest.check ints "first enabled call computes" [ 30 ] (memo s);
+      Alcotest.check ints "second call served from cache" [ 30 ] (memo s);
+      Alcotest.(check int) "f ran three times in total" 3 !calls;
+      (* a second session over the same open store shares the artifacts *)
+      let shared = Cache.Session.of_store (Option.get (Cache.Session.store s)) in
+      Alcotest.check ints "shared store" [ 30 ] (memo shared);
+      Alcotest.(check int) "still three computes" 3 !calls);
+  (* a fresh process-equivalent: new session, same directory *)
+  with_session dir (fun s ->
+      Alcotest.check ints "persists across sessions" [ 30 ] (memo s);
+      Alcotest.(check int) "no recomputation" 3 !calls);
+  (* each finished session appended its counters to stats.log *)
+  Alcotest.(check int) "two sessions logged" 2 (Cache.Store.disk_stats dir).Cache.Store.ds_sessions
 
 let test_memo_corruption_rewrite () =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let calls = ref 0 in
   let f () = incr calls; "value" in
-  with_cache_enabled dir (fun () ->
-      Alcotest.(check string) "computed" "value" (Cache.Control.memo ~kind:"t" ~key:"c" f);
-      let store = Option.get (Cache.Control.active ()) in
+  let memo s = Cache.Session.memo s ~kind:"t" ~key:"c" f in
+  with_session dir (fun s ->
+      Alcotest.(check string) "computed" "value" (memo s);
+      let store = Option.get (Cache.Session.store s) in
       let path = Cache.Store.entry_path store ~kind:"t" ~key:"c" in
       Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc "garbage"));
   (* new session: the in-memory front is gone, the disk entry is garbage *)
-  with_cache_enabled dir (fun () ->
-      Alcotest.(check string) "recomputed after corruption" "value"
-        (Cache.Control.memo ~kind:"t" ~key:"c" f);
+  with_session dir (fun s ->
+      Alcotest.(check string) "recomputed after corruption" "value" (memo s);
       Alcotest.(check int) "f ran again" 2 !calls);
-  with_cache_enabled dir (fun () ->
-      Alcotest.(check string) "rewritten entry hits" "value"
-        (Cache.Control.memo ~kind:"t" ~key:"c" f);
+  with_session dir (fun s ->
+      Alcotest.(check string) "rewritten entry hits" "value" (memo s);
       Alcotest.(check int) "no third run" 2 !calls)
 
 (* ------------------------------------------------------------------ *)
@@ -231,21 +239,21 @@ let render_report rows =
   Format.asprintf "%a@\n%a@\n%a" Core.Report.table1 rows Core.Report.figure5 rows
     Core.Report.iterations rows
 
-let run_compare ~jobs () =
+let run_compare ?cache ~jobs () =
   render_report
-    (Core.Experiment.run_all_parallel ~config:Fixtures.cheap_flow_config ~jobs
-       ~kernels:Fixtures.tiny_kernels ())
+    (Core.Experiment.run_all_parallel ~config:Fixtures.cheap_flow_config
+       ~session:(Core.Session.make ?cache ()) ~jobs ~kernels:Fixtures.tiny_kernels ())
 
 let test_cold_warm_identical () =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let cold = with_cache_enabled dir (fun () -> run_compare ~jobs:1 ()) in
+  let cold = with_session dir (fun cache -> run_compare ~cache ~jobs:1 ()) in
   let warm1, warm_hits =
-    with_cache_enabled dir (fun () ->
-        let out = run_compare ~jobs:1 () in
-        (out, Cache.Store.hits (Option.get (Cache.Control.active ()))))
+    with_session dir (fun cache ->
+        let out = run_compare ~cache ~jobs:1 () in
+        (out, Cache.Store.hits (Option.get (Cache.Session.store cache))))
   in
-  let warm2 = with_cache_enabled dir (fun () -> run_compare ~jobs:2 ()) in
+  let warm2 = with_session dir (fun cache -> run_compare ~cache ~jobs:2 ()) in
   Alcotest.(check string) "warm jobs=1 == cold" cold warm1;
   Alcotest.(check string) "warm jobs=2 == cold" cold warm2;
   Alcotest.(check bool) "warm run actually hit the cache" true (warm_hits > 0);

@@ -100,6 +100,18 @@ let test_harness_reports_planted_failure () =
   check bool "parse-roundtrip fires" true
     (List.exists (fun c -> c.Fuzz.Oracle.kind = "parse-roundtrip") r.Fuzz.Oracle.violations)
 
+(* with a cache session, the oracle re-runs each flow warm against the
+   store the cold run just filled, and the two runs must agree *)
+let test_oracle_warm_rerun () =
+  let dir = Filename.temp_dir "repro-fuzz-test" "" in
+  let cache = Cache.Session.of_dir dir in
+  let session = Core.Session.make ~cache () in
+  let r = Fuzz.Oracle.check ~gen_cfg:quick_gen ~session ~mutations:0 1 in
+  let hits = Cache.Store.hits (Option.get (Cache.Session.store cache)) in
+  Cache.Store.clear dir;
+  check int "no violation" 0 (List.length r.Fuzz.Oracle.violations);
+  check bool (Printf.sprintf "warm re-run hit the store (%d hits)" hits) true (hits > 0)
+
 let test_mutations_additive () =
   let g = Dataflow.Graph.copy (Hls.Kernels.graph (Hls.Kernels.by_name "gsum")) in
   ignore (Core.Flow.seed_back_edges g);
@@ -215,6 +227,7 @@ let suite =
     test_case "ddmin shrinks to the core" `Quick test_ddmin;
     test_case "minimizer shrinks a seeded failure" `Quick test_minimizer_shrinks;
     test_case "oracle reports a planted violation" `Quick test_harness_reports_planted_failure;
+    test_case "oracle warm re-run hits the cache" `Quick test_oracle_warm_rerun;
     test_case "DFG mutations are additive and equivalent" `Quick test_mutations_additive;
     test_case "pinned regression seeds stay clean" `Slow test_pinned_regression_seeds;
     test_case "cmp-fed arithmetic is width-promoted" `Quick test_cmp_arith_width;

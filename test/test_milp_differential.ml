@@ -1,6 +1,7 @@
 (* Differential testing of the revised simplex ({!Milp.Simplex}) against
-   the retained dense two-phase tableau ({!Milp.Dense_reference}), plus
-   regressions pinning the three historical B&B/simplex bugs:
+   the retained dense two-phase tableau ({!Dense_reference}, which lives
+   here with the tests), plus regressions pinning the three historical
+   B&B/simplex bugs:
 
    - budget exhaustion with no incumbent used to report [Infeasible]
      instead of the new [Exhausted];

@@ -381,6 +381,13 @@ let serial_digest src flavor =
   in
   P.outcome_digest outcome
 
+let done_digest get id =
+  wait_for get ~what:(id ^ " done") (is_done id);
+  List.find_map
+    (function P.Done { id = id'; result; _ } when id' = id -> Some result.P.r_digest | _ -> None)
+    (get ())
+  |> Option.get
+
 let test_concurrent_digests_deterministic () =
   let shapes =
     List.concat_map
@@ -413,18 +420,24 @@ let test_concurrent_digests_deterministic () =
   S.drain t;
   List.iter
     (fun (i, (r : P.request)) ->
-      wait_for get ~what:(r.P.id ^ " done") (is_done r.P.id);
-      let digest =
-        List.find_map
-          (function
-            | P.Done { id; result; _ } when id = r.P.id -> Some result.P.r_digest
-            | _ -> None)
-          (get ())
-        |> Option.get
-      in
       check Alcotest.string (r.P.id ^ " digest matches serial one-shot") (List.nth expected i)
-        digest)
+        (done_digest get r.P.id))
     requests
+
+(* a request's [levels] moves the MILP clock-period target along with
+   the level target, exactly as a one-shot flow at that level does *)
+let test_request_levels_set_cp_target () =
+  let src = Fixtures.tsum.Hls.Kernels.source in
+  let config = Core.Flow.with_levels 8 Fixtures.cheap_flow_config in
+  let expected =
+    P.outcome_digest (Core.Flow.iterative ~config (Hls.Compile.compile (Hls.Parser.parse src)))
+  in
+  let t = S.create { S.default_config with S.flow = Fixtures.cheap_flow_config } in
+  let emit, get = collector () in
+  send t emit (P.request_to_line (req ~source:src ~levels:8 "lv8"));
+  S.drain t;
+  check Alcotest.string "levels=8 digest == one-shot with_levels 8" expected
+    (done_digest get "lv8")
 
 (* ------------------------------------------------------------------ *)
 (* transports *)
@@ -522,44 +535,9 @@ let test_socket_loadgen_end_to_end () =
   check Alcotest.bool "socket unlinked after shutdown" false (Sys.file_exists path)
 
 (* ------------------------------------------------------------------ *)
-(* session-scoped cache handles (the Cache.Control shim satellite) *)
+(* the session's MILP budget overrides and level targets *)
 
-let test_cache_session_memo () =
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let s = Cache.Session.of_dir dir in
-  let calls = ref 0 in
-  let f () =
-    incr calls;
-    [ 1; 2; 3 ]
-  in
-  check (Alcotest.list Alcotest.int) "computed" [ 1; 2; 3 ]
-    (Cache.Session.memo s ~kind:"t" ~key:"k" f);
-  check (Alcotest.list Alcotest.int) "served from the store" [ 1; 2; 3 ]
-    (Cache.Session.memo s ~kind:"t" ~key:"k" f);
-  check Alcotest.int "second call did not recompute" 1 !calls;
-  (* a second session over the same store shares the artifacts *)
-  let s2 = Cache.Session.of_store (Option.get (Cache.Session.store s)) in
-  check (Alcotest.list Alcotest.int) "shared" [ 1; 2; 3 ]
-    (Cache.Session.memo s2 ~kind:"t" ~key:"k" f);
-  check Alcotest.int "still one compute" 1 !calls;
-  (* the disabled session always computes *)
-  let d = Cache.Session.disabled in
-  check Alcotest.bool "disabled" false (Cache.Session.enabled d);
-  ignore (Cache.Session.memo d ~kind:"t" ~key:"k" f);
-  ignore (Cache.Session.memo d ~kind:"t" ~key:"k" f);
-  check Alcotest.int "computed every time" 3 !calls
-
-let test_control_is_a_shim () =
-  (* with no process-global store enabled, the shim hands out the
-     disabled session and memo degrades to plain computation *)
-  check Alcotest.bool "no ambient store in tests" true (Cache.Control.active () = None);
-  check Alcotest.bool "shim session disabled" false
-    (Cache.Session.enabled (Cache.Control.session ()));
-  let session = Core.Session.ambient () in
-  check Alcotest.bool "ambient flow session has no cache" false
-    (Cache.Session.enabled session.Core.Session.cache);
-  (* budget overrides flow through Session.milp_config *)
+let test_session_budget_overrides () =
   let base = Core.Flow.default_config.Core.Flow.milp in
   let s = Core.Session.make ~milp_nodes:123 ~milp_budget_s:4.5 () in
   let cfg = Core.Session.milp_config s base in
@@ -567,7 +545,9 @@ let test_control_is_a_shim () =
   check (Alcotest.float 1e-9) "wall budget overridden" 4.5 cfg.Buffering.Formulation.time_limit;
   let cfg' = Core.Session.milp_config (Core.Session.make ()) base in
   check Alcotest.int "no override keeps the config" base.Buffering.Formulation.node_limit
-    cfg'.Buffering.Formulation.node_limit
+    cfg'.Buffering.Formulation.node_limit;
+  check Alcotest.bool "a made session has no cache" false
+    (Cache.Session.enabled (Core.Session.make ()).Core.Session.cache)
 
 let suite =
   [
@@ -586,9 +566,10 @@ let suite =
       test_poisoned_request_keeps_serving;
     Alcotest.test_case "server: concurrent digests == serial one-shot" `Slow
       test_concurrent_digests_deterministic;
+    Alcotest.test_case "server: request levels set the cp target" `Quick
+      test_request_levels_set_cp_target;
     Alcotest.test_case "transport: stdio pipe end to end" `Quick test_serve_channels_pipe;
     Alcotest.test_case "transport: socket + loadgen end to end" `Quick
       test_socket_loadgen_end_to_end;
-    Alcotest.test_case "cache: session memo and shared store" `Quick test_cache_session_memo;
-    Alcotest.test_case "cache: Control is a thin shim over Session" `Quick test_control_is_a_shim;
+    Alcotest.test_case "session: MILP budget overrides" `Quick test_session_budget_overrides;
   ]
