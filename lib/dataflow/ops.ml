@@ -53,16 +53,21 @@ let eval_cmp c a b =
   in
   if r then 1 else 0
 
+let apply t a b c =
+  match t with
+  | Add -> a + b
+  | Sub -> a - b
+  | Mul -> a * b
+  | Shl -> a lsl (b land 63)
+  | Lshr -> a lsr (b land 63)
+  | And_ -> a land b
+  | Or_ -> a lor b
+  | Xor_ -> a lxor b
+  | Icmp cmp -> eval_cmp cmp a b
+  | Select -> if a <> 0 then b else c
+
 let eval t args =
-  match t, args with
-  | Add, [ a; b ] -> a + b
-  | Sub, [ a; b ] -> a - b
-  | Mul, [ a; b ] -> a * b
-  | Shl, [ a; b ] -> a lsl (b land 63)
-  | Lshr, [ a; b ] -> a lsr (b land 63)
-  | And_, [ a; b ] -> a land b
-  | Or_, [ a; b ] -> a lor b
-  | Xor_, [ a; b ] -> a lxor b
-  | Icmp c, [ a; b ] -> eval_cmp c a b
-  | Select, [ c; a; b ] -> if c <> 0 then a else b
+  match args with
+  | [ a; b ] when arity t = 2 -> apply t a b 0
+  | [ a; b; c ] when arity t = 3 -> apply t a b c
   | _ -> invalid_arg (Printf.sprintf "Ops.eval: %s applied to %d args" (name t) (List.length args))

@@ -36,3 +36,8 @@ val eval : t -> int list -> int
 (** Functional semantics over OCaml ints (used by the simulator and by
     differential tests against the gate-level datapath). Operates on the
     two's-complement value truncated by the caller. *)
+
+val apply : t -> int -> int -> int -> int
+(** [apply t a b c] is [eval t [a; b; c]] for the ternary [Select] and
+    [eval t [a; b]] for every binary op, which ignores [c]. It takes its
+    operands unboxed, for the simulator's inner loop. *)

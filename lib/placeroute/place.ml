@@ -37,70 +37,109 @@ let run ?(seed = 1) ?(effort = 1.0) net (lg : L.t) =
   Array.sort (fun a b -> compare (owner_of a, a) (owner_of b, b)) items;
   let n = Array.length items in
   let side = Arch.grid_side n in
-  let pos = Hashtbl.create (2 * n) in
-  let loc_of = Array.make (side * side) None in
+  (* ---- dense ids: item i of [items] sits at (px.(i), py.(i)); each
+     grid cell holds an item id or -1 ---- *)
+  let lut_id = Array.make (L.n_luts lg) 0 in
+  let seq_id = Hashtbl.create 64 in
   Array.iteri
-    (fun i it ->
-      let x = i mod side and y = i / side in
-      Hashtbl.replace pos it (x, y);
-      loc_of.((y * side) + x) <- Some it)
+    (fun i it -> match it with It_lut l -> lut_id.(l) <- i | It_seq gid -> Hashtbl.replace seq_id gid i)
     items;
-  (* ---- incidence lists over LUT-graph edges ---- *)
+  let id_of = function L.Lut l -> lut_id.(l) | L.Seq gid -> Hashtbl.find seq_id gid in
+  let px = Array.init n (fun i -> i mod side) in
+  let py = Array.init n (fun i -> i / side) in
+  let loc_of = Array.make (side * side) (-1) in
+  Array.iteri (fun i _ -> loc_of.(i) <- i) items;
+  (* ---- incidence over LUT-graph edges, as int arrays ---- *)
   let edges =
-    List.map (fun { L.e_src; e_dst } -> (item_of_endpoint e_src, item_of_endpoint e_dst)) lg.L.edges
-    |> List.filter (fun (a, b) -> a <> b)
+    List.filter_map
+      (fun { L.e_src; e_dst } ->
+        let a = id_of e_src and b = id_of e_dst in
+        if a <> b then Some (a, b) else None)
+      lg.L.edges
     |> Array.of_list
   in
-  let incident = Hashtbl.create (2 * n) in
+  let n_edges = Array.length edges in
+  let ea = Array.map fst edges and eb = Array.map snd edges in
+  let incident = Array.make n [] in
   Array.iteri
     (fun ei (a, b) ->
-      Hashtbl.replace incident a (ei :: Option.value (Hashtbl.find_opt incident a) ~default:[]);
-      Hashtbl.replace incident b (ei :: Option.value (Hashtbl.find_opt incident b) ~default:[]))
+      incident.(a) <- ei :: incident.(a);
+      incident.(b) <- ei :: incident.(b))
     edges;
-  let t = { side; pos; wirelength = 0 } in
+  let incident = Array.map Array.of_list incident in
   let edge_len ei =
-    let a, b = edges.(ei) in
-    distance t a b
+    let a = ea.(ei) and b = eb.(ei) in
+    abs (px.(a) - px.(b)) + abs (py.(a) - py.(b))
   in
-  let total_len () = Array.fold_left ( + ) 0 (Array.init (Array.length edges) edge_len) in
-  let cost = ref (total_len ()) in
+  let cost = ref 0 in
+  for ei = 0 to n_edges - 1 do
+    cost := !cost + edge_len ei
+  done;
+  (* the edges a move touches, deduplicated by stamping each with the
+     move number *)
+  let stamp = Array.make n_edges 0 in
+  let involved = Array.make n_edges 0 in
+  let n_involved = ref 0 in
+  let involve move i =
+    let inc = incident.(i) in
+    for k = 0 to Array.length inc - 1 do
+      let ei = inc.(k) in
+      if stamp.(ei) <> move then begin
+        stamp.(ei) <- move;
+        involved.(!n_involved) <- ei;
+        incr n_involved
+      end
+    done
+  in
+  let involved_len () =
+    let s = ref 0 in
+    for k = 0 to !n_involved - 1 do
+      s := !s + edge_len involved.(k)
+    done;
+    !s
+  in
   (* ---- annealing ---- *)
   let moves = int_of_float (effort *. float_of_int (max 1 (40 * n))) in
   let temp = ref (4.0 +. (float_of_int !cost /. float_of_int (max 1 n))) in
   let cooling = exp (log (0.01 /. !temp) /. float_of_int (max 1 moves)) in
-  for _ = 1 to moves do
+  for move = 1 to moves do
     (* pick an item and a random target location; swap occupants *)
-    let it = items.(Support.Rng.int rng n) in
+    let it = Support.Rng.int rng n in
     let tx = Support.Rng.int rng side and ty = Support.Rng.int rng side in
-    let x0, y0 = Hashtbl.find pos it in
-    if (tx, ty) <> (x0, y0) then begin
+    let x0 = px.(it) and y0 = py.(it) in
+    if tx <> x0 || ty <> y0 then begin
       let other = loc_of.((ty * side) + tx) in
-      let involved =
-        Option.value (Hashtbl.find_opt incident it) ~default:[]
-        @ (match other with
-          | Some o -> Option.value (Hashtbl.find_opt incident o) ~default:[]
-          | None -> [])
-        |> List.sort_uniq compare
-      in
-      let before = List.fold_left (fun acc ei -> acc + edge_len ei) 0 involved in
-      Hashtbl.replace pos it (tx, ty);
-      (match other with Some o -> Hashtbl.replace pos o (x0, y0) | None -> ());
-      let after = List.fold_left (fun acc ei -> acc + edge_len ei) 0 involved in
-      let delta = after - before in
+      n_involved := 0;
+      involve move it;
+      if other >= 0 then involve move other;
+      let before = involved_len () in
+      px.(it) <- tx;
+      py.(it) <- ty;
+      if other >= 0 then begin
+        px.(other) <- x0;
+        py.(other) <- y0
+      end;
+      let delta = involved_len () - before in
       let accept =
         delta <= 0 || Support.Rng.float rng 1.0 < exp (-.float_of_int delta /. !temp)
       in
       if accept then begin
-        loc_of.((ty * side) + tx) <- Some it;
+        loc_of.((ty * side) + tx) <- it;
         loc_of.((y0 * side) + x0) <- other;
         cost := !cost + delta
       end
       else begin
         (* undo *)
-        Hashtbl.replace pos it (x0, y0);
-        match other with Some o -> Hashtbl.replace pos o (tx, ty) | None -> ()
+        px.(it) <- x0;
+        py.(it) <- y0;
+        if other >= 0 then begin
+          px.(other) <- tx;
+          py.(other) <- ty
+        end
       end
     end;
     temp := !temp *. cooling
   done;
-  { t with wirelength = !cost }
+  let pos = Hashtbl.create (2 * n) in
+  Array.iteri (fun i it -> Hashtbl.replace pos it (px.(i), py.(i))) items;
+  { side; pos; wirelength = !cost }

@@ -4,7 +4,12 @@
     graph. The annealer minimises total Manhattan wirelength over the
     LUT-graph edges; it is deterministic for a given seed. The initial
     placement clusters items of the same dataflow unit, which is roughly
-    what a real placer's wirelength optimisation achieves. *)
+    what a real placer's wirelength optimisation achieves.
+
+    The annealer works on dense item ids: positions, grid occupancy and
+    edge incidence are int arrays, and the edges a move touches are
+    deduplicated with a per-move stamp. {!t.pos} is built once at the
+    end. *)
 
 type item = It_lut of int | It_seq of int  (** LUT id | netlist gate id *)
 

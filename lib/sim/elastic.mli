@@ -10,6 +10,22 @@
     transfer. A circuit whose handshake does not stabilise (combinational
     cycle through unbuffered channels) raises [Failure].
 
+    {b Settle algorithm.} The fixpoint is a sequence of sweeps, each a
+    unit phase followed by a channel phase. A unit reads only the signals
+    channels write (consumer-side valid/data, producer-side ready) and
+    writes only the signals channels read (producer-side valid/data,
+    consumer-side ready); a channel does the reverse. Each phase is
+    therefore a Jacobi step: its result does not depend on the order in
+    which its elements are evaluated. A cycle resets every signal and
+    runs one full sweep; after that a phase re-evaluates only the
+    elements next to a signal that changed in the previous phase. This
+    is exact: an element whose inputs did not change would recompute the
+    signals it already drives, so skipping it changes nothing, the same
+    signals change in the same sweep, and the sweep count — and with it
+    the "does not stabilise" bound of 2(units + channels) + 8 sweeps —
+    is that of sweeping everything every time. The full-sweep simulator
+    is kept with the tests as a differential oracle.
+
     One [run] simulates one kernel invocation: the entry unit emits a
     single control token and the run ends when the exit unit consumes its
     token. *)

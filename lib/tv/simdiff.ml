@@ -31,8 +31,15 @@ let check ?(rounds = default_rounds) ?(seed = 0xd1ff) ?config ~original ~variant
     | Some c -> c
     | None -> { Sim.Elastic.max_cycles = 200_000; deadlock_window = 256 }
   in
-  let mismatches = ref [] in
-  let add fmt = Printf.ksprintf (fun s -> mismatches := s :: !mismatches) fmt in
+  let mismatches = ref [] and n_mismatches = ref 0 in
+  let add fmt =
+    Printf.ksprintf
+      (fun s ->
+        mismatches := s :: !mismatches;
+        incr n_mismatches)
+      fmt
+  in
+  let cap = 8 in
   for round = 0 to rounds - 1 do
     let rng = Support.Rng.create (seed + (round * 7919)) in
     let m1 = mems_of ~random:(round > 0) rng original in
@@ -54,11 +61,12 @@ let check ?(rounds = default_rounds) ?(seed = 0xd1ff) ?config ~original ~variant
             match List.assoc_opt name m2 with
             | Some a2 ->
                 (* cap the noise; one differing cell is already fatal *)
-                Array.iteri
-                  (fun i v1 ->
-                    if a2.(i) <> v1 && List.length !mismatches < 8 then
-                      add "round %d: memory %s[%d] = %d <> %d" round name i v1 a2.(i))
-                  a1
+                let i = ref 0 in
+                while !i < Array.length a1 && !n_mismatches < cap do
+                  if a2.(!i) <> a1.(!i) then
+                    add "round %d: memory %s[%d] = %d <> %d" round name !i a1.(!i) a2.(!i);
+                  incr i
+                done
             | None -> add "round %d: memory %s missing in variant" round name)
           m1
       end

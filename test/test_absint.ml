@@ -232,6 +232,23 @@ let test_simdiff_catches_unsound_shrink () =
   let mismatches = Tv.Simdiff.check ~original:g ~variant:bad () in
   check Alcotest.bool "unsound shrink detected" true (mismatches <> [])
 
+(* Memory mismatches are capped at eight messages, in cell order; later
+   differing cells and rounds add none. *)
+let test_simdiff_caps_memory_mismatches () =
+  let fill k =
+    seeded
+      (Hls.Compile.compile
+         (Hls.Parser.parse
+            (Printf.sprintf
+               "int fill(int a[16]) { for (int i = 0; i < 16; i = i + 1) { a[i] = i + %d; } return 0; }"
+               k)))
+  in
+  check
+    Alcotest.(list string)
+    "first eight cells of round 0"
+    (List.init 8 (fun i -> Printf.sprintf "round 0: memory a[%d] = %d <> %d" i i (i + 1)))
+    (Tv.Simdiff.check ~original:(fill 0) ~variant:(fill 1) ())
+
 let suite =
   [
     Alcotest.test_case "transfer envelope (10k/op)" `Slow test_envelope;
@@ -246,4 +263,5 @@ let suite =
     Alcotest.test_case "range lints clean on suite" `Quick test_ranges_clean;
     Alcotest.test_case "refork takes control width (seed 987)" `Quick test_refork_control_width;
     Alcotest.test_case "simdiff catches unsound shrink" `Quick test_simdiff_catches_unsound_shrink;
+    Alcotest.test_case "simdiff caps memory mismatches" `Quick test_simdiff_caps_memory_mismatches;
   ]
