@@ -9,81 +9,15 @@
 open Cmdliner
 module J = Support.Json
 
-(* Kernel names are resolved on the command line: an unknown name is a
-   usage error (exit 124) naming the kernel, not an uncaught Not_found. *)
-let kernel_conv =
-  let parse name =
-    match Hls.Kernels.by_name name with
-    | k -> Ok k
-    | exception Not_found ->
-      Error (`Msg (Printf.sprintf "unknown kernel %S (see `regulate list`)" name))
-  in
-  Arg.conv (parse, fun ppf k -> Format.pp_print_string ppf k.Hls.Kernels.name)
+let kernels_arg = Cli.kernels_arg ~tool:"regulate"
 
 let kernel_arg =
   let doc = "Benchmark kernel name (see `regulate list`)." in
-  Arg.(required & pos 0 (some kernel_conv) None & info [] ~docv:"KERNEL" ~doc)
-
-(* The multi-kernel commands' positional kernels, default all nine. A
-   repeated kernel would be run (and reported) twice for no new
-   information; keep the first occurrence and warn on stderr so stdout
-   stays a clean report. *)
-let kernels_arg =
-  let dedupe = function
-    | [] -> Hls.Kernels.all
-    | ks ->
-      let seen = Hashtbl.create 8 in
-      List.filter
-        (fun k ->
-          let n = k.Hls.Kernels.name in
-          let dup = Hashtbl.mem seen n in
-          if dup then Printf.eprintf "[regulate] warning: duplicate kernel %S ignored\n%!" n
-          else Hashtbl.add seen n ();
-          not dup)
-        ks
-  in
-  let doc = "Kernels (default: all nine)." in
-  Term.(const dedupe $ Arg.(value & pos_all kernel_conv [] & info [] ~docv:"KERNEL" ~doc))
-
-let levels_arg =
-  Arg.(value & opt int 6 & info [ "levels" ] ~docv:"N" ~doc:"Target logic levels (default 6).")
+  Arg.(required & pos 0 (some Cli.kernel_conv) None & info [] ~docv:"KERNEL" ~doc)
 
 (* The MILP configuration of a [levels] target, for the commands that
    solve the buffer MILP outside a flow. *)
 let milp_at levels = (Core.Flow.with_levels levels Core.Flow.default_config).Core.Flow.milp
-
-let jobs_arg =
-  let doc =
-    "Worker domains for multi-kernel runs (default: the $(b,REPRO_JOBS) environment variable, \
-     else 1). Results and output order are identical at any width."
-  in
-  let width =
-    let parse s =
-      match int_of_string_opt s with
-      | Some j when j >= 1 -> Ok j
-      | Some _ -> Error (`Msg "jobs must be >= 1")
-      | None -> Error (`Msg (Printf.sprintf "expected an integer, got %S" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
-  Arg.(value & opt width (Support.Pool.default_jobs ()) & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
-let trace_arg =
-  let doc =
-    "Profile the run and write Chrome trace-event JSON to $(docv) (load in chrome://tracing or \
-     Perfetto). The per-stage summary table goes to stderr; stdout is byte-identical with and \
-     without tracing. Missing parent directories are created."
-  in
-  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-
-let cache_dir_arg =
-  let doc =
-    "Artifact cache directory (overrides the $(b,REPRO_CACHE) environment variable). Synthesis \
-     and LUT-mapping results, pre-characterised unit delays and MILP solutions are stored \
-     content-addressed and reused across runs, processes and $(b,--jobs) domains; stdout is \
-     byte-identical with and without the cache. See `regulate cache` for stats and maintenance."
-  in
-  Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR" ~doc)
 
 let cycle_cap_arg =
   let doc =
@@ -92,7 +26,17 @@ let cycle_cap_arg =
      Raise it so a cycle-rich kernel's enumeration is exhaustive and the \
      $(b,perf-cycle-limit-truncated) warning clears; the cost is MILP rows per extra cycle."
   in
-  Arg.(value & opt (some int) None & info [ "cycle-cap" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some Cli.pos_int) None & info [ "cycle-cap" ] ~docv:"N" ~doc)
+
+(* A wall-clock budget in seconds: a non-positive one is a usage error. *)
+let pos_float =
+  let parse s =
+    match float_of_string_opt s with
+    | Some f when f > 0. -> Ok f
+    | Some _ -> Error (`Msg (Printf.sprintf "expected a number > 0, got %S" s))
+    | None -> Error (`Msg (Printf.sprintf "expected a number, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
 
 let milp_nodes_arg =
   let doc =
@@ -101,16 +45,7 @@ let milp_nodes_arg =
        with a clean $(b,node budget exhausted) error instead of running unbounded."
       Buffering.Formulation.default_config.Buffering.Formulation.node_limit
   in
-  let nodes_conv =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok n
-      | Some _ -> Error (`Msg "--milp-nodes must be >= 1")
-      | None -> Error (`Msg (Printf.sprintf "--milp-nodes: expected an integer, got %S" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
-  Arg.(value & opt (some nodes_conv) None & info [ "milp-nodes" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some Cli.pos_int) None & info [ "milp-nodes" ] ~docv:"N" ~doc)
 
 let milp_budget_arg =
   let doc =
@@ -119,35 +54,7 @@ let milp_budget_arg =
        node-budget blowout: a clean error, never a hang."
       Buffering.Formulation.default_config.Buffering.Formulation.time_limit
   in
-  let budget_conv =
-    let parse s =
-      match float_of_string_opt s with
-      | Some f when f > 0. -> Ok f
-      | Some _ -> Error (`Msg "--milp-budget-s must be > 0")
-      | None -> Error (`Msg (Printf.sprintf "--milp-budget-s: expected a number, got %S" s))
-    in
-    Arg.conv (parse, Format.pp_print_float)
-  in
-  Arg.(value & opt (some budget_conv) None & info [ "milp-budget-s" ] ~docv:"SECONDS" ~doc)
-
-let no_narrow_arg =
-  let doc =
-    "Disable the abstract-interpretation narrowing stage (on by default: the flow shrinks unit \
-     widths to their proven value envelopes, folds constant units and deletes dead branches \
-     before synthesis, gated by random-simulation equivalence). See `regulate absint`."
-  in
-  Arg.(value & flag & info [ "no-narrow" ] ~doc)
-
-(* The artifact cache named by --cache-dir or $REPRO_CACHE (the disabled
-   session when neither is set). *)
-let open_cache dir =
-  Result.map_error (fun msg -> `Msg ("--cache-dir: " ^ msg)) (Cache.Session.of_flag dir)
-
-(* Run [f] with the command's one cache session; the session's counters
-   are appended to the store's stats.log whichever way [f] returns. *)
-let with_cache_session dir f =
-  Result.bind (open_cache dir) @@ fun cache ->
-  Fun.protect ~finally:(fun () -> Cache.Session.finish cache) (fun () -> f cache)
+  Arg.(value & opt (some pos_float) None & info [ "milp-budget-s" ] ~docv:"SECONDS" ~doc)
 
 (* Open an output file named by a CLI flag: create missing parent
    directories, and turn an unwritable path into a cmdliner `Msg error
@@ -159,27 +66,6 @@ let with_out_file path f =
   with
   | v -> Ok v
   | exception Sys_error msg -> Error (`Msg msg)
-
-(* Run [f] under a trace session when [--trace] was given: the whole
-   command becomes one top-level span, the JSON sink lands in [path]
-   and the summary table goes to stderr (stdout untouched). *)
-let traced ~name trace f =
-  match trace with
-  | None -> Ok (f ())
-  | Some path ->
-    Support.Trace.start ();
-    (match Support.Trace.with_span ~cat:"cli" name f with
-    | v -> (
-      let report = Support.Trace.stop () in
-      match Support.Trace.write_chrome_json report path with
-      | () ->
-        Format.eprintf "%a" Support.Trace.pp_summary report;
-        Format.eprintf "[trace] wrote %s@." path;
-        Ok v
-      | exception Sys_error msg -> Error (`Msg msg))
-    | exception e ->
-      ignore (Support.Trace.stop ());
-      raise e)
 
 (* The --json mode of the per-kernel commands: [f emit] prints each row
    as soon as it is produced (a big kernel's row is not held back by the
@@ -288,8 +174,8 @@ let flow_cmd =
         narrow = not no_narrow;
       }
     in
-    with_cache_session cache_dir @@ fun cache ->
-    traced ~name:"regulate:flow" trace @@ fun () ->
+    Cli.with_cache_session cache_dir @@ fun cache ->
+    Cli.traced ~name:"regulate:flow" trace @@ fun () ->
     let session = Core.Session.make ~cache ?milp_nodes ?milp_budget_s () in
     let metrics, outcome = Core.Experiment.run_flow ~config ~session ~flavor k in
     List.iter
@@ -329,9 +215,9 @@ let flow_cmd =
     (Cmd.info "flow" ~doc:"Run one buffering flow on one kernel.")
     (Term.term_result
        Term.(
-         const run $ kernel_arg $ flavor $ levels_arg $ routing $ slack $ balance $ tv_exact
-         $ no_narrow_arg $ digest $ milp_nodes_arg $ milp_budget_arg $ trace_arg
-         $ cache_dir_arg))
+         const run $ kernel_arg $ flavor $ Cli.levels_arg $ routing $ slack $ balance $ tv_exact
+         $ Cli.no_narrow_arg $ digest $ milp_nodes_arg $ milp_budget_arg $ Cli.trace_arg
+         $ Cli.cache_dir_arg))
 
 (* ---- export ---- *)
 
@@ -341,10 +227,8 @@ let export_cmd =
     let outcome = Core.Flow.iterative (Hls.Kernels.graph k) in
     let g = outcome.Core.Flow.graph in
     Out_channel.with_open_text (name ^ ".dot") (fun oc -> Dataflow.Dot.to_channel oc g);
-    let net = Elaborate.run g in
-    let synth = Techmap.Synth.run net in
-    let lg = Techmap.Mapper.run synth in
-    Out_channel.with_open_text (name ^ ".blif") (fun oc -> Techmap.Blif.to_channel oc net lg);
+    Out_channel.with_open_text (name ^ ".blif") (fun oc ->
+        Techmap.Blif.to_channel oc outcome.Core.Flow.net outcome.Core.Flow.lutgraph);
     let r =
       Out_channel.with_open_text (name ^ ".vcd") (fun oc ->
           Sim.Elastic.run ~memories:(k.Hls.Kernels.mems ()) ~vcd:oc g)
@@ -399,15 +283,15 @@ let compile_cmd =
 
 let fuzz_cmd =
   let seeds =
-    Arg.(value & opt int 200 & info [ "seeds" ] ~docv:"N" ~doc:"Seed count (default 200).")
+    Arg.(value & opt (Cli.int_at_least 0) 200 & info [ "seeds" ] ~docv:"N" ~doc:"Seed count (default 200).")
   in
   let start_seed =
-    Arg.(value & opt int 0 & info [ "start-seed" ] ~docv:"N" ~doc:"First seed (default 0).")
+    Arg.(value & opt (Cli.int_at_least 0) 0 & info [ "start-seed" ] ~docv:"N" ~doc:"First seed (default 0).")
   in
   let budget =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some pos_float) None
       & info [ "budget-s" ] ~docv:"SECONDS"
           ~doc:
             "Wall-clock budget: stop submitting new kernel batches once exceeded. The kernels \
@@ -415,7 +299,7 @@ let fuzz_cmd =
   in
   let mutate =
     Arg.(
-      value & opt int 2
+      value & opt (Cli.int_at_least 0) 2
       & info [ "mutate" ] ~docv:"N"
           ~doc:"Additive DFG mutants derived per kernel per flavor (default 2, 0 disables).")
   in
@@ -439,8 +323,8 @@ let fuzz_cmd =
           ~doc:"Write the campaign statistics (coverage and failure histograms) as JSON.")
   in
   let run seeds start_seed budget mutate no_minimize repro_dir json jobs trace cache_dir =
-    with_cache_session cache_dir @@ fun cache ->
-    traced ~name:"regulate:fuzz" trace @@ fun () ->
+    Cli.with_cache_session cache_dir @@ fun cache ->
+    Cli.traced ~name:"regulate:fuzz" trace @@ fun () ->
     let session = Core.Session.make ~cache () in
     let result =
       Support.Pool.run ~jobs (fun pool ->
@@ -494,7 +378,7 @@ let fuzz_cmd =
     (Term.term_result
        Term.(
          const run $ seeds $ start_seed $ budget $ mutate $ no_minimize $ repro_dir $ json
-         $ jobs_arg $ trace_arg $ cache_dir_arg))
+         $ Cli.jobs_arg $ Cli.trace_arg $ Cli.cache_dir_arg))
 
 (* ---- profile ---- *)
 
@@ -522,9 +406,9 @@ let profile_cmd =
             st.Sim.Elastic.cs_stalls st.Sim.Elastic.cs_transfers
         end)
       ranked;
-    (* the placed critical path *)
-    let net, lg = Core.Flow.synth_map Core.Flow.default_config g in
-    let pr = Placeroute.Sta.analyze ~seed:7 net lg in
+    (* the placed critical path, on the flow's own final synthesis *)
+    let lg = outcome.Core.Flow.lutgraph in
+    let pr = Placeroute.Sta.analyze ~seed:7 outcome.Core.Flow.net lg in
     Format.printf "@\n%a" (fun fmt () -> Placeroute.Sta.pp_critical_path fmt g lg pr) ()
   in
   Cmd.v
@@ -565,20 +449,8 @@ let lint_kernel ~levels ~cycle_cap k =
       in
       (* the LP-free oracle: certify the placement the MILP proposed and
          audit its throughput claims against the certified bound *)
-      let candidate = Dataflow.Graph.copy g in
-      List.iter
-        (fun c ->
-          Dataflow.Graph.set_buffer candidate c
-            (Some { Dataflow.Graph.transparent = false; slots = 2 }))
-        p.Buffering.Formulation.new_buffers;
-      let cert = Analysis.Certify.certify candidate in
-      let truncated = List.exists (fun cf -> cf.Buffering.Cfdfc.truncated) cfdfcs in
-      let phi =
-        List.map2
-          (fun (cf : Buffering.Cfdfc.t) th -> (cf.Buffering.Cfdfc.units, th))
-          cfdfcs p.Buffering.Formulation.throughput
-      in
-      (r_milp, Lint.Engine.check_perf ~truncated ~phi cert candidate)
+      let _, _, r_perf = Core.Flow.audit_placement ~cfdfcs p g in
+      (r_milp, r_perf)
   in
   List.fold_left Lint.Engine.merge Lint.Engine.empty
     [ pre; post; r_ranges; r_net; r_map; r_milp; r_perf ]
@@ -625,8 +497,8 @@ let lint_cmd =
     (Cmd.info "lint"
        ~doc:"Statically verify kernels: DFG structure, netlist, LUT mapping, MILP certificate.")
     Term.(
-      const run $ kernels_arg $ json_arg $ fail_on_warning $ levels_arg $ cycle_cap_arg $ rules
-      $ jobs_arg)
+      const run $ kernels_arg $ json_arg $ fail_on_warning $ Cli.levels_arg $ cycle_cap_arg $ rules
+      $ Cli.jobs_arg)
 
 (* ---- absint ---- *)
 
@@ -747,25 +619,13 @@ let verify_kernel ~levels ~milp ~cycle_cap ~cache k =
   else begin
     let model = Timing.Precharacterized.build ~cache g in
     let cfdfcs = Buffering.Cfdfc.extract ?cycle_limit:cycle_cap g in
-    let truncated = List.exists (fun cf -> cf.Buffering.Cfdfc.truncated) cfdfcs in
     let cfg = { (milp_at levels) with Buffering.Formulation.use_penalty = false } in
     match Buffering.Formulation.solve ~cache cfg g model cfdfcs with
     | Error msg ->
       (Analysis.Certify.certify g, Lint.Engine.of_diagnostics [ Lint.Milp_rules.solve_failure msg ])
     | Ok p ->
-      let candidate = Dataflow.Graph.copy g in
-      List.iter
-        (fun c ->
-          Dataflow.Graph.set_buffer candidate c
-            (Some { Dataflow.Graph.transparent = false; slots = 2 }))
-        p.Buffering.Formulation.new_buffers;
-      let cert = Analysis.Certify.certify candidate in
-      let phi =
-        List.map2
-          (fun (cf : Buffering.Cfdfc.t) th -> (cf.Buffering.Cfdfc.units, th))
-          cfdfcs p.Buffering.Formulation.throughput
-      in
-      (cert, Lint.Engine.check_perf ~truncated ~phi cert candidate)
+      let _, cert, r = Core.Flow.audit_placement ~cfdfcs p g in
+      (cert, r)
   end
 
 let verify_cmd =
@@ -822,7 +682,7 @@ let verify_cmd =
         false ks
     in
     match
-      with_cache_session cache_dir (fun cache -> traced ~name:"regulate:verify" trace (body cache))
+      Cli.with_cache_session cache_dir (fun cache -> Cli.traced ~name:"regulate:verify" trace (body cache))
     with
     | Error _ as e -> e
     | Ok failed -> if failed then exit 1 else Ok ()
@@ -834,8 +694,8 @@ let verify_cmd =
           with --milp, audit the MILP's claims against them.")
     (Term.term_result
        Term.(
-         const run $ kernels_arg $ json_arg $ milp $ fail_on_warning $ levels_arg $ cycle_cap_arg
-         $ trace_arg $ cache_dir_arg))
+         const run $ kernels_arg $ json_arg $ milp $ fail_on_warning $ Cli.levels_arg $ cycle_cap_arg
+         $ Cli.trace_arg $ Cli.cache_dir_arg))
 
 (* ---- tv ---- *)
 
@@ -938,7 +798,7 @@ let tv_cmd =
         false results
     in
     match
-      with_cache_session cache_dir (fun cache -> traced ~name:"regulate:tv" trace (body cache))
+      Cli.with_cache_session cache_dir (fun cache -> Cli.traced ~name:"regulate:tv" trace (body cache))
     with
     | Error _ as e -> e
     | Ok failed -> if failed then exit 1 else Ok ()
@@ -950,16 +810,16 @@ let tv_cmd =
           (netlist/AIG/LUT-cover), label & domain soundness, and buffer-insertion refinement.")
     (Term.term_result
        Term.(
-         const run $ kernels_arg $ json_arg $ flavor $ exact $ levels_arg $ jobs_arg $ trace_arg
-         $ cache_dir_arg))
+         const run $ kernels_arg $ json_arg $ flavor $ exact $ Cli.levels_arg $ Cli.jobs_arg $ Cli.trace_arg
+         $ Cli.cache_dir_arg))
 
 (* ---- compare ---- *)
 
 let compare_cmd =
   let run kernels no_narrow milp_nodes milp_budget_s jobs trace cache_dir =
     let config = { Core.Flow.default_config with Core.Flow.narrow = not no_narrow } in
-    with_cache_session cache_dir @@ fun cache ->
-    traced ~name:"regulate:compare" trace @@ fun () ->
+    Cli.with_cache_session cache_dir @@ fun cache ->
+    Cli.traced ~name:"regulate:compare" trace @@ fun () ->
     let session = Core.Session.make ~cache ?milp_nodes ?milp_budget_s () in
     let rows = Core.Experiment.run_all_parallel ~config ~session ~jobs ~kernels () in
     Core.Report.table1 Format.std_formatter rows;
@@ -972,8 +832,8 @@ let compare_cmd =
     (Cmd.info "compare" ~doc:"Reproduce Table I / Figure 5 for the given kernels.")
     (Term.term_result
        Term.(
-         const run $ kernels_arg $ no_narrow_arg $ milp_nodes_arg $ milp_budget_arg $ jobs_arg
-         $ trace_arg $ cache_dir_arg))
+         const run $ kernels_arg $ Cli.no_narrow_arg $ milp_nodes_arg $ milp_budget_arg $ Cli.jobs_arg
+         $ Cli.trace_arg $ Cli.cache_dir_arg))
 
 (* ---- cache ---- *)
 
@@ -984,7 +844,7 @@ let cache_cmd =
       | Some d -> Ok d
       | None -> Error (`Msg "no cache directory: pass --cache-dir or set REPRO_CACHE")
     in
-    Term.(term_result (const resolve $ cache_dir_arg))
+    Term.(term_result (const resolve $ Cli.cache_dir_arg))
   in
   let stats_cmd =
     let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit one JSON object.") in
@@ -1055,28 +915,19 @@ let serve_cmd =
        (default 8). Requests beyond it are rejected with $(b,server-busy), not queued \
        unboundedly."
     in
-    let limit_conv =
-      let parse s =
-        match int_of_string_opt s with
-        | Some n when n >= 1 -> Ok n
-        | Some _ -> Error (`Msg "--queue-limit must be >= 1")
-        | None -> Error (`Msg (Printf.sprintf "--queue-limit: expected an integer, got %S" s))
-      in
-      Arg.conv (parse, Format.pp_print_int)
-    in
-    Arg.(value & opt limit_conv 8 & info [ "queue-limit" ] ~docv:"N" ~doc)
+    Arg.(value & opt Cli.pos_int 8 & info [ "queue-limit" ] ~docv:"N" ~doc)
   in
   let levels =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some Cli.pos_int) None
       & info [ "levels" ] ~docv:"N"
           ~doc:"Server-wide target logic levels (requests may override per request).")
   in
   let run socket jobs queue_limit levels no_narrow milp_nodes milp_budget_s cache_dir =
     (* the daemon owns its cache session outright and shares it across
        concurrent requests; [Serve.Server.drain] finishes it *)
-    match open_cache cache_dir with
+    match Cli.open_cache cache_dir with
     | Error _ as e -> e
     | Ok cache ->
       let cfg =
@@ -1110,8 +961,8 @@ let serve_cmd =
           never crashes.")
     (Term.term_result
        Term.(
-         const run $ socket $ jobs_arg $ queue_limit $ levels $ no_narrow_arg $ milp_nodes_arg
-         $ milp_budget_arg $ cache_dir_arg))
+         const run $ socket $ Cli.jobs_arg $ queue_limit $ levels $ Cli.no_narrow_arg $ milp_nodes_arg
+         $ milp_budget_arg $ Cli.cache_dir_arg))
 
 (* ---- loadgen ---- *)
 
@@ -1123,20 +974,11 @@ let loadgen_cmd =
       & info [ "socket" ] ~docv:"PATH" ~doc:"The daemon's Unix-domain socket.")
   in
   let count =
-    let count_conv =
-      let parse s =
-        match int_of_string_opt s with
-        | Some n when n >= 1 -> Ok n
-        | Some _ -> Error (`Msg "-n must be >= 1")
-        | None -> Error (`Msg (Printf.sprintf "-n: expected an integer, got %S" s))
-      in
-      Arg.conv (parse, Format.pp_print_int)
-    in
-    Arg.(value & opt count_conv 200 & info [ "n"; "requests" ] ~docv:"N" ~doc:"Request count (default 200).")
+    Arg.(value & opt Cli.pos_int 200 & info [ "n"; "requests" ] ~docv:"N" ~doc:"Request count (default 200).")
   in
   let window =
     Arg.(
-      value & opt int 4
+      value & opt Cli.pos_int 4
       & info [ "window" ] ~docv:"N"
           ~doc:
             "Pipelining window: at most $(docv) requests outstanding (default 4). Keep it at or \
@@ -1144,7 +986,7 @@ let loadgen_cmd =
   in
   let kernels =
     Arg.(
-      value & pos_all kernel_conv []
+      value & pos_all Cli.kernel_conv []
       & info [] ~docv:"KERNEL" ~doc:"Kernels to cycle through (default: gsum).")
   in
   let flavor =
@@ -1155,7 +997,7 @@ let loadgen_cmd =
   in
   let levels =
     Arg.(
-      value & opt (some int) None & info [ "levels" ] ~docv:"N" ~doc:"Per-request target levels.")
+      value & opt (some Cli.pos_int) None & info [ "levels" ] ~docv:"N" ~doc:"Per-request target levels.")
   in
   let json =
     Arg.(

@@ -15,10 +15,9 @@ let () =
   Printf.printf "wrote gsumif.dot (%d units, %d buffers)\n" (Dataflow.Graph.n_units g)
     outcome.Core.Flow.total_buffers;
 
-  (* BLIF of the mapped LUT circuit, with per-LUT truth tables *)
-  let net = Elaborate.run g in
-  let synth = Techmap.Synth.run net in
-  let lg = Techmap.Mapper.run synth in
+  (* BLIF of the mapped LUT circuit, with per-LUT truth tables: the
+     flow's own final synthesis of [g] *)
+  let net = outcome.Core.Flow.net and lg = outcome.Core.Flow.lutgraph in
   Out_channel.with_open_text "gsumif.blif" (fun oc -> Techmap.Blif.to_channel oc net lg);
   Printf.printf "wrote gsumif.blif (%d LUTs, %d FFs, %d levels)\n" (Techmap.Lutgraph.n_luts lg)
     (Net.count_ffs net) lg.Techmap.Lutgraph.max_level;

@@ -188,14 +188,8 @@ let narrow_stage config audit session g =
     else (g, Some report)
   end
 
-(* The LP-free performance oracle: right after each MILP solve, the
-   candidate placement is certified (min cycle ratio by Howard with a
-   Karp cross-check, marked-graph liveness) and the [perf] gate
-   compares the MILP's per-CFDFC throughput against the certified
-   bound. The certificate itself is computed even with lint gates off —
-   the outcome reports it alongside phi. *)
-let certify_placement config audit ~cfdfcs
-    ~(placement : Buffering.Formulation.placement) candidate =
+let audit_placement ~cfdfcs (placement : Buffering.Formulation.placement) g =
+  let candidate = apply_buffers g placement.Buffering.Formulation.new_buffers in
   let cert = Trace.with_span "flow:certify" (fun () -> Analysis.Certify.certify candidate) in
   let truncated = List.exists (fun cf -> cf.Buffering.Cfdfc.truncated) cfdfcs in
   let phi =
@@ -203,9 +197,20 @@ let certify_placement config audit ~cfdfcs
       (fun (cf : Buffering.Cfdfc.t) th -> (cf.Buffering.Cfdfc.units, th))
       cfdfcs placement.Buffering.Formulation.throughput
   in
-  run_gate config audit ~stage:"perf" (fun () ->
-      Lint.Engine.check_perf ~truncated ~phi cert candidate);
-  (cert, List.fold_left Float.min 1. placement.Buffering.Formulation.throughput)
+  (candidate, cert, Lint.Engine.check_perf ~truncated ~phi cert candidate)
+
+(* The LP-free performance oracle: right after each MILP solve, the
+   candidate placement is certified and the [perf] gate compares the
+   MILP's per-CFDFC throughput against the certified bound. The
+   certificate itself is computed even with lint gates off — the
+   outcome reports it alongside phi. The [tv-buffer] refinement gate
+   runs first, on the same candidate. *)
+let certify_placement config audit ~cfdfcs ~(placement : Buffering.Formulation.placement) g =
+  let candidate, cert, perf = audit_placement ~cfdfcs placement g in
+  refine_gate config audit ~stage:"tv-buffer" ~base:g ~buffered:candidate
+    ~allowed:(List.map (fun c -> (c, opaque_spec)) placement.Buffering.Formulation.new_buffers);
+  run_gate config audit ~stage:"perf" (fun () -> perf);
+  (candidate, cert, List.fold_left Float.min 1. placement.Buffering.Formulation.throughput)
 
 let iterative ?(config = default_config) ?(session = Session.make ()) input =
   Trace.with_span "flow:iterative" @@ fun () ->
@@ -297,11 +302,7 @@ let iterative ?(config = default_config) ?(session = Session.make ()) input =
           Lint.Engine.check_milp ~cp_target:config.milp.Buffering.Formulation.cp_target
             ~buffered:placement.Buffering.Formulation.all_buffered model
             placement.Buffering.Formulation.lp placement.Buffering.Formulation.solution);
-      let candidate = apply_buffers g (placement.Buffering.Formulation.new_buffers) in
-      refine_gate config audit ~stage:"tv-buffer" ~base:g ~buffered:candidate
-        ~allowed:
-          (List.map (fun c -> (c, opaque_spec)) placement.Buffering.Formulation.new_buffers);
-      let cert, milp_phi = certify_placement config audit ~cfdfcs ~placement candidate in
+      let candidate, cert, milp_phi = certify_placement config audit ~cfdfcs ~placement g in
       let cand_net, cand_lg = synth_map ~session config candidate in
       let achieved = cand_lg.Techmap.Lutgraph.max_level in
       let met = achieved <= config.target_levels in
@@ -417,10 +418,7 @@ let baseline ?(config = default_config) ?(session = Session.make ()) input =
         Lint.Engine.check_milp ~cp_target:milp.Buffering.Formulation.cp_target
           ~buffered:placement.Buffering.Formulation.all_buffered model
           placement.Buffering.Formulation.lp placement.Buffering.Formulation.solution);
-    let final = apply_buffers g placement.Buffering.Formulation.new_buffers in
-    refine_gate config audit ~stage:"tv-buffer" ~base:g ~buffered:final
-      ~allowed:(List.map (fun c -> (c, opaque_spec)) placement.Buffering.Formulation.new_buffers);
-    let cert, milp_phi = certify_placement config audit ~cfdfcs ~placement final in
+    let final, cert, milp_phi = certify_placement config audit ~cfdfcs ~placement g in
     let final_net, final_lg = synth_map ~session config final in
     (* the baseline synthesises once, at the end: its single tv gate
        validates that final netlist/AIG/cover triple *)

@@ -123,6 +123,20 @@ val baseline : ?config:config -> ?session:Session.t -> Dataflow.Graph.t -> outco
 (** Mapping-agnostic one-shot flow (the paper's "Prev."). Takes the same
     [session] environment as {!iterative}. *)
 
+val audit_placement :
+  cfdfcs:Buffering.Cfdfc.t list ->
+  Buffering.Formulation.placement ->
+  Dataflow.Graph.t ->
+  Dataflow.Graph.t * Analysis.Certify.t * Lint.Engine.report
+(** [audit_placement ~cfdfcs placement g] applies the MILP's new buffers
+    to a copy of [g] as opaque 2-slot buffers, certifies that candidate
+    ({!Analysis.Certify.certify}) and audits the MILP's per-CFDFC
+    throughput claims against the certificate
+    ({!Lint.Engine.check_perf}; [cfdfcs] are the ones the MILP was
+    solved over). Returns the candidate, its certificate and the [perf]
+    report. Both flows and the [lint] / [verify --milp] commands audit a
+    placement through this one function. *)
+
 val synth_map :
   ?session:Session.t -> config -> Dataflow.Graph.t -> Net.t * Techmap.Lutgraph.t
 (** Elaborate, synthesise (with the configured optimisation passes) and

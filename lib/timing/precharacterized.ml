@@ -3,15 +3,6 @@ module K = Dataflow.Unit_kind
 
 let level_delay = 0.7
 
-(* The characterisation memo is shared across domains (baseline flows run
-   concurrently under the experiment pool), so reads and writes are
-   mutex-guarded: a torn Hashtbl resize would corrupt the table. Values
-   are deterministic per key, so two domains racing to characterise the
-   same signature store the same delay — duplicated work, never a
-   different answer. *)
-let cache : (string, float) Hashtbl.t = Hashtbl.create 64
-let cache_mutex = Mutex.create ()
-
 (* Expected width of each input port of a unit, given the widths its
    instance sees in the real graph. *)
 let in_widths g uid =
@@ -62,24 +53,31 @@ let characterize g uid =
   let lg = Techmap.Mapper.run synth in
   float_of_int lg.Techmap.Lutgraph.max_level *. level_delay
 
-let unit_delay ?cache:(cs = Cache.Session.disabled) g uid =
-  let key = signature g uid in
-  match Mutex.protect cache_mutex (fun () -> Hashtbl.find_opt cache key) with
-  | Some d -> d
-  | None ->
-    (* second level: the session's persistent artifact cache, so
-       characterisation harness runs survive across processes, --jobs
-       domains and daemon requests *)
-    let d = Cache.Session.memo cs ~kind:"unitdelay" ~key (fun () -> characterize g uid) in
-    Mutex.protect cache_mutex (fun () -> Hashtbl.replace cache key d);
-    d
+(* The session's artifact cache makes characterisation harness runs
+   survive across processes, --jobs domains and daemon requests. *)
+let memo_delay cs key g uid =
+  Cache.Session.memo cs ~kind:"unitdelay" ~key (fun () -> characterize g uid)
 
-let build ?cache g =
+let unit_delay ?cache:(cs = Cache.Session.disabled) g uid = memo_delay cs (signature g uid) g uid
+
+let build ?cache:(cs = Cache.Session.disabled) g =
+  (* one graph repeats few signatures many times: characterise each
+     once per build, ahead of the session memo *)
+  let delays = Hashtbl.create 64 in
+  let delay uid =
+    let key = signature g uid in
+    match Hashtbl.find_opt delays key with
+    | Some d -> d
+    | None ->
+      let d = memo_delay cs key g uid in
+      Hashtbl.add delays key d;
+      d
+  in
   let pairs = ref [] in
   let add src dst d = pairs := { Model.p_src = src; p_dst = dst; p_delay = d } :: !pairs in
   G.iter_units g (fun n ->
       let uid = n.G.uid in
-      let d = unit_delay ?cache g uid in
+      let d = delay uid in
       let ins = Array.to_list n.G.ins |> List.filter_map (fun c -> c) in
       let outs = Array.to_list n.G.outs |> List.filter_map (fun c -> c) in
       let sequential = K.latency n.G.kind > 0 || K.is_memory n.G.kind in

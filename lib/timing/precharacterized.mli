@@ -12,11 +12,13 @@
 
 val unit_delay :
   ?cache:Cache.Session.t -> Dataflow.Graph.t -> Dataflow.Graph.unit_id -> float
-(** Characterised delay of one unit (cached by kind and width
-    signature, first in a process-wide table, then in the session's
-    artifact cache — default {!Cache.Session.disabled}, i.e. the table
-    only). *)
+(** Characterised delay of one unit, memoized by its kind, width and
+    port-width signature in the session's artifact cache (default
+    {!Cache.Session.disabled}: characterised on every call). There is no
+    process-wide table: a disabled session is genuinely cold, and the
+    result is a function of the signature alone. *)
 
 val build : ?cache:Cache.Session.t -> Dataflow.Graph.t -> Model.t
 (** The whole-circuit baseline model, every unit's delay looked up
-    through {!unit_delay} with the same [cache]. *)
+    through {!unit_delay} with the same [cache]. Units that share a
+    signature inside the graph are characterised once per call. *)

@@ -261,6 +261,28 @@ let test_cold_warm_identical () =
   let uncached = run_compare ~jobs:1 () in
   Alcotest.(check string) "uncached == cached" uncached cold
 
+(* The pre-characterised unit delays persist only through the session:
+   a fresh store misses every signature of the graph exactly once (the
+   build dedupes within the graph), and a second process-like session
+   on the same directory answers every one of them from disk. *)
+let test_unitdelay_session_only () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let g = Hls.Kernels.graph (Hls.Kernels.by_name "gsum") in
+  let build () =
+    let store = Cache.Store.open_dir dir in
+    let model = Timing.Precharacterized.build ~cache:(Cache.Session.of_store store) g in
+    Cache.Store.finish store;
+    (model, Cache.Store.hits store, Cache.Store.misses store)
+  in
+  let cold, cold_hits, cold_misses = build () in
+  let warm, warm_hits, warm_misses = build () in
+  Alcotest.(check int) "cold run hits nothing" 0 cold_hits;
+  Alcotest.(check bool) "cold run characterises" true (cold_misses > 0);
+  Alcotest.(check int) "warm run hits every signature" cold_misses warm_hits;
+  Alcotest.(check int) "warm run misses nothing" 0 warm_misses;
+  Alcotest.(check bool) "same model" true (cold = warm)
+
 let suite =
   [
     Alcotest.test_case "sha256 vectors" `Quick test_sha_vectors;
@@ -275,5 +297,6 @@ let suite =
     Alcotest.test_case "memo persists across sessions" `Quick test_memo;
     Alcotest.test_case "memo rewrites corrupted entries" `Quick test_memo_corruption_rewrite;
     Alcotest.test_case "lru front" `Quick test_lru;
+    Alcotest.test_case "unit delays via session only" `Quick test_unitdelay_session_only;
     Alcotest.test_case "cold vs warm byte-identical" `Slow test_cold_warm_identical;
   ]

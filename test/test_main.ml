@@ -26,4 +26,5 @@ let () =
       ("cache", Test_cache.suite);
       ("fuzz", Test_fuzz.suite);
       ("serve", Test_serve.suite);
+      ("cli", Test_cli.suite);
     ]

@@ -131,6 +131,10 @@ let test_precharacterized_positive_delays () =
           (Timing.Precharacterized.unit_delay g n.G.uid > 0.)
       | _ -> ())
 
+(* No process-wide table answers for the disabled session: every call
+   characterises afresh, and the delay is a function of the unit's
+   signature alone — the same on a repeat call and on a copy of the
+   graph. *)
 let test_precharacterized_cache_stable () =
   let g, _, _, _, _ = Fixtures.fig2 () in
   let adds = G.find_units g (fun n -> match n.G.kind with K.Operator _ -> true | _ -> false) in
@@ -138,7 +142,9 @@ let test_precharacterized_cache_stable () =
   | u :: _ ->
     let d1 = Timing.Precharacterized.unit_delay g u in
     let d2 = Timing.Precharacterized.unit_delay g u in
-    check (Alcotest.float 1e-9) "cached" d1 d2
+    let d3 = Timing.Precharacterized.unit_delay (G.copy g) u in
+    check (Alcotest.float 1e-9) "repeat call" d1 d2;
+    check (Alcotest.float 1e-9) "copied graph" d1 d3
   | [] -> Alcotest.fail "no operator"
 
 let test_precharacterized_model () =
