@@ -74,21 +74,29 @@ let table_rows ~session ~jobs ~kernels ~narrow =
 let metrics run ?config flavor k =
   fst (Core.Experiment.run_flow ?config ~session:run.session ~flavor k)
 
-(* Ablation drivers fan their independent flow runs through the same
-   pool: tasks are submitted up front and awaited in submission order, so
-   the printed tables never depend on the jobs width. *)
-let pooled run tasks =
-  Support.Pool.run ~jobs:run.jobs (fun pool ->
-      List.map (Support.Pool.submit pool) tasks |> List.map Support.Pool.await)
+(* Every ablation compares two tasks per row: for each [subset] element,
+   [left] and [right] are submitted up front to the same pool and awaited
+   in submission order, so the printed table never depends on the jobs
+   width. The table is the [header] lines, one [row] per element, then
+   the [note] lines. *)
+let ablation run ~title ~subset ~left ~right ~header ~row ?(note = []) () =
+  banner title;
+  let results =
+    Support.Pool.run ~jobs:run.jobs (fun pool ->
+        List.map
+          (fun x ->
+            let l = Support.Pool.submit pool (fun () -> left x) in
+            (x, l, Support.Pool.submit pool (fun () -> right x)))
+          subset
+        |> List.map (fun (x, l, r) -> (x, Support.Pool.await l, Support.Pool.await r)))
+  in
+  List.iter (Format.fprintf fmt "%s@\n") header;
+  List.iter (fun (x, l, r) -> row x l r) results;
+  List.iter (Format.fprintf fmt "%s@\n") note;
+  Format.pp_print_flush fmt ()
 
-(* Every ablation submits two tasks per row label; [print_pairs] walks the
-   awaited results two at a time alongside the labels. *)
-let rec print_pairs print_row labels results =
-  match (labels, results) with
-  | label :: labels, a :: b :: results ->
-    print_row label a b;
-    print_pairs print_row labels results
-  | _ -> ()
+(* The iterative flow on a named kernel, measured. *)
+let iterative run ?config name = metrics run ?config `Iterative (Hls.Kernels.by_name name)
 
 let table1 run =
   banner "Table I: iterative mapping-aware (Iter.) vs mapping-agnostic (Prev.)";
@@ -116,8 +124,6 @@ let figure5 run =
 (* A1: the penalty term of Eq. 3 against the plain Eq. 1 objective *)
 
 let ablation_penalty run =
-  banner "Ablation A1: Eq. 3 penalty term on/off (iterative flow, subset)";
-  let subset = [ "gsum"; "gsumif"; "matrix" ] in
   let no_penalty =
     {
       Core.Flow.default_config with
@@ -125,151 +131,105 @@ let ablation_penalty run =
         { Core.Flow.default_config.Core.Flow.milp with Buffering.Formulation.use_penalty = false };
     }
   in
-  let results =
-    pooled run
-      (List.concat_map
-         (fun name ->
-           let k = Hls.Kernels.by_name name in
-           [
-             (fun () -> metrics run `Iterative k);
-             (fun () -> metrics run ~config:no_penalty `Iterative k);
-           ])
-         subset)
-  in
-  Format.fprintf fmt "%-12s | %18s | %18s@\n" "kernel" "with penalty" "without penalty";
-  Format.fprintf fmt "%-12s | %8s %9s | %8s %9s@\n" "" "buffers" "levels" "buffers" "levels";
-  print_pairs
-    (fun name (with_pen : _) (without : _) ->
-      Format.fprintf fmt "%-12s | %8d %9d | %8d %9d@\n" name with_pen.Core.Experiment.buffers
-        with_pen.Core.Experiment.levels without.Core.Experiment.buffers
-        without.Core.Experiment.levels)
-    subset results;
-  Format.fprintf fmt
-    "(the penalty steers buffers away from channels with shared logic;@\n\
-    \ without it the same period target is met with more disruptive placements)@.";
-  Format.pp_print_flush fmt ()
+  ablation run ~title:"Ablation A1: Eq. 3 penalty term on/off (iterative flow, subset)"
+    ~subset:[ "gsum"; "gsumif"; "matrix" ] ~left:(iterative run)
+    ~right:(iterative run ~config:no_penalty)
+    ~header:
+      [
+        Printf.sprintf "%-12s | %18s | %18s" "kernel" "with penalty" "without penalty";
+        Printf.sprintf "%-12s | %8s %9s | %8s %9s" "" "buffers" "levels" "buffers" "levels";
+      ]
+    ~row:(fun name (with_pen : Core.Experiment.metrics) (without : Core.Experiment.metrics) ->
+      Format.fprintf fmt "%-12s | %8d %9d | %8d %9d@\n" name with_pen.buffers with_pen.levels
+        without.buffers without.levels)
+    ~note:
+      [
+        "(the penalty steers buffers away from channels with shared logic;";
+        " without it the same period target is met with more disruptive placements)";
+      ]
+    ()
 
 (* ------------------------------------------------------------------ *)
 (* A2: iteration budget 1 (one-shot mapping-aware) vs full iterative *)
 
 let ablation_iterations run =
-  banner "Ablation A2: one-shot mapping-aware vs full iterative (subset)";
-  let subset = [ "gsum"; "gsumif"; "matrix" ] in
   let one_cfg = { Core.Flow.default_config with Core.Flow.max_iterations = 1 } in
-  let results =
-    pooled run
-      (List.concat_map
-         (fun name ->
-           let k = Hls.Kernels.by_name name in
-           [
-             (fun () -> metrics run ~config:one_cfg `Iterative k);
-             (fun () -> metrics run `Iterative k);
-           ])
-         subset)
-  in
-  Format.fprintf fmt "%-12s | %22s | %22s@\n" "kernel" "max_iterations = 1" "full iterative";
-  Format.fprintf fmt "%-12s | %9s %12s | %9s %12s@\n" "" "levels" "target met" "levels" "target met";
-  print_pairs
-    (fun name (one : _) (full : _) ->
-      Format.fprintf fmt "%-12s | %9d %12b | %9d %12b@\n" name one.Core.Experiment.levels
-        one.Core.Experiment.met_target full.Core.Experiment.levels full.Core.Experiment.met_target)
-    subset results;
-  Format.pp_print_flush fmt ()
+  ablation run ~title:"Ablation A2: one-shot mapping-aware vs full iterative (subset)"
+    ~subset:[ "gsum"; "gsumif"; "matrix" ] ~left:(iterative run ~config:one_cfg)
+    ~right:(iterative run)
+    ~header:
+      [
+        Printf.sprintf "%-12s | %22s | %22s" "kernel" "max_iterations = 1" "full iterative";
+        Printf.sprintf "%-12s | %9s %12s | %9s %12s" "" "levels" "target met" "levels" "target met";
+      ]
+    ~row:(fun name (one : Core.Experiment.metrics) (full : Core.Experiment.metrics) ->
+      Format.fprintf fmt "%-12s | %9d %12b | %9d %12b@\n" name one.levels one.met_target
+        full.levels full.met_target)
+    ()
 
 (* ------------------------------------------------------------------ *)
 (* A3: routing-aware timing model (the paper's future-work enhancement) *)
 
 let ablation_routing run =
-  banner "Ablation A3: routing-aware timing model on/off (subset)";
-  let subset = [ "gsum"; "gsumif" ] in
   let aware_cfg = { Core.Flow.default_config with Core.Flow.routing_aware = true } in
-  let results =
-    pooled run
-      (List.concat_map
-         (fun name ->
-           let k = Hls.Kernels.by_name name in
-           [
-             (fun () -> metrics run `Iterative k);
-             (fun () -> metrics run ~config:aware_cfg `Iterative k);
-           ])
-         subset)
-  in
-  Format.fprintf fmt "%-12s | %24s | %24s@\n" "kernel" "mapping-aware" "+ routing aware";
-  Format.fprintf fmt "%-12s | %9s %6s %7s | %9s %6s %7s@\n" "" "cp(ns)" "bufs" "levels" "cp(ns)"
-    "bufs" "levels";
-  print_pairs
-    (fun name (plain : _) (aware : _) ->
-      Format.fprintf fmt "%-12s | %9.2f %6d %7d | %9.2f %6d %7d@\n" name plain.Core.Experiment.cp
-        plain.Core.Experiment.buffers plain.Core.Experiment.levels aware.Core.Experiment.cp
-        aware.Core.Experiment.buffers aware.Core.Experiment.levels)
-    subset results;
-  Format.fprintf fmt
-    "(wire-delay surcharges make the model stricter: more buffers, achieved CP closer to target)@.";
-  Format.pp_print_flush fmt ()
+  ablation run ~title:"Ablation A3: routing-aware timing model on/off (subset)"
+    ~subset:[ "gsum"; "gsumif" ] ~left:(iterative run) ~right:(iterative run ~config:aware_cfg)
+    ~header:
+      [
+        Printf.sprintf "%-12s | %24s | %24s" "kernel" "mapping-aware" "+ routing aware";
+        Printf.sprintf "%-12s | %9s %6s %7s | %9s %6s %7s" "" "cp(ns)" "bufs" "levels" "cp(ns)"
+          "bufs" "levels";
+      ]
+    ~row:(fun name (plain : Core.Experiment.metrics) (aware : Core.Experiment.metrics) ->
+      Format.fprintf fmt "%-12s | %9.2f %6d %7d | %9.2f %6d %7d@\n" name plain.cp plain.buffers
+        plain.levels aware.cp aware.buffers aware.levels)
+    ~note:
+      [
+        "(wire-delay surcharges make the model stricter: more buffers, achieved CP closer to \
+         target)";
+      ]
+    ()
 
 (* ------------------------------------------------------------------ *)
 (* A4: slack matching (transparent-buffer sizing) *)
 
 let ablation_slack run =
-  banner "Ablation A4: slack matching on/off (subset)";
-  let subset = [ "matrix"; "mvt" ] in
   let sized_cfg = { Core.Flow.default_config with Core.Flow.slack_match = true } in
-  let results =
-    pooled run
-      (List.concat_map
-         (fun name ->
-           let k = Hls.Kernels.by_name name in
-           [
-             (fun () -> metrics run `Iterative k);
-             (fun () -> metrics run ~config:sized_cfg `Iterative k);
-           ])
-         subset)
-  in
-  Format.fprintf fmt "%-12s | %14s | %14s@\n" "kernel" "no sizing" "slack matched";
-  Format.fprintf fmt "%-12s | %14s | %14s@\n" "" "cycles" "cycles";
-  print_pairs
-    (fun name (plain : _) (sized : _) ->
-      Format.fprintf fmt "%-12s | %14d | %14d@\n" name plain.Core.Experiment.cycles
-        sized.Core.Experiment.cycles)
-    subset results;
-  Format.fprintf fmt "(transparent capacity on shallow reconvergent paths absorbs stalls)@.";
-  Format.pp_print_flush fmt ()
+  ablation run ~title:"Ablation A4: slack matching on/off (subset)" ~subset:[ "matrix"; "mvt" ]
+    ~left:(iterative run) ~right:(iterative run ~config:sized_cfg)
+    ~header:
+      [
+        Printf.sprintf "%-12s | %14s | %14s" "kernel" "no sizing" "slack matched";
+        Printf.sprintf "%-12s | %14s | %14s" "" "cycles" "cycles";
+      ]
+    ~row:(fun name (plain : Core.Experiment.metrics) (sized : Core.Experiment.metrics) ->
+      Format.fprintf fmt "%-12s | %14d | %14d@\n" name plain.cycles sized.cycles)
+    ~note:[ "(transparent capacity on shallow reconvergent paths absorbs stalls)" ]
+    ()
 
 (* ------------------------------------------------------------------ *)
 (* A5: AND-tree balancing before mapping *)
 
 let ablation_balance run =
-  banner "Ablation A5: AND re-association (balance) before mapping (subset)";
-  let subset = [ "gsum"; "matrix" ] in
   let balance_cfg = { Core.Flow.default_config with Core.Flow.balance = true } in
-  let results =
-    pooled run
-      (List.concat_map
-         (fun name ->
-           let k = Hls.Kernels.by_name name in
-           [
-             (fun () -> metrics run `Iterative k);
-             (fun () -> metrics run ~config:balance_cfg `Iterative k);
-           ])
-         subset)
-  in
-  Format.fprintf fmt "%-12s | %20s | %20s@\n" "kernel" "if -K 6 only" "balance; if -K 6";
-  Format.fprintf fmt "%-12s | %9s %10s | %9s %10s@\n" "" "levels" "luts" "levels" "luts";
-  print_pairs
-    (fun name (plain : _) (balanced : _) ->
-      Format.fprintf fmt "%-12s | %9d %10d | %9d %10d@\n" name plain.Core.Experiment.levels
-        plain.Core.Experiment.luts balanced.Core.Experiment.levels balanced.Core.Experiment.luts)
-    subset results;
-  Format.pp_print_flush fmt ()
+  ablation run ~title:"Ablation A5: AND re-association (balance) before mapping (subset)"
+    ~subset:[ "gsum"; "matrix" ] ~left:(iterative run) ~right:(iterative run ~config:balance_cfg)
+    ~header:
+      [
+        Printf.sprintf "%-12s | %20s | %20s" "kernel" "if -K 6 only" "balance; if -K 6";
+        Printf.sprintf "%-12s | %9s %10s | %9s %10s" "" "levels" "luts" "levels" "luts";
+      ]
+    ~row:(fun name (plain : Core.Experiment.metrics) (balanced : Core.Experiment.metrics) ->
+      Format.fprintf fmt "%-12s | %9d %10d | %9d %10d@\n" name plain.levels plain.luts
+        balanced.levels balanced.luts)
+    ()
 
 (* ------------------------------------------------------------------ *)
 (* A6: datapath width (8-bit default vs 16-bit) *)
 
 let ablation_width run =
-  banner "Ablation A6: datapath width 8 vs 16 bits (iterative flow)";
-  (* one kernel: the 16-bit MILP instances are several times larger *)
-  let subset = [ "gsum" ] in
-  let place k width =
+  let place width name =
+    let k = Hls.Kernels.by_name name in
     let g = Hls.Kernels.graph ~width k in
     let outcome = Core.Flow.iterative ~session:run.session g in
     let net = outcome.Core.Flow.net and lg = outcome.Core.Flow.lutgraph in
@@ -279,57 +239,48 @@ let ablation_width run =
     assert (sim.Sim.Elastic.exit_value = Some (Hls.Kernels.reference ~width k));
     pr
   in
-  let results =
-    pooled run
-      (List.concat_map
-         (fun name ->
-           let k = Hls.Kernels.by_name name in
-           [ (fun () -> place k 8); (fun () -> place k 16) ])
-         subset)
-  in
-  Format.fprintf fmt "%-12s | %26s | %26s@\n" "kernel" "8-bit" "16-bit";
-  Format.fprintf fmt "%-12s | %7s %7s %9s | %7s %7s %9s@\n" "" "luts" "ffs" "cp(ns)" "luts" "ffs"
-    "cp(ns)";
-  print_pairs
-    (fun name (w8 : _) (w16 : _) ->
-      Format.fprintf fmt "%-12s | %7d %7d %9.2f | %7d %7d %9.2f@\n" name w8.Placeroute.Sta.n_luts
-        w8.Placeroute.Sta.n_ffs w8.Placeroute.Sta.cp w16.Placeroute.Sta.n_luts
-        w16.Placeroute.Sta.n_ffs w16.Placeroute.Sta.cp)
-    subset results;
-  Format.fprintf fmt
-    "(resources scale with the datapath; levels and CP grow with the wider carry chains,@\n\
-    \ which is why the reproduction runs 8-bit by default)@.";
-  Format.pp_print_flush fmt ()
+  ablation run ~title:"Ablation A6: datapath width 8 vs 16 bits (iterative flow)"
+    (* one kernel: the 16-bit MILP instances are several times larger *)
+    ~subset:[ "gsum" ] ~left:(place 8) ~right:(place 16)
+    ~header:
+      [
+        Printf.sprintf "%-12s | %26s | %26s" "kernel" "8-bit" "16-bit";
+        Printf.sprintf "%-12s | %7s %7s %9s | %7s %7s %9s" "" "luts" "ffs" "cp(ns)" "luts" "ffs"
+          "cp(ns)";
+      ]
+    ~row:(fun name (w8 : Placeroute.Sta.report) (w16 : Placeroute.Sta.report) ->
+      Format.fprintf fmt "%-12s | %7d %7d %9.2f | %7d %7d %9.2f@\n" name w8.n_luts w8.n_ffs w8.cp
+        w16.n_luts w16.n_ffs w16.cp)
+    ~note:
+      [
+        "(resources scale with the datapath; levels and CP grow with the wider carry chains,";
+        " which is why the reproduction runs 8-bit by default)";
+      ]
+    ()
 
 (* ------------------------------------------------------------------ *)
 (* E5: target sweep — §VI-B's "achieved CP unpredictably diverges for
    slight target changes" on the baseline, vs the iterative flow *)
 
 let sweep run =
-  banner "Target sweep (E5): achieved levels under varying level targets (gsumif)";
   let k = Hls.Kernels.by_name "gsumif" in
-  let targets = [ 5; 6; 7; 8 ] in
-  let results =
-    pooled run
-      (List.concat_map
-         (fun target ->
-           let config = Core.Flow.with_levels target Core.Flow.default_config in
-           [
-             (fun () -> metrics run ~config `Baseline k);
-             (fun () -> metrics run ~config `Iterative k);
-           ])
-         targets)
+  let at flavor target =
+    metrics run ~config:(Core.Flow.with_levels target Core.Flow.default_config) flavor k
   in
-  Format.fprintf fmt "%-8s | %20s | %20s@\n" "target" "baseline" "iterative";
-  Format.fprintf fmt "%-8s | %9s %10s | %9s %10s@\n" "levels" "achieved" "cp(ns)" "achieved" "cp(ns)";
-  print_pairs
-    (fun target (prev : _) (iter : _) ->
-      Format.fprintf fmt "%-8d | %9d %10.2f | %9d %10.2f@\n" target prev.Core.Experiment.levels
-        prev.Core.Experiment.cp iter.Core.Experiment.levels iter.Core.Experiment.cp)
-    targets results;
-  Format.fprintf fmt
-    "(the iterative flow tracks the target; the baseline's levels do not respond to it)@.";
-  Format.pp_print_flush fmt ()
+  ablation run
+    ~title:"Target sweep (E5): achieved levels under varying level targets (gsumif)"
+    ~subset:[ 5; 6; 7; 8 ] ~left:(at `Baseline) ~right:(at `Iterative)
+    ~header:
+      [
+        Printf.sprintf "%-8s | %20s | %20s" "target" "baseline" "iterative";
+        Printf.sprintf "%-8s | %9s %10s | %9s %10s" "levels" "achieved" "cp(ns)" "achieved"
+          "cp(ns)";
+      ]
+    ~row:(fun target (prev : Core.Experiment.metrics) (iter : Core.Experiment.metrics) ->
+      Format.fprintf fmt "%-8d | %9d %10.2f | %9d %10.2f@\n" target prev.levels prev.cp iter.levels
+        iter.cp)
+    ~note:[ "(the iterative flow tracks the target; the baseline's levels do not respond to it)" ]
+    ()
 
 (* ------------------------------------------------------------------ *)
 

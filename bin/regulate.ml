@@ -138,8 +138,10 @@ let show_cmd =
 
 let flow_cmd =
   let flavor =
-    let flavor_conv = Arg.enum [ ("iterative", `Iterative); ("baseline", `Baseline) ] in
-    Arg.(value & opt flavor_conv `Iterative & info [ "flavor" ] ~docv:"FLAVOR" ~doc:"iterative or baseline.")
+    Arg.(
+      value
+      & opt (enum Core.Flow.flavors) `Iterative
+      & info [ "flavor" ] ~docv:"FLAVOR" ~doc:"iterative or baseline.")
   in
   let routing = Arg.(value & flag & info [ "routing-aware" ] ~doc:"Fold placement wire estimates into the model.") in
   let slack = Arg.(value & flag & info [ "slack-match" ] ~doc:"Pad reconvergent paths with transparent capacity.") in
@@ -432,7 +434,7 @@ let lint_kernel ~levels ~cycle_cap k =
   let net = Elaborate.run g in
   let r_net = Lint.Engine.check_netlist g net in
   let synth = Techmap.Synth.run net in
-  let lg = Techmap.Mapper.run ~k:6 synth in
+  let lg = Techmap.Mapper.run synth in
   let tg, model = Timing.Mapping_aware.build_with_graph g ~net lg in
   let r_map = Lint.Engine.check_mapping g lg tg model in
   let milp_cfg = milp_at levels in
@@ -709,11 +711,7 @@ let tv_kernel ~levels ~exact ~session flavor k =
   let g = Hls.Kernels.graph k in
   let t0 = Unix.gettimeofday () in
   let res =
-    match
-      match flavor with
-      | `Iterative -> Core.Flow.iterative ~config ~session g
-      | `Baseline -> Core.Flow.baseline ~config ~session g
-    with
+    match Core.Flow.run ~config ~session flavor g with
     | outcome ->
       let ds, tv =
         Lint.Equiv_rules.check_translation ~exact outcome.Core.Flow.net outcome.Core.Flow.lutgraph
@@ -726,7 +724,10 @@ let tv_kernel ~levels ~exact ~session flavor k =
 
 let tv_cmd =
   let flavor =
-    let fconv = Arg.enum [ ("iterative", `Iterative); ("baseline", `Baseline); ("both", `Both) ] in
+    let fconv =
+      Arg.enum
+        ((Core.Flow.flavors :> (string * [ Core.Flow.flavor | `Both ]) list) @ [ ("both", `Both) ])
+    in
     Arg.(
       value & opt fconv `Both
       & info [ "flavor" ] ~docv:"FLAVOR" ~doc:"iterative, baseline or both (default both).")
@@ -741,10 +742,7 @@ let tv_cmd =
   in
   let run ks json flavor exact levels jobs trace cache_dir =
     let flavors =
-      match flavor with
-      | `Both -> [ ("iterative", `Iterative); ("baseline", `Baseline) ]
-      | `Iterative -> [ ("iterative", `Iterative) ]
-      | `Baseline -> [ ("baseline", `Baseline) ]
+      match flavor with `Both -> List.map snd Core.Flow.flavors | #Core.Flow.flavor as fl -> [ fl ]
     in
     let tasks = List.concat_map (fun k -> List.map (fun fl -> (k, fl)) flavors) ks in
     let body cache () =
@@ -752,7 +750,7 @@ let tv_cmd =
       let results =
         Support.Pool.run ~jobs (fun pool ->
             Support.Pool.map_list pool
-              (fun (k, (fn, fl)) -> (k, fn, tv_kernel ~levels ~exact ~session fl k))
+              (fun (k, fl) -> (k, Core.Flow.flavor_name fl, tv_kernel ~levels ~exact ~session fl k))
               tasks)
       in
       json_rows json @@ fun emit ->
@@ -990,9 +988,9 @@ let loadgen_cmd =
       & info [] ~docv:"KERNEL" ~doc:"Kernels to cycle through (default: gsum).")
   in
   let flavor =
-    let flavor_conv = Arg.enum [ ("iterative", `Iterative); ("baseline", `Baseline) ] in
     Arg.(
-      value & opt flavor_conv `Iterative
+      value
+      & opt (enum Core.Flow.flavors) `Iterative
       & info [ "flavor" ] ~docv:"FLAVOR" ~doc:"iterative or baseline.")
   in
   let levels =
@@ -1069,28 +1067,21 @@ let loadgen_cmd =
         let speedup =
           if oneshot_rps > 0. then res.Serve.Loadgen.l_throughput /. oneshot_rps else 0.
         in
+        (* request shape -> its one-shot digest; a served digest mismatches
+           when the one-shot run of its shape digested differently *)
+        let shape_of_id = Hashtbl.create 16 and oneshot = Hashtbl.create 16 in
+        List.iter
+          (fun (r : Serve.Protocol.request) -> Hashtbl.replace shape_of_id r.id (shape r))
+          requests;
+        List.iter
+          (fun (id, d) -> Hashtbl.replace oneshot (Hashtbl.find shape_of_id id) d)
+          one.Serve.Loadgen.o_digests;
         let mismatches =
           List.filter
             (fun (id, d) ->
-              match
-                List.find_opt
-                  (fun (r : Serve.Protocol.request) -> r.Serve.Protocol.id = id)
-                  requests
-              with
-              | None -> false
-              | Some r ->
-                let s = shape r in
-                List.exists
-                  (fun (oid, od) ->
-                    (match
-                       List.find_opt
-                         (fun (r' : Serve.Protocol.request) -> r'.Serve.Protocol.id = oid)
-                         distinct
-                     with
-                    | Some r' -> shape r' = s
-                    | None -> false)
-                    && od <> d)
-                  one.Serve.Loadgen.o_digests)
+              match Option.bind (Hashtbl.find_opt shape_of_id id) (Hashtbl.find_opt oneshot) with
+              | Some od -> od <> d
+              | None -> false)
             res.Serve.Loadgen.l_digests
         in
         Printf.printf

@@ -48,11 +48,7 @@ let measure (outcome : Flow.outcome) kernel =
 
 let run_flow ?(config = Flow.default_config) ?session ~flavor kernel =
   let g = Hls.Kernels.graph kernel in
-  let outcome =
-    match flavor with
-    | `Baseline -> Flow.baseline ~config ?session g
-    | `Iterative -> Flow.iterative ~config ?session g
-  in
+  let outcome = Flow.run ~config ?session flavor g in
   (measure outcome kernel, outcome)
 
 let run_kernel ?(config = Flow.default_config) kernel =
@@ -94,10 +90,7 @@ let run_all_timed ?(config = Flow.default_config) ?session ?jobs ?names ?kernels
   let results =
     Support.Pool.run ~jobs (fun pool ->
         let submit k flavor =
-          let label =
-            Printf.sprintf "task:%s:%s" k.Hls.Kernels.name
-              (match flavor with `Baseline -> "baseline" | `Iterative -> "iterative")
-          in
+          let label = Printf.sprintf "task:%s:%s" k.Hls.Kernels.name (Flow.flavor_name flavor) in
           Support.Pool.submit pool (fun () ->
               Trace.with_context ctx (fun () ->
                   Trace.timed ~cat:"task" label (fun () ->
@@ -111,8 +104,8 @@ let run_all_timed ?(config = Flow.default_config) ?session ?jobs ?names ?kernels
                let iter, t_iter = Support.Pool.await fi in
                ( { bench = name; prev; iter },
                  [
-                   { t_bench = name; t_flavor = "baseline"; t_seconds = t_prev };
-                   { t_bench = name; t_flavor = "iterative"; t_seconds = t_iter };
+                   { t_bench = name; t_flavor = Flow.flavor_name `Baseline; t_seconds = t_prev };
+                   { t_bench = name; t_flavor = Flow.flavor_name `Iterative; t_seconds = t_iter };
                  ] )))
   in
   let rows = List.map fst results in

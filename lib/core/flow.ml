@@ -4,14 +4,11 @@ module Trace = Support.Trace
 
 type config = {
   target_levels : int;
-  level_delay : float;
   max_iterations : int;
   milp : Buffering.Formulation.config;
-  lut_k : int;
   routing_aware : bool;
   slack_match : bool;
   balance : bool;
-  lint_gates : bool;
   tv_exact : bool;
   narrow : bool;
 }
@@ -20,24 +17,26 @@ let with_levels levels cfg =
   {
     cfg with
     target_levels = levels;
-    milp = { cfg.milp with cp_target = float_of_int levels *. cfg.level_delay };
+    milp = { cfg.milp with cp_target = float_of_int levels *. Techmap.Lutgraph.level_delay };
   }
 
 let default_config =
   with_levels 6
     {
       target_levels = 6;
-      level_delay = 0.7;
       max_iterations = 6;
       milp = Buffering.Formulation.default_config;
-      lut_k = 6;
       routing_aware = false;
       slack_match = false;
       balance = false;
-      lint_gates = true;
       tv_exact = false;
       narrow = true;
     }
+
+type flavor = [ `Iterative | `Baseline ]
+
+let flavors = [ ("iterative", `Iterative); ("baseline", `Baseline) ]
+let flavor_name = function `Iterative -> "iterative" | `Baseline -> "baseline"
 
 type iteration = {
   it_index : int;
@@ -81,14 +80,14 @@ let seed_back_edges g =
 
 (* Synthesis + mapping of an already-elaborated netlist: the expensive
    half of [synth_map], and the unit of artifact caching — keyed by the
-   canonical netlist hash plus the two config fields that change the
-   mapped result, so warm runs skip AIG construction and cut
-   enumeration entirely (cross-iteration, cross-flavor, cross-process
-   and cross-request hits all share one entry). *)
+   canonical netlist hash plus the LUT size and the balance switch, so
+   warm runs skip AIG construction and cut enumeration entirely
+   (cross-iteration, cross-flavor, cross-process and cross-request hits
+   all share one entry). *)
 let synth_map_net cfg net =
   let synth = Techmap.Synth.run net in
   let synth = if cfg.balance then Techmap.Balance.run synth else synth in
-  Techmap.Mapper.run ~k:cfg.lut_k synth
+  Techmap.Mapper.run synth
 
 let synth_map ?(session = Session.make ()) cfg g =
   Trace.with_span "flow:synth+map" @@ fun () ->
@@ -98,7 +97,10 @@ let synth_map ?(session = Session.make ()) cfg g =
     if Cache.Session.enabled cache then
       let key =
         Cache.Hash.combine
-          [ Cache.Hash.netlist net; Printf.sprintf "k=%d;balance=%b" cfg.lut_k cfg.balance ]
+          [
+            Cache.Hash.netlist net;
+            Printf.sprintf "k=%d;balance=%b" Techmap.Lutgraph.lut_k cfg.balance;
+          ]
       in
       Cache.Session.memo cache ~kind:"synthmap" ~key (fun () -> synth_map_net cfg net)
     else synth_map_net cfg net
@@ -137,12 +139,10 @@ type audit = {
 
 let new_audit () = { a_report = Lint.Engine.empty; a_stages = [] }
 
-let run_gate config audit ~stage check =
-  if config.lint_gates then begin
-    let r = Trace.with_span ~cat:"lint" ("lint:" ^ stage) check in
-    audit.a_report <- Lint.Engine.merge audit.a_report (Lint.Engine.gate ~stage r);
-    audit.a_stages <- stage :: audit.a_stages
-  end
+let run_gate audit ~stage check =
+  let r = Trace.with_span ~cat:"lint" ("lint:" ^ stage) check in
+  audit.a_report <- Lint.Engine.merge audit.a_report (Lint.Engine.gate ~stage r);
+  audit.a_stages <- stage :: audit.a_stages
 
 (* Translation-validation gates (the equiv-* rules). The signature pass
    is cheap (a few 64-lane simulation rounds per representation) and
@@ -151,12 +151,12 @@ let run_gate config audit ~stage check =
    the whole family, so the CI budget guard can hold the validator
    under a fixed share of flow wall time. *)
 let tv_gate config audit ~stage net lg =
-  run_gate config audit ~stage (fun () ->
+  run_gate audit ~stage (fun () ->
       Trace.with_span "flow:tv" (fun () ->
-          Lint.Engine.check_translation ~exact:config.tv_exact ~k:config.lut_k net lg))
+          Lint.Engine.check_translation ~exact:config.tv_exact net lg))
 
-let refine_gate config audit ~stage ~base ~buffered ~allowed =
-  run_gate config audit ~stage (fun () ->
+let refine_gate audit ~stage ~base ~buffered ~allowed =
+  run_gate audit ~stage (fun () ->
       Trace.with_span "flow:tv" (fun () -> Lint.Engine.check_refinement ~base ~buffered ~allowed))
 
 (* Value-range narrowing (§ the mapping-aware premise: level counts are a
@@ -165,24 +165,20 @@ let refine_gate config audit ~stage ~base ~buffered ~allowed =
    widths, folds constants and deletes dead steering, and the rewritten
    graph replaces the input of every later stage.  The rewrite is
    translation-validated by random simulation ([equiv-narrow]): a mismatch
-   aborts the flow — even when lint gates are off, because a failed gate
-   means the optimizer changed observable behaviour. *)
+   aborts the flow, because it means the optimizer changed observable
+   behaviour. *)
 let narrow_stage config audit session g =
   if not config.narrow then (g, None)
   else begin
     Session.status session "absint";
     Trace.with_span "flow:absint" @@ fun () ->
     let res = Absint.Analyze.run g in
-    run_gate config audit ~stage:"range" (fun () ->
-        Lint.Engine.check_ranges ~result:res g);
+    run_gate audit ~stage:"range" (fun () -> Lint.Engine.check_ranges ~result:res g);
     let narrowed, report = Absint.Narrow.run res g in
     if Absint.Narrow.changed report then begin
-      let equiv () =
-        Trace.with_span "flow:tv" (fun () ->
-            Lint.Engine.check_narrowing ~original:g ~variant:narrowed ())
-      in
-      if config.lint_gates then run_gate config audit ~stage:"tv-narrow" equiv
-      else ignore (Lint.Engine.gate ~stage:"tv-narrow" (equiv ()));
+      run_gate audit ~stage:"tv-narrow" (fun () ->
+          Trace.with_span "flow:tv" (fun () ->
+              Lint.Engine.check_narrowing ~original:g ~variant:narrowed ()));
       (narrowed, Some report)
     end
     else (g, Some report)
@@ -199,29 +195,128 @@ let audit_placement ~cfdfcs (placement : Buffering.Formulation.placement) g =
   in
   (candidate, cert, Lint.Engine.check_perf ~truncated ~phi cert candidate)
 
-(* The LP-free performance oracle: right after each MILP solve, the
-   candidate placement is certified and the [perf] gate compares the
-   MILP's per-CFDFC throughput against the certified bound. The
-   certificate itself is computed even with lint gates off — the
-   outcome reports it alongside phi. The [tv-buffer] refinement gate
-   runs first, on the same candidate. *)
-let certify_placement config audit ~cfdfcs ~(placement : Buffering.Formulation.placement) g =
-  let candidate, cert, perf = audit_placement ~cfdfcs placement g in
-  refine_gate config audit ~stage:"tv-buffer" ~base:g ~buffered:candidate
-    ~allowed:(List.map (fun c -> (c, opaque_spec)) placement.Buffering.Formulation.new_buffers);
-  run_gate config audit ~stage:"perf" (fun () -> perf);
-  (candidate, cert, List.fold_left Float.min 1. placement.Buffering.Formulation.throughput)
+(* ------------------------------------------------------------------ *)
+(* The stages both flavors are assembled from. None of them knows which
+   flavor called it: the flavors differ only in their timing model, the
+   penalty switch of the MILP objective and the refinement loop. *)
+
+(* Prepare: a private copy of the input with only the back-edge buffers,
+   audited and (optionally) narrowed. *)
+let prepare config audit session input =
+  let g = G.copy input in
+  G.clear_buffers g;
+  ignore (Trace.with_span "flow:seed" (fun () -> seed_back_edges g));
+  run_gate audit ~stage:"dfg" (fun () -> Lint.Engine.check_graph g);
+  narrow_stage config audit session g
+
+(* Solve and audit: one MILP solve (a cancellation point: it is the
+   longest single stage, never interrupted mid-solve), its [milp] gate,
+   then the LP-free performance oracle — the candidate placement is
+   certified, the [tv-buffer] refinement gate checks it and the [perf]
+   gate compares the MILP's per-CFDFC throughput against the certified
+   bound. Returns the placement, the candidate graph, its certificate
+   and the MILP's own throughput claim phi. *)
+let solve_and_audit ~name audit session ?warm milp g model cfdfcs =
+  Session.check_cancel session;
+  Session.status session "milp";
+  match
+    Trace.with_span "flow:milp" (fun () ->
+        Buffering.Formulation.solve ~cache:session.Session.cache ?warm milp g model cfdfcs)
+  with
+  | Error msg -> failwith (name ^ ": " ^ msg)
+  | Ok placement ->
+    let open Buffering.Formulation in
+    run_gate audit ~stage:"milp" (fun () ->
+        Lint.Engine.check_milp ~cp_target:milp.cp_target ~buffered:placement.all_buffered model
+          placement.lp placement.solution);
+    let candidate, cert, perf = audit_placement ~cfdfcs placement g in
+    refine_gate audit ~stage:"tv-buffer" ~base:g ~buffered:candidate
+      ~allowed:(List.map (fun c -> (c, opaque_spec)) placement.new_buffers);
+    run_gate audit ~stage:"perf" (fun () -> perf);
+    (placement, candidate, cert, List.fold_left Float.min 1. placement.throughput)
+
+let iteration ~it ~(model : Timing.Model.t) ~(placement : Buffering.Formulation.placement)
+    ~(cert : Analysis.Certify.t) ~phi ~achieved ~kept =
+  {
+    it_index = it;
+    model_pairs = List.length model.Timing.Model.pairs;
+    delay_nodes = model.Timing.Model.delay_nodes;
+    fake_nodes = model.Timing.Model.fake_nodes;
+    proposed_buffers = List.length placement.Buffering.Formulation.new_buffers;
+    kept_as_fixed = kept;
+    achieved_levels = achieved;
+    milp_objective = placement.Buffering.Formulation.objective;
+    milp_proved = placement.Buffering.Formulation.proved_optimal;
+    milp_phi = phi;
+    certified_bound = cert.Analysis.Certify.throughput;
+  }
+
+(* Finish: validate the final synthesis ([tv_stage] names the gate),
+   audit the result graph, and record the outcome. *)
+let finish config audit ~tv_stage ~narrowing ~iterations ~cert graph (net, lg) =
+  tv_gate config audit ~stage:tv_stage net lg;
+  let final_levels = lg.Techmap.Lutgraph.max_level in
+  run_gate audit ~stage:"final-dfg" (fun () -> Lint.Engine.check_graph graph);
+  {
+    graph;
+    net;
+    lutgraph = lg;
+    iterations;
+    met_target = final_levels <= config.target_levels;
+    final_levels;
+    total_buffers = List.length (G.buffered_channels graph);
+    certified = cert;
+    lint = audit.a_report;
+    lint_stages = List.rev audit.a_stages;
+    narrowing;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* The two flavors *)
+
+(* Optional routing awareness (§VI future work): fold estimated wire
+   delays from a quick placement into each LUT's delay. *)
+let routing_extra net lg =
+  let pl =
+    Trace.with_span ~cat:"placeroute" "flow:routing-est" (fun () ->
+        Placeroute.Place.run ~seed:7 ~effort:0.3 net lg)
+  in
+  let max_in = Array.make (Techmap.Lutgraph.n_luts lg) 0. in
+  List.iter
+    (fun { Techmap.Lutgraph.e_src; e_dst } ->
+      match e_dst with
+      | Techmap.Lutgraph.Lut l ->
+        let d =
+          Placeroute.Arch.wire_delay
+            (Placeroute.Place.distance pl
+               (Placeroute.Place.item_of_endpoint e_src)
+               (Placeroute.Place.item_of_endpoint e_dst))
+        in
+        if d > max_in.(l) then max_in.(l) <- d
+      | Techmap.Lutgraph.Seq _ -> ())
+    lg.Techmap.Lutgraph.edges;
+  fun l -> max_in.(l)
+
+(* Slack matching changes the elaborated netlist (transparent buffers are
+   real hardware), so it must land before the final synthesis whose level
+   count and mapping the outcome reports — otherwise [final_levels] and
+   the measured circuit disagree. Mutates [candidate]. *)
+let slack_match ~session config audit candidate synthesized =
+  let before = G.copy candidate in
+  let pads = Trace.with_span "flow:slack" (fun () -> Buffering.Slack.compute candidate) in
+  if pads = [] then synthesized
+  else begin
+    let allowed = List.map (fun (cid, slots) -> (cid, { G.transparent = true; slots })) pads in
+    List.iter (fun (cid, spec) -> G.set_buffer candidate cid (Some spec)) allowed;
+    refine_gate audit ~stage:"tv-slack" ~base:before ~buffered:candidate ~allowed;
+    synth_map ~session config candidate
+  end
 
 let iterative ?(config = default_config) ?(session = Session.make ()) input =
   Trace.with_span "flow:iterative" @@ fun () ->
-  let milp_cfg = Session.milp_config session config.milp in
-  let g0 = G.copy input in
-  G.clear_buffers g0;
-  let seeded = Trace.with_span "flow:seed" (fun () -> seed_back_edges g0) in
-  ignore seeded;
+  let milp = Session.milp_config session config.milp in
   let audit = new_audit () in
-  run_gate config audit ~stage:"dfg" (fun () -> Lint.Engine.check_graph g0);
-  let g0, narrowing = narrow_stage config audit session g0 in
+  let g0, narrowing = prepare config audit session input in
   let iterations = ref [] in
   let sorted_buffered g = List.map fst (G.buffered_channels g) |> List.sort compare in
   (* one refinement iteration; the recursion lives in [iterate] below so
@@ -230,8 +325,8 @@ let iterative ?(config = default_config) ?(session = Session.make ()) input =
      previous one) *)
   let step it fixed prev =
     (* cooperative cancellation: a served request is abandoned at
-       iteration boundaries (and again right before the MILP below, the
-       longest single stage), never mid-solve *)
+       iteration boundaries (and again right before the MILP), never
+       mid-solve *)
     Session.check_cancel session;
     Session.status session (Printf.sprintf "iteration %d" it);
     (* the working circuit for this iteration: base + fixed buffers *)
@@ -247,139 +342,52 @@ let iterative ?(config = default_config) ?(session = Session.make ()) input =
         (prev_net, prev_lg)
       | _ -> synth_map ~session config g
     in
-    run_gate config audit ~stage:"netlist" (fun () -> Lint.Engine.check_netlist g net);
+    run_gate audit ~stage:"netlist" (fun () -> Lint.Engine.check_netlist g net);
     (* every iteration's netlist/AIG/cover triple is validated, whether
        it came from a fresh synthesis, the previous iteration's reuse
        path, or a warm artifact-cache hit *)
     tv_gate config audit ~stage:"tv" net lg;
-    (* optional routing awareness (§VI future work): fold estimated wire
-       delays from a quick placement into each LUT's delay *)
-    let lut_extra =
-      if not config.routing_aware then fun _ -> 0.
-      else begin
-        let pl =
-          Trace.with_span ~cat:"placeroute" "flow:routing-est" (fun () ->
-              Placeroute.Place.run ~seed:7 ~effort:0.3 net lg)
-        in
-        let max_in = Array.make (Techmap.Lutgraph.n_luts lg) 0. in
-        List.iter
-          (fun { Techmap.Lutgraph.e_src; e_dst } ->
-            match e_dst with
-            | Techmap.Lutgraph.Lut l ->
-              let d =
-                Placeroute.Arch.wire_delay
-                  (Placeroute.Place.distance pl
-                     (Placeroute.Place.item_of_endpoint e_src)
-                     (Placeroute.Place.item_of_endpoint e_dst))
-              in
-              if d > max_in.(l) then max_in.(l) <- d
-            | Techmap.Lutgraph.Seq _ -> ())
-          lg.Techmap.Lutgraph.edges;
-        fun l -> max_in.(l)
-      end
-    in
+    let lut_extra = if config.routing_aware then routing_extra net lg else fun _ -> 0. in
     let tg, model =
       Trace.with_span "flow:model" (fun () ->
-          Timing.Mapping_aware.build_with_graph ~lut_delay:config.level_delay ~lut_extra g ~net lg)
+          Timing.Mapping_aware.build_with_graph ~lut_extra g ~net lg)
     in
-    run_gate config audit ~stage:"lut-mapping" (fun () ->
-        Lint.Engine.check_mapping g lg tg model);
+    run_gate audit ~stage:"lut-mapping" (fun () -> Lint.Engine.check_mapping g lg tg model);
     let cfdfcs = Buffering.Cfdfc.extract g in
     (* the previous iteration's placement seeds this iteration's MILP
        incumbent (once the flow converges the seed is already optimal
        and branch & bound terminates on the certified bound) *)
-    let milp_warm = match prev with Some (_, _, _, w) -> Some w | None -> None in
-    Session.check_cancel session;
-    Session.status session "milp";
-    match
-      Trace.with_span "flow:milp" (fun () ->
-          Buffering.Formulation.solve ~cache:session.Session.cache ?warm:milp_warm milp_cfg g
-            model cfdfcs)
-    with
-    | Error msg -> failwith ("Flow.iterative: " ^ msg)
-    | Ok placement ->
-      run_gate config audit ~stage:"milp" (fun () ->
-          Lint.Engine.check_milp ~cp_target:config.milp.Buffering.Formulation.cp_target
-            ~buffered:placement.Buffering.Formulation.all_buffered model
-            placement.Buffering.Formulation.lp placement.Buffering.Formulation.solution);
-      let candidate, cert, milp_phi = certify_placement config audit ~cfdfcs ~placement g in
-      let cand_net, cand_lg = synth_map ~session config candidate in
-      let achieved = cand_lg.Techmap.Lutgraph.max_level in
-      let met = achieved <= config.target_levels in
-      let last = it >= config.max_iterations in
-      let kept =
-        if met || last then []
-        else sparse_min_penalty_subset g model placement.Buffering.Formulation.new_buffers
+    let warm = Option.map (fun (_, _, _, w) -> w) prev in
+    let placement, candidate, cert, phi =
+      solve_and_audit ~name:"Flow.iterative" audit session ?warm milp g model cfdfcs
+    in
+    let cand_net, cand_lg = synth_map ~session config candidate in
+    let achieved = cand_lg.Techmap.Lutgraph.max_level in
+    let stop = achieved <= config.target_levels || it >= config.max_iterations in
+    let kept =
+      if stop then [] else sparse_min_penalty_subset g model placement.Buffering.Formulation.new_buffers
+    in
+    iterations :=
+      iteration ~it ~model ~placement ~cert ~phi ~achieved ~kept:(List.length kept) :: !iterations;
+    if stop then
+      let final =
+        if config.slack_match then slack_match ~session config audit candidate (cand_net, cand_lg)
+        else (cand_net, cand_lg)
       in
-      iterations :=
-        {
-          it_index = it;
-          model_pairs = List.length model.Timing.Model.pairs;
-          delay_nodes = model.Timing.Model.delay_nodes;
-          fake_nodes = model.Timing.Model.fake_nodes;
-          proposed_buffers = List.length placement.Buffering.Formulation.new_buffers;
-          kept_as_fixed = List.length kept;
-          achieved_levels = achieved;
-          milp_objective = placement.Buffering.Formulation.objective;
-          milp_proved = placement.Buffering.Formulation.proved_optimal;
-          milp_phi;
-          certified_bound = cert.Analysis.Certify.throughput;
-        }
-        :: !iterations;
-      if met || last then begin
-        (* Slack matching changes the elaborated netlist (transparent
-           buffers are real hardware), so it must land before the final
-           synthesis whose level count and mapping the outcome reports —
-           otherwise [final_levels] and the measured circuit disagree. *)
-        let cand_net, cand_lg =
-          if config.slack_match then begin
-            let before = G.copy candidate in
-            let pads =
-              Trace.with_span "flow:slack" (fun () -> Buffering.Slack.compute candidate)
-            in
-            if pads = [] then (cand_net, cand_lg)
-            else begin
-              let allowed =
-                List.map (fun (cid, slots) -> (cid, { G.transparent = true; slots })) pads
-              in
-              List.iter (fun (cid, spec) -> G.set_buffer candidate cid (Some spec)) allowed;
-              refine_gate config audit ~stage:"tv-slack" ~base:before ~buffered:candidate
-                ~allowed;
-              synth_map ~session config candidate
-            end
-          end
-          else (cand_net, cand_lg)
-        in
-        tv_gate config audit ~stage:"tv-final" cand_net cand_lg;
-        let final_levels = cand_lg.Techmap.Lutgraph.max_level in
-        run_gate config audit ~stage:"final-dfg" (fun () ->
-            Lint.Engine.check_graph candidate);
-        `Done
-          {
-            graph = candidate;
-            net = cand_net;
-            lutgraph = cand_lg;
-            iterations = List.rev !iterations;
-            met_target = final_levels <= config.target_levels;
-            final_levels;
-            total_buffers = List.length (G.buffered_channels candidate);
-            (* slack matching only adds transparent capacity, which
-               cannot lower the bound or break liveness, so the
-               pre-slack certificate stays valid for the final graph *)
-            certified = cert;
-            lint = audit.a_report;
-            lint_stages = List.rev audit.a_stages;
-            narrowing;
-          }
-      end
-      else
-        `Continue
-          ( List.sort_uniq compare (fixed @ kept),
-            Some
-              ( sorted_buffered candidate,
-                cand_net,
-                cand_lg,
-                placement.Buffering.Formulation.all_buffered ) )
+      (* slack matching only adds transparent capacity, which cannot
+         lower the bound or break liveness, so the pre-slack certificate
+         stays valid for the final graph *)
+      `Done
+        (finish config audit ~tv_stage:"tv-final" ~narrowing ~iterations:(List.rev !iterations)
+           ~cert candidate final)
+    else
+      `Continue
+        ( List.sort_uniq compare (fixed @ kept),
+          Some
+            ( sorted_buffered candidate,
+              cand_net,
+              cand_lg,
+              placement.Buffering.Formulation.all_buffered ) )
   in
   let rec iterate it fixed prev =
     match Trace.with_span "flow:iteration" (fun () -> step it fixed prev) with
@@ -390,12 +398,11 @@ let iterative ?(config = default_config) ?(session = Session.make ()) input =
 
 let baseline ?(config = default_config) ?(session = Session.make ()) input =
   Trace.with_span "flow:baseline" @@ fun () ->
-  let g = G.copy input in
-  G.clear_buffers g;
-  let _ = Trace.with_span "flow:seed" (fun () -> seed_back_edges g) in
+  let milp =
+    Session.milp_config session { config.milp with Buffering.Formulation.use_penalty = false }
+  in
   let audit = new_audit () in
-  run_gate config audit ~stage:"dfg" (fun () -> Lint.Engine.check_graph g);
-  let g, narrowing = narrow_stage config audit session g in
+  let g, narrowing = prepare config audit session input in
   Session.check_cancel session;
   Session.status session "model";
   let model =
@@ -403,55 +410,33 @@ let baseline ?(config = default_config) ?(session = Session.make ()) input =
         Timing.Precharacterized.build ~cache:session.Session.cache g)
   in
   let cfdfcs = Buffering.Cfdfc.extract g in
-  let milp =
-    Session.milp_config session { config.milp with Buffering.Formulation.use_penalty = false }
+  let placement, final, cert, phi =
+    solve_and_audit ~name:"Flow.baseline" audit session milp g model cfdfcs
   in
-  Session.check_cancel session;
-  Session.status session "milp";
-  match
-    Trace.with_span "flow:milp" (fun () ->
-        Buffering.Formulation.solve ~cache:session.Session.cache milp g model cfdfcs)
-  with
-  | Error msg -> failwith ("Flow.baseline: " ^ msg)
-  | Ok placement ->
-    run_gate config audit ~stage:"milp" (fun () ->
-        Lint.Engine.check_milp ~cp_target:milp.Buffering.Formulation.cp_target
-          ~buffered:placement.Buffering.Formulation.all_buffered model
-          placement.Buffering.Formulation.lp placement.Buffering.Formulation.solution);
-    let final, cert, milp_phi = certify_placement config audit ~cfdfcs ~placement g in
-    let final_net, final_lg = synth_map ~session config final in
-    (* the baseline synthesises once, at the end: its single tv gate
-       validates that final netlist/AIG/cover triple *)
-    tv_gate config audit ~stage:"tv" final_net final_lg;
-    let achieved = final_lg.Techmap.Lutgraph.max_level in
-    (* the same closing gate the iterative flow runs: both flavors audit
-       their result graph, not just their inputs and MILP artefacts *)
-    run_gate config audit ~stage:"final-dfg" (fun () -> Lint.Engine.check_graph final);
-    {
-      graph = final;
-      net = final_net;
-      lutgraph = final_lg;
-      iterations =
-        [
-          {
-            it_index = 1;
-            model_pairs = List.length model.Timing.Model.pairs;
-            delay_nodes = 0;
-            fake_nodes = 0;
-            proposed_buffers = List.length placement.Buffering.Formulation.new_buffers;
-            kept_as_fixed = 0;
-            achieved_levels = achieved;
-            milp_objective = placement.Buffering.Formulation.objective;
-            milp_proved = placement.Buffering.Formulation.proved_optimal;
-            milp_phi;
-            certified_bound = cert.Analysis.Certify.throughput;
-          };
-        ];
-      met_target = achieved <= config.target_levels;
-      final_levels = achieved;
-      total_buffers = List.length (G.buffered_channels final);
-      certified = cert;
-      lint = audit.a_report;
-      lint_stages = List.rev audit.a_stages;
-      narrowing;
-    }
+  (* the baseline synthesises once, at the end: its single tv gate
+     validates that final netlist/AIG/cover triple *)
+  let ((_, lg) as synthesized) = synth_map ~session config final in
+  let achieved = lg.Techmap.Lutgraph.max_level in
+  finish config audit ~tv_stage:"tv" ~narrowing
+    ~iterations:[ iteration ~it:1 ~model ~placement ~cert ~phi ~achieved ~kept:0 ]
+    ~cert final synthesized
+
+let run ?config ?session = function
+  | `Iterative -> iterative ?config ?session
+  | `Baseline -> baseline ?config ?session
+
+(* A canonical, byte-comparable rendering of everything a flow run
+   decides: the buffered circuit itself (canonical DFG hash) plus every
+   per-iteration number the flow reported. *)
+let summary o =
+  let b = Buffer.create 256 in
+  Printf.bprintf b "dfg=%s\nlevels=%d met=%b buffers=%d cert=%.9f live=%b\n"
+    (Cache.Hash.dfg o.graph) o.final_levels o.met_target o.total_buffers
+    o.certified.Analysis.Certify.throughput o.certified.Analysis.Certify.live;
+  List.iter
+    (fun it ->
+      Printf.bprintf b "it%d: phi=%.9f obj=%.9f bound=%.9f levels=%d proposed=%d kept=%d\n"
+        it.it_index it.milp_phi it.milp_objective it.certified_bound it.achieved_levels
+        it.proposed_buffers it.kept_as_fixed)
+    o.iterations;
+  Buffer.contents b

@@ -2,26 +2,39 @@
     regulation (Figure 4, §V), plus the one-shot mapping-agnostic
     baseline it is compared against (§VI-A).
 
-    Iterative flow:
-    + seed opaque buffers on all loop back edges (fixed);
-    + synthesise and LUT-map the circuit, build the mapping-aware timing
-      model and channel penalties;
-    + solve the buffer-placement MILP (Eq. 3);
-    + re-synthesise with the chosen buffers and measure logic levels;
-    + if the target is met (or iterations are exhausted) stop; otherwise
-      keep a sparse subset of the found buffers — per basic block, the
-      one with the lowest penalty — as additional fixed buffers and
-      repeat.
+    Both flavors are assembled from the same stages, none of which knows
+    which flavor called it:
+    + {e prepare}: copy the input, clear its buffers, seed opaque buffers
+      on all loop back edges, run the [dfg] gate and the value-range
+      narrowing stage;
+    + {e solve and audit}: solve the buffer-placement MILP, run the
+      [milp] gate, then certify the candidate placement (the
+      [tv-buffer] and [perf] gates);
+    + {e finish}: translation-validate the final synthesis, run the
+      [final-dfg] gate and record the {!outcome}.
 
-    Baseline flow: seed back edges, build the pre-characterised model,
-    solve the same MILP once without penalties (Eq. 1), done. *)
+    The flavors differ only where the paper says they do: the timing
+    model, the penalty term of the MILP objective, and the loop.
+
+    Iterative flow: synthesise and LUT-map the circuit, build the
+    mapping-aware timing model and channel penalties, solve the MILP with
+    the penalty (Eq. 3), re-synthesise with the chosen buffers and
+    measure logic levels. If the target is met (or iterations are
+    exhausted) stop; otherwise keep a sparse subset of the found buffers
+    — per basic block, the one with the lowest penalty — as additional
+    fixed buffers and repeat.
+
+    Baseline flow: build the pre-characterised model, solve the same MILP
+    once without penalties (Eq. 1), synthesise the result, done.
+
+    Every stage is audited by a {!module:Lint} gate: errors abort the run
+    with {!Lint.Engine.Lint_error}, warnings and infos are collected into
+    {!outcome.lint}. *)
 
 type config = {
   target_levels : int;      (** the paper targets 6 *)
-  level_delay : float;      (** 0.7 ns *)
   max_iterations : int;
   milp : Buffering.Formulation.config;
-  lut_k : int;              (** LUT input count, 6 *)
   routing_aware : bool;
       (** fold placement-estimated wire delays into the timing model (the
           §VI future-work enhancement; off in the paper's configuration) *)
@@ -32,34 +45,37 @@ type config = {
       (** run the depth-reducing AND re-association pass before LUT
           mapping (ABC's [balance]; off to match the paper's `if -K 6`
           only run) *)
-  lint_gates : bool;
-      (** audit every stage with the {!module:Lint} rule set: errors
-          abort the run with {!Lint.Engine.Lint_error}, warnings and
-          infos are collected into {!outcome.lint} (on by default) *)
   tv_exact : bool;
       (** translation-validation gates confirm every signature-mismatch
           witness by scalar replay and exhaustive evaluation of the
           offending cone (the [--tv-exact] CLI flag; off by default —
-          the cheap 64-lane signature pass always runs when
-          [lint_gates] is on) *)
+          the cheap 64-lane signature pass always runs) *)
   narrow : bool;
       (** run the abstract-interpretation value analysis and the verified
           narrowing rewrite ({!module:Absint}) on the seeded graph before
           synthesis (on by default; the [--no-narrow] CLI escape hatch).
           The rewrite is always gated by random-simulation equivalence
-          ([equiv-narrow]) — a mismatch aborts the flow even when
-          [lint_gates] is off *)
+          ([equiv-narrow]): a mismatch aborts the flow *)
 }
 
 val default_config : config
-(** The paper's configuration: [with_levels 6], six iterations, 6-LUTs,
-    every gate armed, narrowing on. *)
+(** The paper's configuration: [with_levels 6], six iterations, narrowing
+    on. Flows always map to 6-LUTs and always run every gate. *)
 
 val with_levels : int -> config -> config
 (** [with_levels n cfg] targets [n] logic levels: it sets
     [target_levels = n] and the MILP clock-period target
-    [milp.cp_target = n * level_delay]. Every CLI and the serve daemon
-    derive a level target through this one function. *)
+    [milp.cp_target] to [n] times {!Techmap.Lutgraph.level_delay}. Every
+    CLI and the serve daemon derive a level target through this one
+    function. *)
+
+type flavor = [ `Iterative | `Baseline ]
+
+val flavors : (string * flavor) list
+(** Every flavor by its command-line and protocol name, iterative first. *)
+
+val flavor_name : flavor -> string
+(** ["iterative"] or ["baseline"]. *)
 
 type iteration = {
   it_index : int;
@@ -100,8 +116,8 @@ type outcome = {
           transparent capacity, which cannot invalidate it) *)
   lint : Lint.Engine.report;    (** non-fatal findings from the stage gates *)
   lint_stages : string list;
-      (** audit trail: the gate stages that actually ran, in order (empty
-          when [lint_gates] is off); both flavors end with ["final-dfg"] *)
+      (** audit trail: the gate stages that actually ran, in order; both
+          flavors end with ["final-dfg"] *)
   narrowing : Absint.Narrow.report option;
       (** what the value-range narrowing stage did (widths shrunk, units
           folded, dead code deleted); [None] when [config.narrow] is off *)
@@ -122,6 +138,19 @@ val iterative : ?config:config -> ?session:Session.t -> Dataflow.Graph.t -> outc
 val baseline : ?config:config -> ?session:Session.t -> Dataflow.Graph.t -> outcome
 (** Mapping-agnostic one-shot flow (the paper's "Prev."). Takes the same
     [session] environment as {!iterative}. *)
+
+val run : ?config:config -> ?session:Session.t -> flavor -> Dataflow.Graph.t -> outcome
+(** [run flavor g] is {!iterative} or {!baseline}: the one place that
+    picks between the two. *)
+
+val summary : outcome -> string
+(** A canonical, byte-comparable rendering of everything a flow run
+    decides: the canonical hash of the buffered circuit, the final level
+    count, buffer count and certificate, and one line per iteration
+    (phi, objective, certified bound, levels, proposed and kept
+    buffers). The same run digests identically whether it was served by
+    the daemon or run through the one-shot CLI, and whether the cache was
+    cold or warm. *)
 
 val audit_placement :
   cfdfcs:Buffering.Cfdfc.t list ->

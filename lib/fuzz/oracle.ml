@@ -44,33 +44,6 @@ let has_nested_loops (f : Hls.Ast.func) =
   and stmts ~in_loop ss = List.exists (stmt ~in_loop) ss in
   stmts ~in_loop:false f.Hls.Ast.body
 
-(* A canonical, byte-comparable digest of everything a flow run decides.
-   Cold and warm (cache-hit) runs must produce the same string. *)
-let summary_of_outcome (o : Core.Flow.outcome) =
-  let b = Buffer.create 256 in
-  Buffer.add_string b
-    (Printf.sprintf "levels=%d buffers=%d met=%b cert=%.9f live=%b\n" o.Core.Flow.final_levels
-       o.Core.Flow.total_buffers o.Core.Flow.met_target o.Core.Flow.certified.C.throughput
-       o.Core.Flow.certified.C.live);
-  List.iter
-    (fun (it : Core.Flow.iteration) ->
-      Buffer.add_string b
-        (Printf.sprintf "it%d: phi=%.9f obj=%.9f bound=%.9f levels=%d proposed=%d kept=%d\n"
-           it.Core.Flow.it_index it.Core.Flow.milp_phi it.Core.Flow.milp_objective
-           it.Core.Flow.certified_bound it.Core.Flow.achieved_levels
-           it.Core.Flow.proposed_buffers it.Core.Flow.kept_as_fixed))
-    o.Core.Flow.iterations;
-  let bufs =
-    List.sort compare
-      (List.map
-         (fun (c, (s : G.buffer_spec)) -> (c, s.G.transparent, s.G.slots))
-         (G.buffered_channels o.Core.Flow.graph))
-  in
-  List.iter
-    (fun (c, t, s) -> Buffer.add_string b (Printf.sprintf "c%d:%b:%d\n" c t s))
-    bufs;
-  Buffer.contents b
-
 (* transfers on intra-SCC channels never exceed bound * cycles (+ slack
    for pipeline fill): the simulator must not outrun the certificate *)
 let check_sim_bound (cert : C.t) (sim : Sim.Elastic.result) g =
@@ -178,9 +151,10 @@ let check_program ?(config = flow_config) ?(session = Core.Session.make ()) ?(mu
            end
        end
      with e -> fail ~flavor "narrow-error" (Printexc.to_string e));
-    let run_flavor (flavor, flow) =
+    let run_flavor (flavor, fl) =
       let fail k d = fail ~flavor k d in
-      match flow ~config (G.copy g0) with
+      let flow () = Core.Flow.run ~config ~session fl (G.copy g0) in
+      match flow () with
       | exception Lint.Engine.Lint_error rep ->
         fail "lint-gate" (Format.asprintf "%a" Lint.Engine.pp_report rep)
       | exception Failure msg ->
@@ -232,10 +206,10 @@ let check_program ?(config = flow_config) ?(session = Core.Session.make ()) ?(mu
         (* warm re-run: with the cache on, the second run hits the memo
            tables and must decide byte-identically *)
         if Cache.Session.enabled session.Core.Session.cache then begin
-          match flow ~config (G.copy g0) with
+          match flow () with
           | exception e -> fail "cache-divergence" ("warm run raised " ^ Printexc.to_string e)
           | o2 ->
-            let cold = summary_of_outcome o and warm = summary_of_outcome o2 in
+            let cold = Core.Flow.summary o and warm = Core.Flow.summary o2 in
             if cold <> warm then
               fail "cache-divergence" (Printf.sprintf "cold:\n%s\nwarm:\n%s" cold warm)
         end;
@@ -271,11 +245,7 @@ let check_program ?(config = flow_config) ?(session = Core.Session.make ()) ?(mu
           done
         end
     in
-    List.iter run_flavor
-      [
-        ("iterative", fun ~config g -> Core.Flow.iterative ~config ~session g);
-        ("baseline", fun ~config g -> Core.Flow.baseline ~config ~session g);
-      ]
+    List.iter run_flavor Core.Flow.flavors
   | _ -> ());
   if !violations <> [] then Support.Trace.add "fuzz.violations" (List.length !violations);
   {

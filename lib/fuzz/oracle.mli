@@ -27,7 +27,7 @@
       channel inside a cyclic SCC stay within [sc_bound * cycles + 4]
       — the simulator never outruns the Howard certificate;
     - {b cache-divergence}: when the session's cache is enabled, a warm
-      re-run of the flow produces a byte-identical canonical summary;
+      re-run of the flow produces a byte-identical {!Core.Flow.summary};
     - {b mutant-*}: additive DFG mutations ({!Mutate}) of the final
       circuit keep the exit value, memories and liveness. *)
 
@@ -72,9 +72,6 @@ val check_program :
   report
 (** The battery on an explicit program — the minimizer's re-check entry
     point (shrunk candidates are not products of {!Hls.Generate}). *)
-
-val summary_of_outcome : Core.Flow.outcome -> string
-(** The canonical flow digest compared between cold and warm runs. *)
 
 val is_explained_failure : string -> bool
 (** Recognise flow [Failure] messages that are resource-limit outcomes

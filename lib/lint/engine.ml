@@ -61,8 +61,8 @@ let check_milp ~cp_target ~buffered model lp x =
 let check_perf ?eps ?truncated ~phi cert g =
   of_diagnostics (Perf_rules.check ?eps ?truncated ~phi cert g)
 
-let check_translation ?vectors ?seed ?exact ?k net lg =
-  of_diagnostics (fst (Equiv_rules.check_translation ?vectors ?seed ?exact ?k net lg))
+let check_translation ?vectors ?seed ?exact net lg =
+  of_diagnostics (fst (Equiv_rules.check_translation ?vectors ?seed ?exact net lg))
 
 let check_refinement ~base ~buffered ~allowed =
   of_diagnostics (Equiv_rules.check_refinement ~base ~buffered ~allowed)

@@ -79,7 +79,6 @@ val check_translation :
   ?vectors:int ->
   ?seed:int ->
   ?exact:bool ->
-  ?k:int ->
   Net.t ->
   Techmap.Lutgraph.t ->
   report

@@ -25,7 +25,6 @@ val check_translation :
   ?vectors:int ->
   ?seed:int ->
   ?exact:bool ->
-  ?k:int ->
   Net.t ->
   Techmap.Lutgraph.t ->
   Diagnostic.t list * Tv.Equiv.result

@@ -1,5 +1,3 @@
-let lut_delay = 0.7
-
 (* Base connection cost plus per-tile segment delay.  With typical
    post-placement distances of 1-8 tiles this contributes 0.1-0.4 ns per
    hop, i.e. a 4-6 level path picks up 0.3-1.3 ns of wiring — matching

@@ -4,9 +4,6 @@
     Manhattan distance, calibrated so that a 6-level path plus typical
     wiring lands near the paper's observed 4.5–5.5 ns clock periods. *)
 
-val lut_delay : float
-(** 0.7 ns per logic level — the paper's calibration constant. *)
-
 val wire_delay : int -> float
 (** Routing delay for a connection of a given Manhattan distance. *)
 

@@ -39,7 +39,7 @@ let run net (lg : L.t) (pl : Place.t) =
             pred.(l) <- (match src with L.Lut s -> s | L.Seq _ -> -1)
           end)
         in_edges.(l);
-      arrival.(l) <- !t +. Arch.lut_delay;
+      arrival.(l) <- !t +. Techmap.Lutgraph.level_delay;
       if arrival.(l) > !cp then begin
         cp := arrival.(l);
         cp_end := l

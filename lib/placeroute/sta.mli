@@ -1,11 +1,11 @@
 (** Post-place-and-route static timing analysis.
 
     Longest register-to-register path over the mapped LUT graph, with
-    each LUT costing {!Arch.lut_delay} and each connection costing the
-    placed Manhattan-distance wire delay. This yields the achieved clock
-    period the paper reports (CP columns of Table I), which exceeds
-    [levels x 0.7] by the routing contribution the paper's approach
-    deliberately does not model. *)
+    each LUT costing {!Techmap.Lutgraph.level_delay} and each connection
+    costing the placed Manhattan-distance wire delay. This yields the
+    achieved clock period the paper reports (CP columns of Table I),
+    which exceeds [levels x level_delay] by the routing contribution the
+    paper's approach deliberately does not model. *)
 
 type report = {
   cp : float;           (** achieved clock period, ns *)

@@ -175,9 +175,7 @@ let run_oneshot ~exe (requests : Protocol.request list) =
         let cmd =
           String.concat " "
             ([ Filename.quote exe; "flow"; Filename.quote kernel; "--digest" ]
-            @ (match r.Protocol.flavor with
-              | `Baseline -> [ "--flavor"; "baseline" ]
-              | `Iterative -> [])
+            @ [ "--flavor"; Protocol.flavor_name r.Protocol.flavor ]
             @ (match r.Protocol.levels with
               | Some l -> [ "--levels"; string_of_int l ]
               | None -> [])

@@ -1,8 +1,8 @@
 module J = Support.Json
 
-type flavor = [ `Iterative | `Baseline ]
+type flavor = Core.Flow.flavor
 
-let flavor_name = function `Iterative -> "iterative" | `Baseline -> "baseline"
+let flavor_name = Core.Flow.flavor_name
 
 type request = {
   id : string;
@@ -59,9 +59,10 @@ let parse_request j =
   let* flavor =
     match J.mem "flavor" j with
     | None -> Ok `Iterative
-    | Some (J.Str "iterative") -> Ok `Iterative
-    | Some (J.Str "baseline") -> Ok `Baseline
-    | Some _ -> Error "\"flavor\" must be \"iterative\" or \"baseline\""
+    | Some v -> (
+      match Option.bind (J.str v) (fun f -> List.assoc_opt f Core.Flow.flavors) with
+      | Some flavor -> Ok flavor
+      | None -> Error "\"flavor\" must be \"iterative\" or \"baseline\"")
   in
   let pos_int k =
     match J.mem k j with
@@ -256,9 +257,8 @@ let event_of_line line =
     let* id = id () in
     let* flavor =
       match J.str_mem "flavor" j with
-      | Some "baseline" -> Ok `Baseline
-      | Some "iterative" | None -> Ok `Iterative
-      | Some f -> Error ("unknown flavor " ^ f)
+      | None -> Ok `Iterative
+      | Some f -> Option.to_result ~none:("unknown flavor " ^ f) (List.assoc_opt f Core.Flow.flavors)
     in
     let int k = Option.value (J.int_mem k j) ~default:0 in
     let num k = Option.value (J.num_mem k j) ~default:0. in
@@ -327,26 +327,10 @@ let event_of_line line =
 
 (* ---- outcome digest ---- *)
 
-(* A canonical, byte-comparable digest of everything a flow run decides:
-   the buffered circuit itself (canonical DFG hash) plus every
-   per-iteration number the flow reported. The same request must digest
-   identically whether it was served by the daemon at any -j width or
-   run serially through the one-shot CLI (`regulate flow --digest`), and
-   whether the cache was cold or warm. *)
-let outcome_digest (o : Core.Flow.outcome) =
-  let b = Buffer.create 256 in
-  Printf.bprintf b "dfg=%s\nlevels=%d met=%b buffers=%d cert=%.9f live=%b\n"
-    (Cache.Hash.dfg o.Core.Flow.graph) o.Core.Flow.final_levels o.Core.Flow.met_target
-    o.Core.Flow.total_buffers o.Core.Flow.certified.Analysis.Certify.throughput
-    o.Core.Flow.certified.Analysis.Certify.live;
-  List.iter
-    (fun (it : Core.Flow.iteration) ->
-      Printf.bprintf b "it%d: phi=%.9f obj=%.9f bound=%.9f levels=%d proposed=%d kept=%d\n"
-        it.Core.Flow.it_index it.Core.Flow.milp_phi it.Core.Flow.milp_objective
-        it.Core.Flow.certified_bound it.Core.Flow.achieved_levels
-        it.Core.Flow.proposed_buffers it.Core.Flow.kept_as_fixed)
-    o.Core.Flow.iterations;
-  Cache.Hash.combine [ Buffer.contents b ]
+(* The same request must digest identically whether it was served by the
+   daemon at any -j width or run serially through the one-shot CLI
+   (`regulate flow --digest`), and whether the cache was cold or warm. *)
+let outcome_digest o = Cache.Hash.combine [ Core.Flow.summary o ]
 
 let completion_of_outcome ~flavor ?measured (o : Core.Flow.outcome) =
   let phi =

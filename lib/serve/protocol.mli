@@ -8,9 +8,10 @@
     to. Both directions of the codec live here so the daemon, the load
     generator and the tests share one definition. *)
 
-type flavor = [ `Iterative | `Baseline ]
+type flavor = Core.Flow.flavor
 
 val flavor_name : flavor -> string
+(** {!Core.Flow.flavor_name}. *)
 
 type request = {
   id : string;                    (** client-chosen, echoed on every event *)
@@ -91,8 +92,8 @@ val event_of_line : string -> (event, string) result
 (** {1 Digests and classification} *)
 
 val outcome_digest : Core.Flow.outcome -> string
-(** Canonical digest over the buffered circuit and every per-iteration
-    decision. Byte-identical for the same request whether served
+(** The hash of {!Core.Flow.summary}: a canonical digest over the
+    buffered circuit and every per-iteration decision. Byte-identical for the same request whether served
     concurrently at any [-j] width, serially by the one-shot CLI
     ([regulate flow --digest]), or answered from a warm cache. *)
 

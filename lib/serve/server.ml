@@ -49,31 +49,23 @@ let flow_config cfg (req : Protocol.request) =
   | None, None -> cfg.flow
 
 (* Key for whole-completion memoisation: every input that can change
-   the result — program, flavor, the effective flow config and the
-   session-effective MILP budgets. Two requests with the same key are
-   the same compilation, so a warm daemon answers from the store
-   without re-running the flow (that is the point of a long-lived
+   the result — the request minus its id (program, flavor, overrides),
+   and the effective flow config with the session-effective MILP
+   budgets. Both are marshalled whole, so a config field added later is
+   part of the key without anyone listing it; every field is a scalar
+   or a string, and without sharing the encoding is a function of the
+   values alone.
+   The program is named, not hashed: compiling a kernel on every request
+   would put the front end on the memo-hit path. Two requests with the
+   same key are the same compilation, so a warm daemon answers from the
+   store without re-running the flow (that is the point of a long-lived
    service; the sub-step memos inside the flow only amortise solver
    work, not the whole pipeline). *)
 let completion_key cfg session (req : Protocol.request) =
   let fc = flow_config cfg req in
-  let m = Core.Session.milp_config session fc.Core.Flow.milp in
-  let b = Buffer.create 256 in
-  Printf.bprintf b "kernel=%s\n"
-    (match req.kernel with Some k -> k | None -> "-");
-  Printf.bprintf b "source=%s\n"
-    (match req.source with Some s -> s | None -> "-");
-  Printf.bprintf b "flavor=%s\n" (Protocol.flavor_name req.flavor);
-  Printf.bprintf b
-    "levels=%d delay=%.9f iters=%d lutk=%d routing=%b slack=%b balance=%b \
-     lint=%b tv=%b narrow=%b\n"
-    fc.Core.Flow.target_levels fc.level_delay fc.max_iterations fc.lut_k
-    fc.routing_aware fc.slack_match fc.balance fc.lint_gates fc.tv_exact
-    fc.narrow;
-  Printf.bprintf b "milp cp=%.9f alpha=%.9f beta=%.9f pen=%b nodes=%d time=%.9f"
-    m.Buffering.Formulation.cp_target m.alpha m.beta m.use_penalty m.node_limit
-    m.time_limit;
-  Cache.Hash.combine [ Buffer.contents b ]
+  let fc = { fc with Core.Flow.milp = Core.Session.milp_config session fc.Core.Flow.milp } in
+  Cache.Hash.combine
+    [ Marshal.to_string ({ req with Protocol.id = "" }, fc) [ Marshal.No_sharing ] ]
 
 (* The real compile path. A named kernel runs the full evaluation
    harness (flow + P&R + simulation), exactly the work the one-shot
@@ -96,12 +88,8 @@ let default_runner cfg : runner =
         ~measured:(Protocol.measured_of_metrics metrics) outcome
     | None, Some src ->
       let g = Hls.Compile.compile (Hls.Parser.parse src) in
-      let outcome =
-        match req.flavor with
-        | `Iterative -> Core.Flow.iterative ~config ~session g
-        | `Baseline -> Core.Flow.baseline ~config ~session g
-      in
-      Protocol.completion_of_outcome ~flavor:req.flavor outcome
+      Protocol.completion_of_outcome ~flavor:req.flavor
+        (Core.Flow.run ~config ~session req.flavor g)
     | None, None -> assert false (* command_of_line requires one *)
   in
   Cache.Session.memo session.Core.Session.cache ~kind:"serve.completion"

@@ -40,11 +40,19 @@ type runner = Core.Session.t -> Protocol.request -> Protocol.completion
 (** What actually compiles one admitted request. The default runner runs
     the real flow ({!Core.Experiment.run_flow} for named kernels — flow
     plus P&R and simulation, the same work as one-shot [regulate flow] —
-    or {!Core.Flow.iterative}/[baseline] for inline source). Tests
+    or {!Core.Flow.run} for inline source). Tests
     inject blocking or failing runners to exercise admission,
     cancellation and error paths deterministically. *)
 
 type t
+
+val completion_key : config -> Core.Session.t -> Protocol.request -> string
+(** The memo key the default runner stores a completion under: a hash of
+    the request without its [id] and of the effective
+    {!Core.Flow.config} — the server's base config with the request's
+    level target, and the MILP budgets of the request's session. Both are
+    encoded whole, so every config field is part of the key. A named
+    kernel is keyed by its name, not by its graph. *)
 
 val create : ?runner:runner -> config -> t
 (** Build the server state and spawn its worker pool. Raises

@@ -20,6 +20,9 @@ type t = {
   max_level : int;
 }
 
+let lut_k = 6
+let level_delay = 0.7
+
 let n_luts t = Array.length t.luts
 
 let lut_edges t =

@@ -32,6 +32,17 @@ type t = {
   max_level : int;           (** the circuit's logic-level count *)
 }
 
+val lut_k : int
+(** 6: the LUT input count of the target device (a Stratix-IV ALM in
+    6-LUT mode), the mapper's default cut size. *)
+
+val level_delay : float
+(** 0.7 ns per logic level: the paper's calibration constant. The
+    mapping-aware timing model charges it per LUT, the pre-characterised
+    model per level of an isolated unit, static timing per LUT on the
+    critical path, and the MILP clock-period target is a level count
+    times it. *)
+
 val n_luts : t -> int
 
 val lut_edges : t -> (int * int) list

@@ -5,5 +5,5 @@
     combinational outputs materialising one LUT per chosen cut. *)
 
 val run : ?k:int -> ?cut_limit:int -> Synth.t -> Lutgraph.t
-(** Defaults: [k = 6] (Stratix-style 6-LUTs, as the paper's ABC run) and
-    [cut_limit = 8] priority cuts per node. *)
+(** Defaults: [k] is {!Lutgraph.lut_k} (Stratix-style 6-LUTs, as the
+    paper's ABC run) and [cut_limit = 8] priority cuts per node. *)

@@ -134,7 +134,7 @@ let wire_bwd b src_node dst_node channels =
   in
   go (List.rev channels)
 
-let build ?(lut_delay = 0.7) ?(lut_extra = fun _ -> 0.) g ~net (lg : L.t) =
+let build ?(lut_extra = fun _ -> 0.) g ~net (lg : L.t) =
   let b =
     {
       g;
@@ -153,7 +153,7 @@ let build ?(lut_delay = 0.7) ?(lut_extra = fun _ -> 0.) g ~net (lg : L.t) =
       (fun (l : L.lut) ->
         new_node b
           (Delay
-             { unit_id = l.L.owner; delay = lut_delay +. lut_extra l.L.lid; fake = false }))
+             { unit_id = l.L.owner; delay = L.level_delay +. lut_extra l.L.lid; fake = false }))
       lg.L.luts
   in
   let interaction = lazy (Elaborate.interaction_units g) in

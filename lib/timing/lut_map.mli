@@ -39,14 +39,13 @@ type t = {
 }
 
 val build :
-  ?lut_delay:float ->
   ?lut_extra:(int -> float) ->
   Dataflow.Graph.t ->
   net:Net.t ->
   Techmap.Lutgraph.t ->
   t
-(** [lut_delay] defaults to 0.7 ns (the paper's per-logic-level delay).
-    [lut_extra] adds a per-LUT delay surcharge (by LUT id) — the hook the
+(** Each LUT costs {!Techmap.Lutgraph.level_delay} (the paper's
+    per-logic-level delay). [lut_extra] adds a per-LUT delay surcharge (by LUT id) — the hook the
     routing-aware mode uses to fold estimated wire delays into the model
     (the enhancement the paper's §VI discusses as future work). [net] is
     the elaborated netlist the LUT graph was mapped from (needed to

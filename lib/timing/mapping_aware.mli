@@ -3,7 +3,6 @@
     penalty computation (§IV-B, §IV-C). *)
 
 val build :
-  ?lut_delay:float ->
   ?lut_extra:(int -> float) ->
   Dataflow.Graph.t ->
   net:Net.t ->
@@ -11,7 +10,6 @@ val build :
   Model.t
 
 val build_with_graph :
-  ?lut_delay:float ->
   ?lut_extra:(int -> float) ->
   Dataflow.Graph.t ->
   net:Net.t ->

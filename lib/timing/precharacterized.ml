@@ -1,8 +1,6 @@
 module G = Dataflow.Graph
 module K = Dataflow.Unit_kind
 
-let level_delay = 0.7
-
 (* Expected width of each input port of a unit, given the widths its
    instance sees in the real graph. *)
 let in_widths g uid =
@@ -51,7 +49,7 @@ let characterize g uid =
   let net = Elaborate.run h in
   let synth = Techmap.Synth.run net in
   let lg = Techmap.Mapper.run synth in
-  float_of_int lg.Techmap.Lutgraph.max_level *. level_delay
+  float_of_int lg.Techmap.Lutgraph.max_level *. Techmap.Lutgraph.level_delay
 
 (* The session's artifact cache makes characterisation harness runs
    survive across processes, --jobs domains and daemon requests. *)

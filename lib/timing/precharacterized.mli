@@ -4,7 +4,8 @@
     Each dataflow unit is characterised {e in isolation}: it is placed
     between opaque buffers (so its logic sits between registers), run
     through the same synthesis + LUT mapping as the full circuit, and its
-    level count is taken as its delay (levels × 0.7 ns). The full-circuit
+    level count is taken as its delay (levels ×
+    {!Techmap.Lutgraph.level_delay}). The full-circuit
     timing model then assumes that every path through a unit costs the
     unit's whole characterised delay — ignoring all cross-unit logic
     simplification, which is precisely the conservatism the paper

@@ -269,7 +269,7 @@ let cone_eval aig root leaves idx =
 
 (* ---- the main pass ---- *)
 
-let run ?(vectors = 256) ?(seed = 0x7ea) ?(exact = false) ?(k = 6) net (lg : L.t) =
+let run ?(vectors = 256) ?(seed = 0x7ea) ?(exact = false) net (lg : L.t) =
   Trace.with_span ~cat:"tv" "tv:equiv" @@ fun () ->
   let synth = lg.L.synth in
   let aig = synth.Synth.aig in
@@ -285,8 +285,8 @@ let run ?(vectors = 256) ?(seed = 0x7ea) ?(exact = false) ?(k = 6) net (lg : L.t
         struct_bad.(l.L.lid) <- true;
         add_mis (Cover_structural { lut = l.L.lid; reason })
       in
-      if Array.length l.L.leaves > k then
-        bad (Printf.sprintf "%d leaves exceed K=%d" (Array.length l.L.leaves) k);
+      if Array.length l.L.leaves > L.lut_k then
+        bad (Printf.sprintf "%d leaves exceed K=%d" (Array.length l.L.leaves) L.lut_k);
       if l.L.root <= 0 || l.L.root >= Aig.n_nodes aig then bad "root node out of range"
       else if lg.L.lut_of_node.(l.L.root) <> l.L.lid then
         bad "root does not map back to this LUT";

@@ -48,12 +48,12 @@ type result = {
 }
 
 val run :
-  ?vectors:int -> ?seed:int -> ?exact:bool -> ?k:int -> Net.t -> Techmap.Lutgraph.t -> result
+  ?vectors:int -> ?seed:int -> ?exact:bool -> Net.t -> Techmap.Lutgraph.t -> result
 (** Validate netlist vs. [lg.synth.aig] vs. the LUT cover. [vectors]
-    defaults to 256 (4 words), [seed] is fixed, [k] (default 6) bounds
-    legal cut sizes, [exact] turns on witness confirmation. Emits
-    [tv.*] trace counters. Raises [Failure] on a combinationally cyclic
-    netlist. *)
+    defaults to 256 (4 words), [seed] is fixed, cuts larger than
+    {!Techmap.Lutgraph.lut_k} leaves are structural errors, [exact] turns
+    on witness confirmation. Emits [tv.*] trace counters. Raises
+    [Failure] on a combinationally cyclic netlist. *)
 
 val signature_hex : result -> string
 (** All per-CO signatures folded to one 16-hex-digit digest — the

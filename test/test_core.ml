@@ -66,8 +66,7 @@ let test_slack_matched_outcome () =
   (* re-synthesise the returned graph: the recorded netlist and mapping
      must be those of the post-slack circuit, not a stale pre-slack one *)
   let renet = Elaborate.run on.Core.Flow.graph in
-  let relg = Techmap.Mapper.run ~k:Core.Flow.default_config.Core.Flow.lut_k
-      (Techmap.Synth.run renet) in
+  let relg = Techmap.Mapper.run ~k:Techmap.Lutgraph.lut_k (Techmap.Synth.run renet) in
   check Alcotest.int "final_levels is the post-slack level count"
     relg.Techmap.Lutgraph.max_level on.Core.Flow.final_levels;
   check Alcotest.int "lutgraph matches the final circuit's levels"
@@ -113,22 +112,44 @@ let test_final_lint_gate_runs () =
   check Alcotest.bool "baseline audit ends with final-dfg" true
     (List.mem "final-dfg" baseline.Core.Flow.lint_stages);
   check Alcotest.bool "iterative audit ends with final-dfg" true
-    (List.mem "final-dfg" iterative.Core.Flow.lint_stages);
-  check Alcotest.bool "gates off leaves no audit trail" true
-    (let config = { Core.Flow.default_config with Core.Flow.lint_gates = false } in
-     (Core.Flow.baseline ~config g).Core.Flow.lint_stages = [])
+    (List.mem "final-dfg" iterative.Core.Flow.lint_stages)
+
+(* The exact gate order and status stream of both flavors on the loop
+   fixture (one iteration, narrowing changes the graph). The daemon
+   streams the status events to clients, and the audit trail is the
+   flow's own account of what it checked, so both orders are part of
+   the flows' contract. *)
+let test_flow_stage_and_status_order () =
+  let run flow =
+    let g, _ = Fixtures.loop ~buffered:false () in
+    let status = ref [] in
+    let session = Core.Session.make ~on_status:(fun s -> status := s :: !status) () in
+    let o = flow ~session g in
+    (o.Core.Flow.lint_stages, List.rev !status)
+  in
+  let strings = Alcotest.(list string) in
+  let stages, status = run (fun ~session g -> Core.Flow.iterative ~session g) in
+  check strings "iterative gate order"
+    [ "dfg"; "range"; "tv-narrow"; "netlist"; "tv"; "lut-mapping"; "milp"; "tv-buffer"; "perf";
+      "tv-final"; "final-dfg" ]
+    stages;
+  check strings "iterative status stream" [ "absint"; "iteration 1"; "milp" ] status;
+  let stages, status = run (fun ~session g -> Core.Flow.baseline ~session g) in
+  check strings "baseline gate order"
+    [ "dfg"; "range"; "tv-narrow"; "milp"; "tv-buffer"; "perf"; "tv"; "final-dfg" ]
+    stages;
+  check strings "baseline status stream" [ "absint"; "model"; "milp" ] status
 
 (* The LUT input count is not a cosmetic default: mapping the same
-   netlist at a different k changes the level count, so benchmarks must
-   pass the flow's [lut_k] explicitly rather than rely on the mapper's
-   default agreeing with it. *)
+   netlist at a different k changes the level count, so the flow, the
+   mapper's default and the translation validator all read the one
+   [Techmap.Lutgraph.lut_k]. *)
 let test_mapper_k_matters () =
   let g = Hls.Kernels.graph Fixtures.tsum in
   ignore (Core.Flow.seed_back_edges g);
   let synth = Techmap.Synth.run (Elaborate.run g) in
   let at k = (Techmap.Mapper.run ~k synth).Techmap.Lutgraph.max_level in
-  check Alcotest.int "flow default is 6-LUT" 6
-    Core.Flow.default_config.Core.Flow.lut_k;
+  check Alcotest.int "flow default is 6-LUT" 6 Techmap.Lutgraph.lut_k;
   check Alcotest.bool "k=3 maps deeper than k=6" true (at 3 > at 6)
 
 let test_report_pct () =
@@ -198,6 +219,7 @@ let suite =
     ("slack matching precedes the final record", `Quick, test_slack_matched_outcome);
     ("measure reads the flow netlist", `Quick, test_measure_uses_flow_netlist);
     ("final lint gate runs in both flavors", `Quick, test_final_lint_gate_runs);
+    ("exact gate order and status stream", `Quick, test_flow_stage_and_status_order);
     ("mapper k changes levels", `Quick, test_mapper_k_matters);
     ("report pct", `Quick, test_report_pct);
     ("report renders", `Quick, test_report_renders);

@@ -330,7 +330,7 @@ let test_critical_path_reported () =
     (List.length r.Placeroute.Sta.critical_path <= r.Placeroute.Sta.logic_levels + 1);
   (* arrival argument: path length * lut delay <= cp *)
   check Alcotest.bool "cp consistent" true
-    (float_of_int (List.length r.Placeroute.Sta.critical_path) *. Placeroute.Arch.lut_delay
+    (float_of_int (List.length r.Placeroute.Sta.critical_path) *. Techmap.Lutgraph.level_delay
      <= r.Placeroute.Sta.cp +. 1e-9);
   let rendered = Format.asprintf "%a" (fun fmt () -> Placeroute.Sta.pp_critical_path fmt g lg r) () in
   check Alcotest.bool "rendering mentions a lut" true (String.length rendered > 20)

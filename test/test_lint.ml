@@ -394,11 +394,7 @@ let test_flow_collects_report () =
   let g, _ = Fixtures.loop () in
   let cfg = { Core.Flow.default_config with max_iterations = 1 } in
   let out = Core.Flow.iterative ~config:cfg g in
-  check Alcotest.int "no errors survive a completed run" 0 out.Core.Flow.lint.E.errors;
-  let off = { cfg with Core.Flow.lint_gates = false } in
-  let out = Core.Flow.iterative ~config:off g in
-  check Alcotest.int "gates off: nothing collected" 0
-    (List.length out.Core.Flow.lint.E.diagnostics)
+  check Alcotest.int "no errors survive a completed run" 0 out.Core.Flow.lint.E.errors
 
 let suite =
   [

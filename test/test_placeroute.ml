@@ -45,10 +45,10 @@ let test_place_effort_improves () =
 let test_sta_cp_lower_bound () =
   let net, lg = mapped_fig2 () in
   let r = Placeroute.Sta.analyze ~seed:7 net lg in
-  (* cp >= levels * lut_delay: wires only add *)
+  (* cp >= levels * level_delay: wires only add *)
   check Alcotest.bool "cp dominates pure logic" true
     (r.Placeroute.Sta.cp
-    >= (float_of_int lg.L.max_level *. Placeroute.Arch.lut_delay) -. 1e-9);
+    >= (float_of_int lg.L.max_level *. Techmap.Lutgraph.level_delay) -. 1e-9);
   check Alcotest.int "levels carried" lg.L.max_level r.Placeroute.Sta.logic_levels;
   check Alcotest.int "luts counted" (L.n_luts lg) r.Placeroute.Sta.n_luts;
   check Alcotest.int "ffs counted" (Net.count_ffs net) r.Placeroute.Sta.n_ffs

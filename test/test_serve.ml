@@ -549,6 +549,48 @@ let test_session_budget_overrides () =
   check Alcotest.bool "a made session has no cache" false
     (Cache.Session.enabled (Core.Session.make ()).Core.Session.cache)
 
+(* The completion memo key covers every field of the effective flow
+   config and of its MILP record, and nothing of the request id: a
+   field nobody remembered to list cannot serve a stale hit, and
+   re-sending a request under a new id still hits. *)
+let test_completion_key_covers_config () =
+  let session = Core.Session.make () in
+  let key flow r = S.completion_key { S.default_config with S.flow } session r in
+  let base = Core.Flow.default_config in
+  let m = base.Core.Flow.milp in
+  let milp f = { base with Core.Flow.milp = f m } in
+  let r = req ~kernel:"gsum" "k1" in
+  let k0 = key base r in
+  check Alcotest.string "the id is not part of the key" k0 (key base { r with P.id = "k2" });
+  List.iter
+    (fun (field, flow) ->
+      check Alcotest.bool (field ^ " changes the key") true (key flow r <> k0))
+    [
+      ("target_levels", { base with Core.Flow.target_levels = 7 });
+      ("max_iterations", { base with Core.Flow.max_iterations = 2 });
+      ("routing_aware", { base with Core.Flow.routing_aware = true });
+      ("slack_match", { base with Core.Flow.slack_match = true });
+      ("balance", { base with Core.Flow.balance = true });
+      ("tv_exact", { base with Core.Flow.tv_exact = true });
+      ("narrow", { base with Core.Flow.narrow = false });
+      ("milp.cp_target", milp (fun m -> { m with Buffering.Formulation.cp_target = 3.5 }));
+      ("milp.alpha", milp (fun m -> { m with Buffering.Formulation.alpha = 1. }));
+      ("milp.beta", milp (fun m -> { m with Buffering.Formulation.beta = 1. }));
+      ("milp.use_penalty", milp (fun m -> { m with Buffering.Formulation.use_penalty = false }));
+      ("milp.node_limit", milp (fun m -> { m with Buffering.Formulation.node_limit = 7 }));
+      ("milp.time_limit", milp (fun m -> { m with Buffering.Formulation.time_limit = 7. }));
+    ];
+  List.iter
+    (fun (field, r') ->
+      check Alcotest.bool (field ^ " changes the key") true (key base r' <> k0))
+    [
+      ("kernel", req ~kernel:"gsumif" "k1");
+      ("source", req ~source:"int f() { return 1; }" "k1");
+      ("flavor", req ~kernel:"gsum" ~flavor:`Baseline "k1");
+      ("levels", req ~kernel:"gsum" ~levels:5 "k1");
+      ("milp_nodes", req ~kernel:"gsum" ~milp_nodes:9 "k1");
+    ]
+
 let suite =
   [
     Alcotest.test_case "json: value roundtrips" `Quick test_json_roundtrip;
@@ -572,4 +614,6 @@ let suite =
     Alcotest.test_case "transport: socket + loadgen end to end" `Quick
       test_socket_loadgen_end_to_end;
     Alcotest.test_case "session: MILP budget overrides" `Quick test_session_budget_overrides;
+    Alcotest.test_case "server: completion key covers every config field" `Quick
+      test_completion_key_covers_config;
   ]
