@@ -137,10 +137,12 @@ let solve ?(node_limit = 50_000) ?(eps = 1e-6) ?(time_limit = 120.) ?initial ?wa
   let relaxations = ref 0 in
   let fathomed_by_cert = ref 0 in
   let heap = Heap.create () in
+  (* one solver workspace for every relaxation of the search *)
+  let ws = Simplex.workspace () in
   let relax ?warm fixes =
     incr relaxations;
     apply_fixes fixes;
-    Simplex.solve_basis ?warm lp
+    Simplex.solve_basis ~ws ?warm lp
   in
   let better obj =
     match !incumbent with None -> true | Some (bo, _) -> sense *. obj > (sense *. bo) +. 1e-9
@@ -174,7 +176,7 @@ let solve ?(node_limit = 50_000) ?(eps = 1e-6) ?(time_limit = 120.) ?initial ?wa
       let root_x = Array.copy x in
       let root_bound_s = sense *. obj in
       let rc =
-        match root_basis with Some bs -> Simplex.reduced_costs lp bs | None -> None
+        match root_basis with Some bs -> Simplex.reduced_costs ~ws lp bs | None -> None
       in
       let refresh_rc_fixes () =
         match (rc, !incumbent) with

@@ -23,7 +23,7 @@ type state = {
   nv : int;            (* structural variables *)
   m : int;             (* rows; slack j of row i is variable nv + i *)
   ntot : int;
-  cols : Sparse.t array;  (* structural columns only *)
+  mutable cols : Sparse.t array;  (* structural columns only *)
   lob : float array;   (* ntot *)
   upb : float array;   (* ntot *)
   b : float array;     (* m *)
@@ -31,12 +31,15 @@ type state = {
   stat : int array;    (* ntot *)
   xval : float array;  (* ntot *)
   basic : int array;   (* m *)
-  mutable base : Basis.t;
+  base : Basis.t;
+  d : float array;     (* m: the FTRANed entering column *)
+  y : float array;     (* m: the BTRANed pricing vector *)
+  rhs : float array;   (* m: b - N x_N *)
   mutable pivots : int;
   mutable refactors : int;
 }
 
-let col s j = if j < s.nv then s.cols.(j) else Sparse.of_list [ (j - s.nv, 1.) ]
+let col s j = if j < s.nv then s.cols.(j) else Sparse.unit (j - s.nv)
 
 (* y^T a_j without materialising slack columns *)
 let col_dot s j y = if j < s.nv then Sparse.dot s.cols.(j) y else y.(j - s.nv)
@@ -47,8 +50,7 @@ let col_scatter s j d =
   if j < s.nv then Sparse.iter (fun i c -> d.(i) <- c) s.cols.(j)
   else d.(j - s.nv) <- 1.
 
-let factorize s =
-  s.base <- Basis.factorize ~m:s.m ~col:(col s) s.basic
+let factorize s = Basis.factorize s.base ~col:(col s) s.basic
 
 let refactorize s =
   factorize s;
@@ -57,7 +59,8 @@ let refactorize s =
 (* x_B = B^-1 (b - N x_N); also snaps nonbasic values onto their bound
    (bounds can have moved since the warm basis was recorded) *)
 let compute_basics s =
-  let rhs = Array.copy s.b in
+  let rhs = s.rhs in
+  Array.blit s.b 0 rhs 0 s.m;
   for j = 0 to s.ntot - 1 do
     if s.stat.(j) <> st_basic then begin
       let v =
@@ -254,9 +257,10 @@ let iterate s ~phase1 ~y ~d =
         `Progress)
   end
 
-(* infeasibility gradient over basic rows; None when primal feasible *)
+(* the infeasibility gradient over basic rows, into [s.y]; false when
+   primal feasible *)
 let sigma s =
-  let g = Array.make s.m 0. in
+  let g = s.y in
   let any = ref false in
   for i = 0 to s.m - 1 do
     let bv = s.basic.(i) in
@@ -269,8 +273,9 @@ let sigma s =
       g.(i) <- 1.;
       any := true
     end
+    else g.(i) <- 0.
   done;
-  if !any then Some g else None
+  !any
 
 let max_infeasibility s =
   let worst = ref 0. in
@@ -283,16 +288,14 @@ let max_infeasibility s =
   !worst
 
 let run_phase1 s =
-  let d = Array.make s.m 0. in
   let iters = ref 0 in
   let rec loop () =
     incr iters;
     if !iters > iteration_limit then failwith "Simplex: phase 1 iteration limit";
-    match sigma s with
-    | None -> `Feasible
-    | Some g ->
-      Basis.btran s.base g;
-      (match iterate s ~phase1:true ~y:g ~d with
+    if not (sigma s) then `Feasible
+    else begin
+      Basis.btran s.base s.y;
+      match iterate s ~phase1:true ~y:s.y ~d:s.d with
       | `Progress -> loop ()
       | `Unbounded -> failwith "Simplex: phase 1 unbounded (impossible)"
       | `Optimal ->
@@ -301,13 +304,13 @@ let run_phase1 s =
         refactorize s;
         compute_basics s;
         if max_infeasibility s > 1e-6 then `Infeasible
-        else `Feasible)
+        else `Feasible
+    end
   in
   loop ()
 
 let run_phase2 s =
-  let d = Array.make s.m 0. in
-  let cb = Array.make s.m 0. in
+  let cb = s.y in
   let iters = ref 0 in
   let rec loop () =
     incr iters;
@@ -321,7 +324,7 @@ let run_phase2 s =
         cb.(i) <- s.cost.(s.basic.(i))
       done;
       Basis.btran s.base cb;
-      match iterate s ~phase1:false ~y:cb ~d with
+      match iterate s ~phase1:false ~y:cb ~d:s.d with
       | `Progress -> loop ()
       | `Unbounded -> `Unbounded
       | `Optimal -> `Optimal
@@ -331,13 +334,51 @@ let run_phase2 s =
 
 (* ---- driver ------------------------------------------------------ *)
 
-(* build the bounded-variable internal form; None when some variable box
-   is empty (trivially infeasible) *)
-let make_state lp =
+(* The states of one sequence of solves: a solve reuses the previous
+   state's arrays (its factorisation included) when the model has the
+   same shape, and reloads everything else from the model. *)
+type workspace = { mutable state : state option }
+
+let workspace () = { state = None }
+
+let alloc_state nv m =
+  let ntot = nv + m in
+  {
+    nv;
+    m;
+    ntot;
+    cols = [||];
+    lob = Array.make ntot 0.;
+    upb = Array.make ntot 0.;
+    b = Array.make m 0.;
+    cost = Array.make ntot 0.;
+    stat = Array.make ntot st_lower;
+    xval = Array.make ntot 0.;
+    basic = Array.make m 0;
+    base = Basis.create m;
+    d = Array.make m 0.;
+    y = Array.make m 0.;
+    rhs = Array.make m 0.;
+    pivots = 0;
+    refactors = 0;
+  }
+
+(* load the bounded-variable internal form of [lp] into the workspace's
+   state; None when some variable box is empty (trivially infeasible) *)
+let make_state ws lp =
   let nv = Lp.n_vars lp in
   let m = Lp.n_constrs lp in
-  let ntot = nv + m in
-  let lob = Array.make ntot 0. and upb = Array.make ntot 0. in
+  let s =
+    match ws.state with
+    | Some s when s.nv = nv && s.m = m -> s
+    | _ ->
+      let s = alloc_state nv m in
+      ws.state <- Some s;
+      s
+  in
+  let lob = s.lob and upb = s.upb in
+  Array.fill lob 0 s.ntot 0.;
+  Array.fill upb 0 s.ntot 0.;
   let empty_box = ref false in
   for v = 0 to nv - 1 do
     let lo, hi = Lp.bounds lp v in
@@ -347,12 +388,11 @@ let make_state lp =
   done;
   if !empty_box then None
   else begin
-    let b = Array.make m 0. in
     (* slack of row i is variable nv+i with sign fixed by the relation
        (lob/upb start at 0, so Eq slacks are already pinned) *)
     for i = 0 to m - 1 do
       let _, rel, rhs = Lp.constr lp i in
-      b.(i) <- rhs;
+      s.b.(i) <- rhs;
       let sj = nv + i in
       (match rel with
       | Lp.Le -> upb.(sj) <- infinity
@@ -360,30 +400,20 @@ let make_state lp =
       | Lp.Eq -> ())
     done;
     let maximize, obj = Lp.objective lp in
-    let cost = Array.make ntot 0. in
+    let cost = s.cost in
+    Array.fill cost 0 s.ntot 0.;
     let sign = if maximize then -1. else 1. in
     List.iter (fun (c, v) -> cost.(v) <- cost.(v) +. (sign *. c)) obj;
-    Some
-      {
-        nv;
-        m;
-        ntot;
-        cols = Lp.col_major lp;
-        lob;
-        upb;
-        b;
-        cost;
-        stat = Array.make ntot st_lower;
-        xval = Array.make ntot 0.;
-        basic = Array.make m 0;
-        base = Basis.factorize ~m:0 ~col:(fun _ -> Sparse.empty) [||];
-        pivots = 0;
-        refactors = 0;
-      }
+    s.cols <- Lp.col_major lp;
+    Array.fill s.stat 0 s.ntot st_lower;
+    Array.fill s.xval 0 s.ntot 0.;
+    s.pivots <- 0;
+    s.refactors <- 0;
+    Some s
   end
 
-let solve_basis ?warm lp =
-  match make_state lp with
+let solve_basis ?(ws = workspace ()) ?warm lp =
+  match make_state ws lp with
   | None -> (Infeasible, None)
   | Some s ->
     let _, obj = Lp.objective lp in
@@ -423,8 +453,8 @@ let solve ?warm lp = fst (solve_basis ?warm lp)
    optimises — per unit a nonbasic [j] moves off its bound; branch &
    bound uses this for reduced-cost bound fixing. None when the token
    does not fit the LP or its basis matrix is singular. *)
-let reduced_costs lp (w : basis) =
-  match make_state lp with
+let reduced_costs ?(ws = workspace ()) lp (w : basis) =
+  match make_state ws lp with
   | None -> None
   | Some s ->
     if not (load_warm s w) then None
@@ -432,7 +462,7 @@ let reduced_costs lp (w : basis) =
       match factorize s with
       | exception Basis.Singular -> None
       | () ->
-        let cb = Array.make s.m 0. in
+        let cb = s.y in
         for i = 0 to s.m - 1 do
           cb.(i) <- s.cost.(s.basic.(i))
         done;

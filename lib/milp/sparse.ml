@@ -21,6 +21,8 @@ let of_list entries =
     merged;
   { idx; v }
 
+let unit i = { idx = [| i |]; v = [| 1. |] }
+
 let nnz c = Array.length c.idx
 
 let dot c y =

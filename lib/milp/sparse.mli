@@ -11,6 +11,9 @@ val empty : t
 val of_list : (int * float) list -> t
 (** Merges duplicate indices, drops zero coefficients, sorts by index. *)
 
+val unit : int -> t
+(** [unit i] is the unit column [e_i] (a slack's column). *)
+
 val nnz : t -> int
 
 val dot : t -> float array -> float
