@@ -21,8 +21,8 @@ let milp_at levels = (Core.Flow.with_levels levels Core.Flow.default_config).Cor
 
 let cycle_cap_arg =
   let doc =
-    "Simple-cycle enumeration cap for CFDFC extraction and the certifier (default: the \
-     $(b,REPRO_CYCLE_CAP) environment variable, else 512 for the certifier / 256 for CFDFCs). \
+    "Simple-cycle enumeration cap for CFDFC extraction and the certifier (default: 512 for \
+     the certifier / 256 for CFDFCs). \
      Raise it so a cycle-rich kernel's enumeration is exhaustive and the \
      $(b,perf-cycle-limit-truncated) warning clears; the cost is MILP rows per extra cycle."
   in

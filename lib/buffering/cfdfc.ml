@@ -9,10 +9,7 @@ type t = {
   truncated : bool;
 }
 
-let extract ?cycle_limit g =
-  let cycle_limit =
-    match cycle_limit with Some l -> l | None -> A.cycle_cap ~default:256
-  in
+let extract ?(cycle_limit = 256) g =
   let sccs = A.cyclic_sccs g in
   let back = match G.marked_back_edges g with [] -> A.back_edges g | marked -> marked in
   let all_cycles, truncated = A.simple_cycles_capped ~limit:cycle_limit g in

@@ -19,6 +19,4 @@ type t = {
 }
 
 val extract : ?cycle_limit:int -> Dataflow.Graph.t -> t list
-(** [cycle_limit] defaults to
-    [Dataflow.Analysis.cycle_cap ~default:256], i.e. it honours the
-    [REPRO_CYCLE_CAP] environment variable. *)
+(** [cycle_limit] defaults to 256. *)

@@ -4,8 +4,6 @@ module M = Timing.Model
 
 type config = {
   cp_target : float;
-  alpha : float;
-  beta : float;
   use_penalty : bool;
   node_limit : int;
   time_limit : float;
@@ -14,12 +12,15 @@ type config = {
 let default_config =
   {
     cp_target = 4.2;
-    alpha = 10.;
-    beta = 0.05;
     use_penalty = true;
     node_limit = 20_000;
     time_limit = 120.;
   }
+
+(* the objective weights of Eq. 1 / Eq. 3: throughput first, then the
+   (penalty-weighted) buffer count *)
+let alpha = 10.
+let beta = 0.05
 
 type placement = {
   new_buffers : G.channel_id list;
@@ -140,11 +141,11 @@ let solve ?(cache = Cache.Session.disabled) ?warm cfg g (model : M.t) cfdfcs =
   in
   (* ---- objective (Eq. 1 / Eq. 3) ---- *)
   let obj =
-    List.map (fun th -> (cfg.alpha, th)) thetas
+    List.map (fun th -> (alpha, th)) thetas
     @ (Hashtbl.fold
          (fun c v acc ->
            let pen = if cfg.use_penalty then model.M.penalty.(c) else 0. in
-           (-.cfg.beta *. (1. +. pen), v) :: acc)
+           (-.beta *. (1. +. pen), v) :: acc)
          r_vars [])
   in
   Milp.Lp.set_objective lp ~maximize:true obj;
@@ -213,7 +214,7 @@ let solve ?(cache = Cache.Session.disabled) ?warm cfg g (model : M.t) cfdfcs =
   Hashtbl.iter
     (fun c v ->
       let pen = if cfg.use_penalty then model.M.penalty.(c) else 0. in
-      Hashtbl.replace r_cost v (cfg.beta *. (1. +. pen));
+      Hashtbl.replace r_cost v (beta *. (1. +. pen));
       Hashtbl.replace chan_of_rvar v c)
     r_vars;
   let base_forced =
@@ -243,7 +244,7 @@ let solve ?(cache = Cache.Session.disabled) ?warm cfg g (model : M.t) cfdfcs =
     Hashtbl.fold
       (fun v () acc -> acc -. Hashtbl.find r_cost v)
       forced_vars
-      (cfg.alpha *. thetas)
+      (alpha *. thetas)
   in
   let run_solver () =
     (* temporarily pin every R_c to [choose]'s verdict, solve the

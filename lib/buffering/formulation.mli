@@ -12,7 +12,8 @@
       [Θ <= tokens(C) / (latency(C) + buffers(C))];
     - {b legality}: every enumerated cycle keeps at least one opaque
       buffer (no combinational cycles);
-    - {b objective} (Eq. 3): [max α·ΣΘ − β·Σ R_c·(1 + penalty(c))]; with
+    - {b objective} (Eq. 3): [max α·ΣΘ − β·Σ R_c·(1 + penalty(c))], with
+      the fixed weights α = 10 and β = 0.05; with
       [use_penalty = false] this degenerates to Eq. 1 (the baseline).
 
     Channels already buffered in the graph are fixed at [R_c = 1] (the
@@ -21,8 +22,6 @@
 
 type config = {
   cp_target : float;    (** ns; the paper uses 6 levels x 0.7 = 4.2 *)
-  alpha : float;
-  beta : float;
   use_penalty : bool;
   node_limit : int;     (** branch & bound node budget *)
   time_limit : float;

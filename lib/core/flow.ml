@@ -318,12 +318,11 @@ let iterative ?(config = default_config) ?(session = Session.make ()) input =
   let audit = new_audit () in
   let g0, narrowing = prepare config audit session input in
   let iterations = ref [] in
-  let sorted_buffered g = List.map fst (G.buffered_channels g) |> List.sort compare in
   (* one refinement iteration; the recursion lives in [iterate] below so
      that the per-iteration trace span closes before the next iteration
      opens (a recursive span would nest every iteration under the
      previous one) *)
-  let step it fixed prev =
+  let step it fixed warm =
     (* cooperative cancellation: a served request is abandoned at
        iteration boundaries (and again right before the MILP), never
        mid-solve *)
@@ -331,21 +330,10 @@ let iterative ?(config = default_config) ?(session = Session.make ()) input =
     Session.status session (Printf.sprintf "iteration %d" it);
     (* the working circuit for this iteration: base + fixed buffers *)
     let g = apply_buffers g0 fixed in
-    (* When the previous iteration kept every proposed buffer, this
-       iteration's circuit is exactly the candidate it already
-       synthesised — reuse that netlist and mapping instead of running
-       synth+map again (independent of the on-disk cache). *)
-    let net, lg =
-      match prev with
-      | Some (prev_buffered, prev_net, prev_lg, _) when sorted_buffered g = prev_buffered ->
-        Trace.add "flow.synthmap.reused" 1;
-        (prev_net, prev_lg)
-      | _ -> synth_map ~session config g
-    in
+    let net, lg = synth_map ~session config g in
     run_gate audit ~stage:"netlist" (fun () -> Lint.Engine.check_netlist g net);
     (* every iteration's netlist/AIG/cover triple is validated, whether
-       it came from a fresh synthesis, the previous iteration's reuse
-       path, or a warm artifact-cache hit *)
+       it came from a fresh synthesis or a warm artifact-cache hit *)
     tv_gate config audit ~stage:"tv" net lg;
     let lut_extra = if config.routing_aware then routing_extra net lg else fun _ -> 0. in
     let tg, model =
@@ -357,7 +345,6 @@ let iterative ?(config = default_config) ?(session = Session.make ()) input =
     (* the previous iteration's placement seeds this iteration's MILP
        incumbent (once the flow converges the seed is already optimal
        and branch & bound terminates on the certified bound) *)
-    let warm = Option.map (fun (_, _, _, w) -> w) prev in
     let placement, candidate, cert, phi =
       solve_and_audit ~name:"Flow.iterative" audit session ?warm milp g model cfdfcs
     in
@@ -382,17 +369,12 @@ let iterative ?(config = default_config) ?(session = Session.make ()) input =
            ~cert candidate final)
     else
       `Continue
-        ( List.sort_uniq compare (fixed @ kept),
-          Some
-            ( sorted_buffered candidate,
-              cand_net,
-              cand_lg,
-              placement.Buffering.Formulation.all_buffered ) )
+        (List.sort_uniq compare (fixed @ kept), Some placement.Buffering.Formulation.all_buffered)
   in
-  let rec iterate it fixed prev =
-    match Trace.with_span "flow:iteration" (fun () -> step it fixed prev) with
+  let rec iterate it fixed warm =
+    match Trace.with_span "flow:iteration" (fun () -> step it fixed warm) with
     | `Done outcome -> outcome
-    | `Continue (fixed', prev') -> iterate (it + 1) fixed' prev'
+    | `Continue (fixed', warm') -> iterate (it + 1) fixed' warm'
   in
   iterate 1 [] None
 

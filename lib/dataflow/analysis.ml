@@ -1,6 +1,7 @@
 let succ_units g u = List.map snd (Graph.succs g u)
 
-(* Tarjan's algorithm, iterative to survive deep graphs. *)
+(* Tarjan's algorithm (recursive: the DFS depth is bounded by the unit
+   count). *)
 let sccs g =
   let n = Graph.n_units g in
   let index = Array.make n (-1) in
@@ -101,20 +102,7 @@ let topo_order g =
   done;
   List.rev !order
 
-(* The enumeration cap is configurable process-wide through the
-   REPRO_CYCLE_CAP environment variable (the `--cycle-cap` CLI flag
-   sets an explicit [limit] instead); the hard-coded defaults only apply
-   when neither is given. *)
-let cycle_cap ~default =
-  match Sys.getenv_opt "REPRO_CYCLE_CAP" with
-  | None -> default
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some v when v >= 1 -> v
-    | Some _ | None -> default)
-
-let simple_cycles_capped ?limit g =
-  let limit = match limit with Some l -> l | None -> cycle_cap ~default:512 in
+let simple_cycles_capped ?(limit = 512) g =
   let n = Graph.n_units g in
   let cycles = ref [] in
   let count = ref 0 in
@@ -163,49 +151,3 @@ let simple_cycles_capped ?limit g =
      done
    with Done -> truncated := true);
   (List.rev !cycles, !truncated)
-
-let simple_cycles ?limit g = fst (simple_cycles_capped ?limit g)
-
-let shortest_path g ~src ~dst =
-  if src = dst then Some []
-  else begin
-    let n = Graph.n_units g in
-    let prev = Array.make n None in
-    let seen = Array.make n false in
-    seen.(src) <- true;
-    let queue = Queue.create () in
-    Queue.add src queue;
-    let found = ref false in
-    while (not !found) && not (Queue.is_empty queue) do
-      let u = Queue.pop queue in
-      List.iter
-        (fun (cid, w) ->
-          if (not seen.(w)) && not !found then begin
-            seen.(w) <- true;
-            prev.(w) <- Some (cid, u);
-            if w = dst then found := true else Queue.add w queue
-          end)
-        (Graph.succs g u)
-    done;
-    if not !found then None
-    else begin
-      let rec rebuild v acc =
-        match prev.(v) with
-        | None -> acc
-        | Some (cid, u) -> rebuild u (cid :: acc)
-      in
-      Some (rebuild dst [])
-    end
-  end
-
-let reachable g u =
-  let n = Graph.n_units g in
-  let seen = Array.make n false in
-  let rec dfs v =
-    if not seen.(v) then begin
-      seen.(v) <- true;
-      List.iter dfs (succ_units g v)
-    end
-  in
-  dfs u;
-  seen

@@ -1,7 +1,6 @@
 (** Structural analyses over dataflow graphs: strongly connected
-    components, cycle enumeration, back-edge detection, and the
-    fewest-units path query used by the LUT-edge mapper (§IV-A of the
-    paper). *)
+    components, cycle enumeration, back-edge detection and a topological
+    order. *)
 
 val sccs : Graph.t -> Graph.unit_id list list
 (** Tarjan strongly connected components; components in reverse
@@ -15,33 +14,12 @@ val back_edges : Graph.t -> Graph.channel_id list
 (** Channels whose removal breaks all cycles (DFS back edges from the
     entry units). These are where the flow seeds its initial buffers. *)
 
-val cycle_cap : default:int -> int
-(** The simple-cycle enumeration cap: the [REPRO_CYCLE_CAP] environment
-    variable when set to a positive integer, [default] otherwise. Every
-    enumeration that is not given an explicit [limit] (here and in
-    CFDFC extraction) resolves its cap through this, so one environment
-    variable retunes the whole flow. *)
-
-val simple_cycles : ?limit:int -> Graph.t -> Graph.channel_id list list
-(** Johnson-style enumeration of simple cycles, each as a channel list,
-    capped at [limit] (default [cycle_cap ~default:512]) cycles to stay
-    tractable. Truncation is silent; callers that must know whether the
-    enumeration was exhaustive use {!simple_cycles_capped}. *)
-
 val simple_cycles_capped : ?limit:int -> Graph.t -> Graph.channel_id list list * bool
-(** Like {!simple_cycles}, plus a flag that is [true] when the [limit]
-    cap stopped the enumeration — i.e. the returned list may be missing
-    cycles. The flag is conservative: a graph with exactly [limit]
-    simple cycles also reports [true]. *)
-
-val shortest_path : Graph.t -> src:Graph.unit_id -> dst:Graph.unit_id -> Graph.channel_id list option
-(** BFS path with the fewest units from [src] to [dst], as the channel
-    sequence; [None] if unreachable. A [src = dst] query returns [Some []].
-    This implements the paper's "DFG path with fewer dataflow units" rule
-    for ambiguous LUT edges. *)
-
-val reachable : Graph.t -> Graph.unit_id -> bool array
-(** Forward reachability from a unit. *)
+(** Johnson-style enumeration of simple cycles, each as a channel list,
+    capped at [limit] (default 512) cycles to stay tractable, plus a flag
+    that is [true] when the cap stopped the enumeration — i.e. the
+    returned list may be missing cycles. The flag is conservative: a
+    graph with exactly [limit] simple cycles also reports [true]. *)
 
 val topo_order : Graph.t -> Graph.unit_id list
 (** Topological order ignoring back edges (i.e., of the DAG obtained by

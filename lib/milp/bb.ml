@@ -66,10 +66,6 @@ end
    slower, not wrong *)
 let warm_heap_cap = 4096
 
-(* MILP_BB_DEBUG=1 prints search progress (nodes, incumbent, best open
-   bound) to stderr every 1000 nodes *)
-let debug = Sys.getenv_opt "MILP_BB_DEBUG" <> None
-
 let solve ?(node_limit = 50_000) ?(eps = 1e-6) ?(time_limit = 120.) ?initial ?warm
     ?cert_bound lp =
   Support.Trace.with_span ~cat:"milp" "milp:bb" @@ fun () ->
@@ -86,13 +82,6 @@ let solve ?(node_limit = 50_000) ?(eps = 1e-6) ?(time_limit = 120.) ?initial ?wa
   let restore () =
     Array.iteri (fun v (lo, hi) -> Lp.set_bounds lp v ~lo ~hi) original_bounds
   in
-  (* reduced-cost bound fixing: once an incumbent is known, an integer
-     variable nonbasic at a root-LP bound whose reduced cost exceeds the
-     primal-dual gap cannot move off that bound in any improving
-     solution, so every node's box pins it there. The incumbent itself
-     is kept outside these boxes, so only the search is narrowed. *)
-  let rc_fix : float option array = Array.make nv None in
-  let rc_fixed = ref 0 in
   let apply_fixes fixes =
     restore ();
     (* a node's box is the intersection of all its fixes: the same
@@ -104,15 +93,7 @@ let solve ?(node_limit = 50_000) ?(eps = 1e-6) ?(time_limit = 120.) ?initial ?wa
       (fun (v, lo, hi) ->
         let cur_lo, cur_hi = Lp.bounds lp v in
         Lp.set_bounds lp v ~lo:(max lo cur_lo) ~hi:(min hi cur_hi))
-      fixes;
-    Array.iteri
-      (fun v fix ->
-        match fix with
-        | None -> ()
-        | Some value ->
-          let cur_lo, cur_hi = Lp.bounds lp v in
-          Lp.set_bounds lp v ~lo:(Float.max cur_lo value) ~hi:(Float.min cur_hi value))
-      rc_fix
+      fixes
   in
   let frac x = abs_float (x -. Float.round x) in
   let most_fractional x =
@@ -173,33 +154,6 @@ let solve ?(node_limit = 50_000) ?(eps = 1e-6) ?(time_limit = 120.) ?initial ?wa
     | Simplex.Infeasible -> Infeasible
     | Simplex.Unbounded -> Unbounded
     | Simplex.Optimal { obj; x } -> (
-      let root_x = Array.copy x in
-      let root_bound_s = sense *. obj in
-      let rc =
-        match root_basis with Some bs -> Simplex.reduced_costs ~ws lp bs | None -> None
-      in
-      let refresh_rc_fixes () =
-        match (rc, !incumbent) with
-        | Some rc, Some (bo, _) ->
-          let gap = root_bound_s -. (sense *. bo) in
-          List.iter
-            (fun j ->
-              if rc_fix.(j) = None then begin
-                let lo, hi = original_bounds.(j) in
-                if lo < hi && abs_float rc.(j) >= gap -. 1e-9 then
-                  if abs_float (root_x.(j) -. lo) <= 1e-6 && rc.(j) > 0. then begin
-                    rc_fix.(j) <- Some lo;
-                    incr rc_fixed
-                  end
-                  else if abs_float (root_x.(j) -. hi) <= 1e-6 && rc.(j) < 0. then begin
-                    rc_fix.(j) <- Some hi;
-                    incr rc_fixed
-                  end
-              end)
-            int_vars
-        | _ -> ()
-      in
-      refresh_rc_fixes ();
       (* root diving heuristic: walk down from the root relaxation fixing
          the most fractional variable to its nearest integer and
          re-solving warm; if that side is infeasible (or no longer beats
@@ -216,10 +170,7 @@ let solve ?(node_limit = 50_000) ?(eps = 1e-6) ?(time_limit = 120.) ?initial ?wa
           match most_fractional x with
           | None ->
             let o = Lp.eval_expr obj_terms x in
-            if better o then begin
-              incumbent := Some (o, Array.copy x);
-              refresh_rc_fixes ()
-            end
+            if better o then incumbent := Some (o, Array.copy x)
           | Some (v, _) when not (deadline_hit ()) ->
             let r = Float.round x.(v) in
             let try_fix value k =
@@ -235,7 +186,7 @@ let solve ?(node_limit = 50_000) ?(eps = 1e-6) ?(time_limit = 120.) ?initial ?wa
                   try_fix other (fun () -> ()))
           | Some _ -> ()
         in
-        go [] root_basis root_x
+        go [] root_basis x
       in
       (match most_fractional x with
       | None -> incumbent := Some (obj, x)
@@ -261,13 +212,6 @@ let solve ?(node_limit = 50_000) ?(eps = 1e-6) ?(time_limit = 120.) ?initial ?wa
           end
           else begin
             incr nodes;
-            if debug && !nodes mod 1000 = 0 then
-              Printf.eprintf "[bb] nodes=%d heap=%d incumbent=%s top_bound=%.9g\n%!"
-                !nodes heap.Heap.len
-                (match !incumbent with
-                | Some (bo, _) -> Printf.sprintf "%.9g" bo
-                | None -> "none")
-                (sense *. nd.bound);
             (* prune against incumbent: the certifier's LP-free ceiling
                for this subtree (computed once, when the node was
                pushed), then the parent LP bound *)
@@ -288,7 +232,6 @@ let solve ?(node_limit = 50_000) ?(eps = 1e-6) ?(time_limit = 120.) ?initial ?wa
                   match most_fractional x with
                   | None ->
                     incumbent := Some (obj, Array.copy x);
-                    refresh_rc_fixes ();
                     if cert_optimal () then continue := false
                   | Some (v, _) ->
                     (* simple-rounding primal heuristic: the node box is
@@ -302,7 +245,6 @@ let solve ?(node_limit = 50_000) ?(eps = 1e-6) ?(time_limit = 120.) ?initial ?wa
                     let obj_r = Lp.eval_expr obj_terms xr in
                     if better obj_r && Lp.feasible lp xr then begin
                       incumbent := Some (obj_r, xr);
-                      refresh_rc_fixes ();
                       if cert_optimal () then continue := false
                     end;
                     let lo, hi = original_bounds.(v) in
@@ -343,6 +285,5 @@ let solve ?(node_limit = 50_000) ?(eps = 1e-6) ?(time_limit = 120.) ?initial ?wa
   Support.Trace.add "milp.bb.nodes" !nodes;
   Support.Trace.add "milp.lp.relaxations" !relaxations;
   Support.Trace.add "milp.bb.fathomed_by_cert" !fathomed_by_cert;
-  Support.Trace.add "milp.bb.rc_fixed" !rc_fixed;
   restore ();
   result

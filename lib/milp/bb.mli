@@ -7,15 +7,12 @@
     of pivots rather than a cold two-phase run). An optional LP-free
     certified bound fathoms subtrees without solving their relaxations
     and stops the search as soon as the incumbent provably matches the
-    certified optimum. Root reduced-cost fixing pins integer variables
-    whose reduced cost exceeds the primal-dual gap, and two primal
-    heuristics (a warm-started root dive and per-node simple rounding)
-    find strong incumbents long before best-first order would reach an
-    integral vertex.
+    certified optimum. Two primal heuristics (a warm-started root dive
+    and per-node simple rounding) find strong incumbents long before
+    best-first order would reach an integral vertex.
 
-    Emits [milp.bb.nodes], [milp.lp.relaxations],
-    [milp.bb.fathomed_by_cert] and [milp.bb.rc_fixed]
-    {!Support.Trace} counters. *)
+    Emits [milp.bb.nodes], [milp.lp.relaxations] and
+    [milp.bb.fathomed_by_cert] {!Support.Trace} counters. *)
 
 type result =
   | Optimal of { obj : float; x : float array; proved_optimal : bool; nodes : int }

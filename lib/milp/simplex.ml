@@ -446,26 +446,3 @@ let solve_basis ?(ws = workspace ()) ?warm lp =
     (result, Some (snapshot s))
 
 let solve ?warm lp = fst (solve_basis ?warm lp)
-
-(* Reduced costs (internal minimisation sense) of the structural
-   variables at the given basis. At an optimal basis, [abs rc.(j)]
-   lower-bounds the objective degradation — in whichever sense the LP
-   optimises — per unit a nonbasic [j] moves off its bound; branch &
-   bound uses this for reduced-cost bound fixing. None when the token
-   does not fit the LP or its basis matrix is singular. *)
-let reduced_costs ?(ws = workspace ()) lp (w : basis) =
-  match make_state ws lp with
-  | None -> None
-  | Some s ->
-    if not (load_warm s w) then None
-    else begin
-      match factorize s with
-      | exception Basis.Singular -> None
-      | () ->
-        let cb = s.y in
-        for i = 0 to s.m - 1 do
-          cb.(i) <- s.cost.(s.basic.(i))
-        done;
-        Basis.btran s.base cb;
-        Some (Array.init s.nv (fun j -> s.cost.(j) -. col_dot s j cb))
-    end

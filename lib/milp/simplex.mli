@@ -56,12 +56,3 @@ val solve_basis : ?ws:workspace -> ?warm:basis -> Lp.t -> result * basis option
     returning the final basis for warm-starting subsequent solves
     ([None] when the solve never built a factorisation, e.g. an empty
     variable box). *)
-
-val reduced_costs : ?ws:workspace -> Lp.t -> basis -> float array option
-(** Reduced costs of the structural variables at the given basis, in
-    the internal minimisation sense: at an optimal basis,
-    [abs rc.(j)] lower-bounds the objective degradation — in whichever
-    sense the LP optimises — per unit that a nonbasic [j] moves away
-    from its bound. {!Bb} uses this for reduced-cost bound fixing of
-    integer variables. [None] when the token does not fit the model or
-    selects a singular basis. *)

@@ -368,11 +368,7 @@ let test_workspace_reuse () =
       let lo, hi = Lp.bounds lp v in
       Lp.set_bounds lp v ~lo:(Float.max lo (-1.)) ~hi:(Float.min hi 1.);
       same_result (what ^ " warm") (Simplex.solve ~warm:b lp)
-        (fst (Simplex.solve_basis ~ws ~warm:b' lp));
-      (match (Simplex.reduced_costs lp b, Simplex.reduced_costs ~ws lp b') with
-      | Some r, Some r' when bits_equal r r' -> ()
-      | None, None -> ()
-      | _ -> Alcotest.failf "%s: reused workspace changed the reduced costs" what)
+        (fst (Simplex.solve_basis ~ws ~warm:b' lp))
     | None, None -> ()
     | _ -> Alcotest.failf "%s: reused workspace changed the basis" what
   done

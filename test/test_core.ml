@@ -209,6 +209,25 @@ let test_report_csv () =
   check Alcotest.bool "header columns" true
     (List.hd lines = "bench,flow,cp_ns,cycles,exec_ns,luts,ffs,levels,buffers,iterations,met_target,value_ok")
 
+(* perfbench's four compile tasks at its fixed budget (200 nodes, the
+   wall lifted so only the node budget binds): their outcome digests are
+   a function of the code alone, so a change that claims to be
+   byte-identical must leave all four where they are *)
+let test_perfbench_digests () =
+  List.iter
+    (fun (kernel, flavor, expected) ->
+      let session = Core.Session.make ~milp_nodes:200 ~milp_budget_s:1e9 () in
+      let o = Core.Flow.run ~session flavor (Hls.Kernels.graph (Hls.Kernels.by_name kernel)) in
+      check Alcotest.string
+        (kernel ^ " " ^ Core.Flow.flavor_name flavor)
+        expected (Serve.Protocol.outcome_digest o))
+    [
+      ("gsum", `Iterative, "9d14bb97d51ac47eba112d9434d32dfef87142580d8fe1fe97cfb117b5015813");
+      ("gsum", `Baseline, "444b0d63e94011ab723f164c26133577013ba356b00fa0def6a66e86c21eefc4");
+      ("gsumif", `Iterative, "b19fa36211553741d1b7a62338c9a1b6bea7aea5f65085efd377ebd595edd55e");
+      ("gsumif", `Baseline, "f3d52a3d83b59c21682e4d4e1d78e4854afa8b6f48b8e0171a9fb285d5f778a4");
+    ]
+
 let suite =
   [
     ("seed back edges", `Quick, test_seed_back_edges);
@@ -224,4 +243,5 @@ let suite =
     ("report pct", `Quick, test_report_pct);
     ("report renders", `Quick, test_report_renders);
     ("report csv", `Quick, test_report_csv);
+    ("perfbench task digests", `Quick, test_perfbench_digests);
   ]

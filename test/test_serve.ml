@@ -574,8 +574,6 @@ let test_completion_key_covers_config () =
       ("tv_exact", { base with Core.Flow.tv_exact = true });
       ("narrow", { base with Core.Flow.narrow = false });
       ("milp.cp_target", milp (fun m -> { m with Buffering.Formulation.cp_target = 3.5 }));
-      ("milp.alpha", milp (fun m -> { m with Buffering.Formulation.alpha = 1. }));
-      ("milp.beta", milp (fun m -> { m with Buffering.Formulation.beta = 1. }));
       ("milp.use_penalty", milp (fun m -> { m with Buffering.Formulation.use_penalty = false }));
       ("milp.node_limit", milp (fun m -> { m with Buffering.Formulation.node_limit = 7 }));
       ("milp.time_limit", milp (fun m -> { m with Buffering.Formulation.time_limit = 7. }));

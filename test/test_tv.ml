@@ -194,23 +194,7 @@ let test_flow_stages () =
     [ "tv"; "tv-buffer"; "final-dfg" ]
 
 (* ------------------------------------------------------------------ *)
-(* The configurable simple-cycle cap (satellite: --cycle-cap /
-   REPRO_CYCLE_CAP). *)
-
-let test_cycle_cap_env () =
-  let with_env v f =
-    Unix.putenv "REPRO_CYCLE_CAP" v;
-    Fun.protect ~finally:(fun () -> Unix.putenv "REPRO_CYCLE_CAP" "") f
-  in
-  with_env "64" (fun () ->
-      check Alcotest.int "valid value wins" 64 (Dataflow.Analysis.cycle_cap ~default:512));
-  with_env " 128 " (fun () ->
-      check Alcotest.int "whitespace tolerated" 128 (Dataflow.Analysis.cycle_cap ~default:512));
-  with_env "garbage" (fun () ->
-      check Alcotest.int "garbage falls back" 512 (Dataflow.Analysis.cycle_cap ~default:512));
-  with_env "0" (fun () ->
-      check Alcotest.int "non-positive falls back" 512 (Dataflow.Analysis.cycle_cap ~default:512));
-  check Alcotest.int "unset falls back" 512 (Dataflow.Analysis.cycle_cap ~default:512)
+(* The simple-cycle cap ([--cycle-cap]). *)
 
 let test_cycle_cap_truncation () =
   let g, _ = Fixtures.loop ~buffered:true () in
@@ -237,6 +221,5 @@ let suite =
       test_tamper_slots_detected;
     Alcotest.test_case "allowed selection is a refinement" `Quick test_refinement_allows_selection;
     Alcotest.test_case "flow audits include the tv gates" `Quick test_flow_stages;
-    Alcotest.test_case "REPRO_CYCLE_CAP parsing" `Quick test_cycle_cap_env;
     Alcotest.test_case "cycle cap truncation flag" `Quick test_cycle_cap_truncation;
   ]
