@@ -53,11 +53,10 @@ let banner title =
 type run = { session : Core.Session.t; jobs : int; rows : Core.Experiment.row list Lazy.t }
 
 let table_rows ~session ~jobs ~kernels ~narrow =
-  Printf.eprintf "[bench] running %d kernels x 2 flavors, jobs=%d\n%!"
-    (List.length (Option.value kernels ~default:Hls.Kernels.all))
-    jobs;
+  let kernels = Option.value kernels ~default:Hls.Kernels.all in
+  Printf.eprintf "[bench] running %d kernels x 2 flavors, jobs=%d\n%!" (List.length kernels) jobs;
   let config = { Core.Flow.default_config with Core.Flow.narrow } in
-  let r, timings, wall = Core.Experiment.run_all_timed ~config ~session ~jobs ?kernels () in
+  let r, timings, wall = Core.Experiment.run_all ~config ~session ~jobs kernels in
   List.iter
     (fun t ->
       Printf.eprintf "[bench]   %-15s %-9s %8.2fs\n%!" t.Core.Experiment.t_bench

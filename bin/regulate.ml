@@ -67,23 +67,7 @@ let with_out_file path f =
   | v -> Ok v
   | exception Sys_error msg -> Error (`Msg msg)
 
-(* The --json mode of the per-kernel commands: [f emit] prints each row
-   as soon as it is produced (a big kernel's row is not held back by the
-   next one), and the array is closed even when [f] raises, so a machine
-   consumer always receives a complete document. Without --json, [emit]
-   is a no-op and nothing is printed. *)
-let json_rows json f =
-  if not json then f ignore
-  else begin
-    print_string "[";
-    let first = ref true in
-    let emit row =
-      if not !first then print_string ",";
-      first := false;
-      print_string (J.to_string row)
-    in
-    Fun.protect ~finally:(fun () -> print_endline "]") (fun () -> f emit)
-  end
+let kernel_name k = k.Hls.Kernels.name
 
 let json_int i = J.Num (float_of_int i)
 
@@ -442,8 +426,10 @@ let lint_kernel ~levels ~cycle_cap k =
   let cfdfcs = Buffering.Cfdfc.extract ?cycle_limit:cycle_cap g in
   let r_milp, r_perf =
     match Buffering.Formulation.solve milp_cfg g model cfdfcs with
-    | Error msg ->
-      (Lint.Engine.of_diagnostics [ Lint.Milp_rules.solve_failure msg ], Lint.Engine.empty)
+    | Error failure ->
+      ( Lint.Engine.of_diagnostics
+          [ Lint.Milp_rules.solve_failure (Buffering.Formulation.failure_message failure) ],
+        Lint.Engine.empty )
     | Ok p ->
       let r_milp =
         Lint.Engine.check_milp ~cp_target ~buffered:p.Buffering.Formulation.all_buffered model
@@ -464,36 +450,14 @@ let lint_cmd =
   let rules = Arg.(value & flag & info [ "rules" ] ~doc:"Print the rule catalogue and exit.") in
   let run ks json fail_on_warning levels cycle_cap rules jobs =
     if rules then Format.printf "%a" Lint.Engine.pp_catalogue ()
-    else begin
-      (* at --jobs 1 each kernel is linted as its report is printed, so
-         big-kernel MILP solves still stream; wider pools fan the lint
-         runs out and print in submission order, identical output *)
-      let fold_reports f init =
-        if jobs <= 1 then
-          List.fold_left
-            (fun acc k -> f acc k.Hls.Kernels.name (lint_kernel ~levels ~cycle_cap k))
-            init ks
-        else
-          Support.Pool.run ~jobs (fun pool ->
-              ks
-              |> List.map (fun k ->
-                     ( k.Hls.Kernels.name,
-                       Support.Pool.submit pool (fun () -> lint_kernel ~levels ~cycle_cap k) ))
-              |> List.fold_left (fun acc (name, fut) -> f acc name (Support.Pool.await fut)) init)
-      in
-      let failed =
-        json_rows json @@ fun emit ->
-        fold_reports
-          (fun failed name r ->
-            if json then emit (Lint.Engine.report_to_json ~label:name r)
-            else Format.printf "%-15s %a@." name Lint.Engine.pp_report r;
-            Format.print_flush ();
-            flush stdout;
-            failed || (not (Lint.Engine.ok r)) || (fail_on_warning && not (Lint.Engine.clean r)))
-          false
-      in
-      if failed then exit 1
-    end
+    else if
+      Cli.report ~json ~jobs ~label:kernel_name ~check:(lint_kernel ~levels ~cycle_cap)
+        ~to_json:(fun k r -> Lint.Engine.report_to_json ~label:(kernel_name k) r)
+        ~print:(fun k r -> Format.printf "%-15s %a@." (kernel_name k) Lint.Engine.pp_report r)
+        ~failed:(fun r ->
+          (not (Lint.Engine.ok r)) || (fail_on_warning && not (Lint.Engine.clean r)))
+        ks
+    then exit 1
   in
   Cmd.v
     (Cmd.info "lint"
@@ -516,82 +480,73 @@ let absint_kernel k =
   let res = Absint.Analyze.run g in
   let _, report = Absint.Narrow.run res g in
   let lint = Lint.Engine.check_ranges ~result:res g in
-  (g, res, report, lint)
+  let unit_ranges =
+    List.init (Dataflow.Graph.n_units g) (fun uid ->
+        let n = Dataflow.Graph.unit_node g uid in
+        let outs =
+          Array.to_list n.Dataflow.Graph.outs
+          |> List.filter_map (fun c -> c)
+          |> List.map (fun cid ->
+                 Absint.Value.to_string ~width:n.Dataflow.Graph.width (Absint.Analyze.value res cid))
+        in
+        (n, outs))
+  in
+  (g, res, report, lint, unit_ranges)
 
 let absint_cmd =
-  let run ks json =
-    let failed =
-      json_rows json @@ fun emit ->
-      List.fold_left
-        (fun failed k ->
-          let name = k.Hls.Kernels.name in
-          let g, res, report, lint = absint_kernel k in
-          let unit_ranges =
-            List.init (Dataflow.Graph.n_units g) (fun uid ->
-                let n = Dataflow.Graph.unit_node g uid in
-                let outs =
-                  Array.to_list n.Dataflow.Graph.outs
-                  |> List.filter_map (fun c -> c)
-                  |> List.map (fun cid ->
-                         Absint.Value.to_string ~width:n.Dataflow.Graph.width
-                           (Absint.Analyze.value res cid))
-                in
-                (n, outs))
-          in
-          if json then begin
-            let unit_json (n, outs) =
-              J.Obj
-                [
-                  ("uid", json_int n.Dataflow.Graph.uid);
-                  ("kind", J.Str (Dataflow.Unit_kind.name n.Dataflow.Graph.kind));
-                  ("label", J.Str n.Dataflow.Graph.label);
-                  ("width", json_int n.Dataflow.Graph.width);
-                  ("outs", J.Arr (List.map (fun s -> J.Str s) outs));
-                ]
-            in
-            let count l = json_int (List.length l) in
-            emit
-              (J.Obj
-                 [
-                   ("label", J.Str name);
-                   ("diverged", J.Bool res.Absint.Analyze.diverged);
-                   ("evals", json_int res.Absint.Analyze.evals);
-                   ("units", J.Arr (List.map unit_json unit_ranges));
-                   ( "narrowing",
-                     J.Obj
-                       [
-                         ("narrowed", count report.Absint.Narrow.r_narrowed);
-                         ("folded", count report.Absint.Narrow.r_folded);
-                         ("rewired", count report.Absint.Narrow.r_rewired);
-                         ("deleted", count report.Absint.Narrow.r_deleted);
-                         ("bits_before", json_int report.Absint.Narrow.r_bits_before);
-                         ("bits_after", json_int report.Absint.Narrow.r_bits_after);
-                         ("units_before", json_int report.Absint.Narrow.r_units_before);
-                         ("units_after", json_int report.Absint.Narrow.r_units_after);
-                       ] );
-                   ("report", Lint.Engine.report_to_json lint);
-                 ])
-          end
-          else begin
-            Printf.printf "%s: %d units, %d evals%s\n" name (Dataflow.Graph.n_units g)
-              res.Absint.Analyze.evals
-              (if res.Absint.Analyze.diverged then " (DIVERGED: all values top)" else "");
-            List.iter
-              (fun (n, outs) ->
-                if outs <> [] then
-                  Printf.printf "  %3d %-12s %-24s w=%-2d %s\n" n.Dataflow.Graph.uid
-                    (Dataflow.Unit_kind.name n.Dataflow.Graph.kind)
-                    n.Dataflow.Graph.label n.Dataflow.Graph.width (String.concat " " outs))
-              unit_ranges;
-            Format.printf "%a@." Absint.Narrow.pp_report report;
-            Format.printf "%a@." Lint.Engine.pp_report lint
-          end;
-          Format.print_flush ();
-          flush stdout;
-          failed || not (Lint.Engine.ok lint))
-        false ks
+  let to_json k (_, res, report, lint, unit_ranges) =
+    let unit_json (n, outs) =
+      J.Obj
+        [
+          ("uid", json_int n.Dataflow.Graph.uid);
+          ("kind", J.Str (Dataflow.Unit_kind.name n.Dataflow.Graph.kind));
+          ("label", J.Str n.Dataflow.Graph.label);
+          ("width", json_int n.Dataflow.Graph.width);
+          ("outs", J.Arr (List.map (fun s -> J.Str s) outs));
+        ]
     in
-    if failed then exit 1
+    let count l = json_int (List.length l) in
+    J.Obj
+      [
+        ("label", J.Str (kernel_name k));
+        ("diverged", J.Bool res.Absint.Analyze.diverged);
+        ("evals", json_int res.Absint.Analyze.evals);
+        ("units", J.Arr (List.map unit_json unit_ranges));
+        ( "narrowing",
+          J.Obj
+            [
+              ("narrowed", count report.Absint.Narrow.r_narrowed);
+              ("folded", count report.Absint.Narrow.r_folded);
+              ("rewired", count report.Absint.Narrow.r_rewired);
+              ("deleted", count report.Absint.Narrow.r_deleted);
+              ("bits_before", json_int report.Absint.Narrow.r_bits_before);
+              ("bits_after", json_int report.Absint.Narrow.r_bits_after);
+              ("units_before", json_int report.Absint.Narrow.r_units_before);
+              ("units_after", json_int report.Absint.Narrow.r_units_after);
+            ] );
+        ("report", Lint.Engine.report_to_json lint);
+      ]
+  in
+  let print k (g, res, report, lint, unit_ranges) =
+    Printf.printf "%s: %d units, %d evals%s\n" (kernel_name k) (Dataflow.Graph.n_units g)
+      res.Absint.Analyze.evals
+      (if res.Absint.Analyze.diverged then " (DIVERGED: all values top)" else "");
+    List.iter
+      (fun (n, outs) ->
+        if outs <> [] then
+          Printf.printf "  %3d %-12s %-24s w=%-2d %s\n" n.Dataflow.Graph.uid
+            (Dataflow.Unit_kind.name n.Dataflow.Graph.kind)
+            n.Dataflow.Graph.label n.Dataflow.Graph.width (String.concat " " outs))
+      unit_ranges;
+    Format.printf "%a@." Absint.Narrow.pp_report report;
+    Format.printf "%a@." Lint.Engine.pp_report lint
+  in
+  let run ks json =
+    if
+      Cli.report ~json ~jobs:1 ~label:kernel_name ~check:absint_kernel ~to_json ~print
+        ~failed:(fun (_, _, _, lint, _) -> not (Lint.Engine.ok lint))
+        ks
+    then exit 1
   in
   Cmd.v
     (Cmd.info "absint"
@@ -623,8 +578,10 @@ let verify_kernel ~levels ~milp ~cycle_cap ~cache k =
     let cfdfcs = Buffering.Cfdfc.extract ?cycle_limit:cycle_cap g in
     let cfg = { (milp_at levels) with Buffering.Formulation.use_penalty = false } in
     match Buffering.Formulation.solve ~cache cfg g model cfdfcs with
-    | Error msg ->
-      (Analysis.Certify.certify g, Lint.Engine.of_diagnostics [ Lint.Milp_rules.solve_failure msg ])
+    | Error failure ->
+      ( Analysis.Certify.certify g,
+        Lint.Engine.of_diagnostics
+          [ Lint.Milp_rules.solve_failure (Buffering.Formulation.failure_message failure) ] )
     | Ok p ->
       let _, cert, r = Core.Flow.audit_placement ~cfdfcs p g in
       (cert, r)
@@ -642,46 +599,31 @@ let verify_cmd =
   let fail_on_warning =
     Arg.(value & flag & info [ "fail-on-warning" ] ~doc:"Exit non-zero on warnings too.")
   in
+  let to_json k (cert, r) =
+    J.Obj
+      [
+        ("label", J.Str (kernel_name k));
+        ("certificate", Analysis.Certify.to_json cert);
+        ("report", Lint.Engine.report_to_json r);
+      ]
+  in
+  let print k (cert, r) =
+    Format.printf "%-15s %a (Howard/Karp %s)@." (kernel_name k) Analysis.Certify.pp cert
+      (if Analysis.Certify.karp_agrees cert then "agree" else "DISAGREE");
+    if r.Lint.Engine.diagnostics <> [] then Format.printf "  %a@." Lint.Engine.pp_report r
+  in
   let run ks json milp fail_on_warning levels cycle_cap trace cache_dir =
-    (* Machine consumers must always receive the complete JSON document:
-       a kernel whose certification throws is recorded as an error entry
-       and the array is still closed before the non-zero exit, which
-       itself happens only after the trace sink (if any) is written. *)
+    (* a kernel whose certification throws is an error row; the non-zero
+       exit happens only after the trace sink (if any) is written *)
     let body cache () =
-      json_rows json @@ fun emit ->
-      List.fold_left
-        (fun failed k ->
-          let name = k.Hls.Kernels.name in
-          match verify_kernel ~levels ~milp ~cycle_cap ~cache k with
-          | cert, r ->
-            if json then
-              emit
-                (J.Obj
-                   [
-                     ("label", J.Str name);
-                     ("certificate", Analysis.Certify.to_json cert);
-                     ("report", Lint.Engine.report_to_json r);
-                   ])
-            else begin
-              Format.printf "%-15s %a (Howard/Karp %s)@." name Analysis.Certify.pp cert
-                (if Analysis.Certify.karp_agrees cert then "agree" else "DISAGREE");
-              if r.Lint.Engine.diagnostics <> [] then
-                Format.printf "  %a@." Lint.Engine.pp_report r
-            end;
-            Format.print_flush ();
-            flush stdout;
-            failed
-            || (not (Lint.Engine.ok r))
-            || (fail_on_warning && not (Lint.Engine.clean r))
-            || not (Analysis.Certify.karp_agrees cert)
-          | exception e ->
-            let msg = Printexc.to_string e in
-            if json then emit (J.Obj [ ("label", J.Str name); ("error", J.Str msg) ])
-            else Format.printf "%-15s ERROR: %s@." name msg;
-            Format.print_flush ();
-            flush stdout;
-            true)
-        false ks
+      Cli.report ~json ~jobs:1 ~label:kernel_name
+        ~check:(verify_kernel ~levels ~milp ~cycle_cap ~cache)
+        ~to_json ~print
+        ~failed:(fun (cert, r) ->
+          (not (Lint.Engine.ok r))
+          || (fail_on_warning && not (Lint.Engine.clean r))
+          || not (Analysis.Certify.karp_agrees cert))
+        ks
     in
     match
       Cli.with_cache_session cache_dir (fun cache -> Cli.traced ~name:"regulate:verify" trace (body cache))
@@ -718,6 +660,8 @@ let tv_kernel ~levels ~exact ~session flavor k =
       in
       Ok (Lint.Engine.of_diagnostics ds, tv)
     | exception Lint.Engine.Lint_error report -> Error (`Lint report)
+    | exception Core.Flow.Milp_failed (name, failure) ->
+      Error (`Exn (Core.Flow.milp_failed_message name failure))
     | exception e -> Error (`Exn (Printexc.to_string e))
   in
   (res, (Unix.gettimeofday () -. t0) *. 1000.)
@@ -740,6 +684,41 @@ let tv_cmd =
             "Confirm every signature mismatch by scalar replay and exhaustive evaluation of the \
              offending LUT cone.")
   in
+  let ok = function Ok (r, _) -> Lint.Engine.ok r | Error _ -> false in
+  let to_json (k, fl) (res, ms) =
+    let fields =
+      match res with
+      | Ok (r, tv) ->
+        [
+          ("luts", json_int tv.Tv.Equiv.luts_checked);
+          ("cos", json_int tv.Tv.Equiv.cos_checked);
+          ("vectors", json_int tv.Tv.Equiv.vectors);
+          ("signature", J.Str (Tv.Equiv.signature_hex tv));
+          ("report", Lint.Engine.report_to_json r);
+        ]
+      | Error (`Lint r) -> [ ("report", Lint.Engine.report_to_json r) ]
+      | Error (`Exn msg) -> [ ("error", J.Str msg) ]
+    in
+    J.Obj
+      (("label", J.Str (kernel_name k))
+      :: ("flavor", J.Str (Core.Flow.flavor_name fl))
+      :: ("ok", J.Bool (ok res))
+      :: ("wall_ms", J.Num ms) :: fields)
+  in
+  let print (k, fl) (res, ms) =
+    let name = kernel_name k and fn = Core.Flow.flavor_name fl in
+    match res with
+    | Ok (r, tv) ->
+      Printf.printf "%-15s %-9s %s luts=%-5d cos=%-4d vectors=%d sig=%s %7.1f ms\n" name fn
+        (if ok res then "ok  " else "FAIL")
+        tv.Tv.Equiv.luts_checked tv.Tv.Equiv.cos_checked tv.Tv.Equiv.vectors
+        (Tv.Equiv.signature_hex tv) ms;
+      if not (ok res) then Format.printf "  %a@." Lint.Engine.pp_report r
+    | Error (`Lint r) ->
+      Printf.printf "%-15s %-9s FAIL (lint gate) %7.1f ms\n" name fn ms;
+      Format.printf "  %a@." Lint.Engine.pp_report r
+    | Error (`Exn msg) -> Printf.printf "%-15s %-9s ERROR: %s %7.1f ms\n" name fn msg ms
+  in
   let run ks json flavor exact levels jobs trace cache_dir =
     let flavors =
       match flavor with `Both -> List.map snd Core.Flow.flavors | #Core.Flow.flavor as fl -> [ fl ]
@@ -747,53 +726,12 @@ let tv_cmd =
     let tasks = List.concat_map (fun k -> List.map (fun fl -> (k, fl)) flavors) ks in
     let body cache () =
       let session = Core.Session.make ~cache () in
-      let results =
-        Support.Pool.run ~jobs (fun pool ->
-            Support.Pool.map_list pool
-              (fun (k, fl) -> (k, Core.Flow.flavor_name fl, tv_kernel ~levels ~exact ~session fl k))
-              tasks)
-      in
-      json_rows json @@ fun emit ->
-      List.fold_left
-        (fun failed (k, fn, (res, ms)) ->
-          let name = k.Hls.Kernels.name in
-          let ok = match res with Ok (r, _) -> Lint.Engine.ok r | Error _ -> false in
-          if json then begin
-            let fields =
-              match res with
-              | Ok (r, tv) ->
-                [
-                  ("luts", json_int tv.Tv.Equiv.luts_checked);
-                  ("cos", json_int tv.Tv.Equiv.cos_checked);
-                  ("vectors", json_int tv.Tv.Equiv.vectors);
-                  ("signature", J.Str (Tv.Equiv.signature_hex tv));
-                  ("report", Lint.Engine.report_to_json r);
-                ]
-              | Error (`Lint r) -> [ ("report", Lint.Engine.report_to_json r) ]
-              | Error (`Exn msg) -> [ ("error", J.Str msg) ]
-            in
-            emit
-              (J.Obj
-                 (("label", J.Str name) :: ("flavor", J.Str fn) :: ("ok", J.Bool ok)
-                 :: ("wall_ms", J.Num ms) :: fields))
-          end
-          else begin
-            (match res with
-            | Ok (r, tv) ->
-              Printf.printf "%-15s %-9s %s luts=%-5d cos=%-4d vectors=%d sig=%s %7.1f ms\n" name fn
-                (if ok then "ok  " else "FAIL")
-                tv.Tv.Equiv.luts_checked tv.Tv.Equiv.cos_checked tv.Tv.Equiv.vectors
-                (Tv.Equiv.signature_hex tv) ms;
-              if not ok then Format.printf "  %a@." Lint.Engine.pp_report r
-            | Error (`Lint r) ->
-              Printf.printf "%-15s %-9s FAIL (lint gate) %7.1f ms\n" name fn ms;
-              Format.printf "  %a@." Lint.Engine.pp_report r
-            | Error (`Exn msg) -> Printf.printf "%-15s %-9s ERROR: %s %7.1f ms\n" name fn msg ms);
-            Format.print_flush ()
-          end;
-          flush stdout;
-          failed || not ok)
-        false results
+      Cli.report ~json ~jobs
+        ~label:(fun (k, _) -> kernel_name k)
+        ~check:(fun (k, fl) -> tv_kernel ~levels ~exact ~session fl k)
+        ~to_json ~print
+        ~failed:(fun (res, _) -> not (ok res))
+        tasks
     in
     match
       Cli.with_cache_session cache_dir (fun cache -> Cli.traced ~name:"regulate:tv" trace (body cache))
@@ -819,7 +757,7 @@ let compare_cmd =
     Cli.with_cache_session cache_dir @@ fun cache ->
     Cli.traced ~name:"regulate:compare" trace @@ fun () ->
     let session = Core.Session.make ~cache ?milp_nodes ?milp_budget_s () in
-    let rows = Core.Experiment.run_all_parallel ~config ~session ~jobs ~kernels () in
+    let rows, _, _ = Core.Experiment.run_all ~config ~session ~jobs kernels in
     Core.Report.table1 Format.std_formatter rows;
     Format.print_newline ();
     Core.Report.figure5 Format.std_formatter rows;

@@ -83,4 +83,4 @@ let () =
     if List.mem c_shift_add p.Buffering.Formulation.new_buffers then
       print_endline "NOTE: the high-penalty channel was buffered anyway (period left no choice)"
     else print_endline "the high-penalty shift->add channel was spared, as Eq. 3 intends"
-  | Error e -> Printf.printf "MILP: %s\n" e
+  | Error e -> Printf.printf "MILP: %s\n" (Buffering.Formulation.failure_message e)

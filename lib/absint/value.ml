@@ -97,17 +97,6 @@ let widen w ~old ~next =
       reduce w ~lo ~hi ~zeros:n.zeros ~ones:n.ones
   | _ -> j
 
-let leq a b =
-  match (a, b) with
-  | Bot, _ -> true
-  | _, Bot -> false
-  | _, Any -> true
-  | Any, _ -> false
-  | V a, V b ->
-      b.lo <= a.lo && a.hi <= b.hi
-      && b.zeros land lnot a.zeros = 0
-      && b.ones land lnot a.ones = 0
-
 let equal (a : t) (b : t) = a = b
 
 (* A concrete value [v] is a member of the abstraction. *)

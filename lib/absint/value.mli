@@ -37,7 +37,6 @@ val meet : int -> t -> t -> t
 val widen : int -> old:t -> next:t -> t
 (** Accelerated join: interval ends that moved since [old] jump to 0 / max. *)
 
-val leq : t -> t -> bool
 val equal : t -> t -> bool
 
 val mem : int -> int -> t -> bool

@@ -35,6 +35,13 @@ type placement = {
   solution : float array;
 }
 
+type failure = Infeasible | Unbounded | Exhausted
+
+let failure_message = function
+  | Infeasible -> "buffer MILP infeasible"
+  | Unbounded -> "buffer MILP unbounded"
+  | Exhausted -> "buffer MILP node budget exhausted before any feasible placement was found"
+
 let solve ?(cache = Cache.Session.disabled) ?warm cfg g (model : M.t) cfdfcs =
   let lp = Milp.Lp.create (G.name g ^ "_buffering") in
   let cp = cfg.cp_target in
@@ -332,10 +339,9 @@ let solve ?(cache = Cache.Session.disabled) ?warm cfg g (model : M.t) cfdfcs =
     else run_solver ()
   in
   match bb_result with
-  | Milp.Bb.Infeasible -> Error "buffer MILP infeasible"
-  | Milp.Bb.Unbounded -> Error "buffer MILP unbounded"
-  | Milp.Bb.Exhausted ->
-    Error "buffer MILP node budget exhausted before any feasible placement was found"
+  | Milp.Bb.Infeasible -> Error Infeasible
+  | Milp.Bb.Unbounded -> Error Unbounded
+  | Milp.Bb.Exhausted -> Error Exhausted
   | Milp.Bb.Optimal { obj; x; proved_optimal; _ } ->
     let all_buffered =
       Hashtbl.fold (fun c v acc -> if x.(v) > 0.5 then c :: acc else acc) r_vars []

@@ -46,6 +46,16 @@ type placement = {
                               trusting the solver *)
 }
 
+type failure =
+  | Infeasible  (** no placement meets the constraints *)
+  | Unbounded   (** the relaxation is unbounded: a malformed model *)
+  | Exhausted   (** the node or wall budget ran out before any feasible
+                    placement was found *)
+
+val failure_message : failure -> string
+(** The one-line text of a failure, as lint diagnostics, serve errors
+    and the fuzz oracle report it. *)
+
 val solve :
   ?cache:Cache.Session.t ->
   ?warm:Dataflow.Graph.channel_id list ->
@@ -53,7 +63,7 @@ val solve :
   Dataflow.Graph.t ->
   Timing.Model.t ->
   Cfdfc.t list ->
-  (placement, string) result
+  (placement, failure) result
 (** [cache] is the session whose artifact store memoizes the solved
     assignment (default {!Cache.Session.disabled}: solve in place).
     [warm] is the previous flow iteration's [all_buffered] placement: it
@@ -63,4 +73,4 @@ val solve :
     rounding heuristic. The branch & bound additionally fathoms nodes
     against an LP-free certified objective ceiling built from Howard's
     minimum cycle ratio per CFDFC ({!Analysis.Cycle_ratio}), and
-    reports [Bb.Exhausted] budget exhaustion as a distinct error. *)
+    reports [Bb.Exhausted] budget exhaustion as {!Exhausted}. *)

@@ -103,3 +103,47 @@ let no_narrow_arg =
      before synthesis, gated by random-simulation equivalence). See `regulate absint`."
   in
   Arg.(value & flag & info [ "no-narrow" ] ~doc)
+
+module J = Support.Json
+
+(* [f emit] prints each row as soon as it is emitted; the array is
+   closed whichever way [f] returns *)
+let json_rows json f =
+  if not json then f ignore
+  else begin
+    print_string "[";
+    let first = ref true in
+    let emit row =
+      if not !first then print_string ",";
+      first := false;
+      print_string (J.to_string row)
+    in
+    Fun.protect ~finally:(fun () -> print_endline "]") (fun () -> f emit)
+  end
+
+let report ~json ~jobs ~label ~check ~to_json ~print ~failed tasks =
+  json_rows json @@ fun emit ->
+  let show any_failed task result =
+    let bad =
+      match result with
+      | Ok r ->
+        if json then emit (to_json task r) else print task r;
+        failed r
+      | Error e ->
+        let msg = Printexc.to_string e in
+        if json then emit (J.Obj [ ("label", J.Str (label task)); ("error", J.Str msg) ])
+        else Format.printf "%-15s ERROR: %s@." (label task) msg;
+        true
+    in
+    Format.print_flush ();
+    flush stdout;
+    any_failed || bad
+  in
+  let run task = match check task with r -> Ok r | exception e -> Error e in
+  (* at jobs = 1 each task runs just before its row is printed, so a
+     slow task never holds back the rows before it *)
+  if jobs <= 1 then List.fold_left (fun acc task -> show acc task (run task)) false tasks
+  else
+    Support.Pool.run ~jobs (fun pool ->
+        List.map (fun task -> (task, Support.Pool.submit pool (fun () -> run task))) tasks
+        |> List.fold_left (fun acc (task, fut) -> show acc task (Support.Pool.await fut)) false)

@@ -1,7 +1,8 @@
 (** The command-line terms shared by [regulate] and the bench harness:
     kernel resolution, numeric converters, and the jobs, levels, trace,
     cache and narrowing options. Every bad value is a cmdliner usage
-    error (exit 124) naming the option, never an exception. *)
+    error (exit 124) naming the option, never an exception. Also the one
+    driver of the per-kernel report commands. *)
 
 open Cmdliner
 
@@ -55,3 +56,26 @@ val with_cache_session :
 
 val no_narrow_arg : bool Term.t
 (** [--no-narrow]: skip the value-range narrowing stage. *)
+
+(** {1 Per-kernel reports} *)
+
+val report :
+  json:bool ->
+  jobs:int ->
+  label:('task -> string) ->
+  check:('task -> 'r) ->
+  to_json:('task -> 'r -> Support.Json.t) ->
+  print:('task -> 'r -> unit) ->
+  failed:('r -> bool) ->
+  'task list ->
+  bool
+(** [report ... tasks] runs [check] on every task and prints one row per
+    task in submission order: with [json], [to_json] as one element of a
+    JSON array that is closed even when a row raises, so a machine
+    consumer always gets a complete document; else [print]. Stdout is
+    flushed after each row. At [jobs = 1] each task runs just before its
+    row is printed (rows stream); wider runs fan the checks out over a
+    {!Support.Pool} of [jobs] domains and print the same rows. A check
+    that raises prints [{"label": label task, "error": msg}] (text:
+    [label  ERROR: msg]) and counts as failed. Returns whether any task
+    [failed]. *)

@@ -51,20 +51,6 @@ let run_flow ?(config = Flow.default_config) ?session ~flavor kernel =
   let outcome = Flow.run ~config ?session flavor g in
   (measure outcome kernel, outcome)
 
-let run_kernel ?(config = Flow.default_config) kernel =
-  let prev, _ = run_flow ~config ~flavor:`Baseline kernel in
-  let iter, _ = run_flow ~config ~flavor:`Iterative kernel in
-  { bench = kernel.Hls.Kernels.name; prev; iter }
-
-let resolve_kernels ?names ?kernels () =
-  match (kernels, names) with
-  | Some ks, _ -> ks
-  | None, Some ns -> List.map Hls.Kernels.by_name ns
-  | None, None -> Hls.Kernels.all
-
-let run_all ?(config = Flow.default_config) ?names ?kernels () =
-  List.map (run_kernel ~config) (resolve_kernels ?names ?kernels ())
-
 (* ------------------------------------------------------------------ *)
 (* Domain-parallel engine: one task per kernel x flavor. Each task
    compiles its own kernel graph (nothing mutable is shared across
@@ -74,13 +60,7 @@ let run_all ?(config = Flow.default_config) ?names ?kernels () =
 
 type task_timing = { t_bench : string; t_flavor : string; t_seconds : float }
 
-let run_all_timed ?(config = Flow.default_config) ?session ?jobs ?names ?kernels () =
-  let jobs = match jobs with Some j -> j | None -> Support.Pool.default_jobs () in
-  let ks = resolve_kernels ?names ?kernels () in
-  (* rule registration runs at module initialisation, on the main domain;
-     forcing the catalogue here keeps that true even if initialisation
-     order ever changes, so no worker races to register rules *)
-  ignore (Lint.Engine.catalogue ());
+let run_all ?(config = Flow.default_config) ?session ~jobs kernels =
   Trace.with_span ~cat:"experiment" "experiment:run_all" @@ fun () ->
   (* captured before submission: task spans re-root under this span's
      path whichever domain runs them, so the trace nests identically at
@@ -96,7 +76,7 @@ let run_all_timed ?(config = Flow.default_config) ?session ?jobs ?names ?kernels
                   Trace.timed ~cat:"task" label (fun () ->
                       fst (run_flow ~config ?session ~flavor k))))
         in
-        ks
+        kernels
         |> List.map (fun k -> (k, submit k `Baseline, submit k `Iterative))
         |> List.map (fun (k, fb, fi) ->
                let name = k.Hls.Kernels.name in
@@ -111,7 +91,3 @@ let run_all_timed ?(config = Flow.default_config) ?session ?jobs ?names ?kernels
   let rows = List.map fst results in
   let timings = List.concat_map snd results in
   (rows, timings, Unix.gettimeofday () -. wall0)
-
-let run_all_parallel ?config ?session ?jobs ?names ?kernels () =
-  let rows, _, _ = run_all_timed ?config ?session ?jobs ?names ?kernels () in
-  rows

@@ -35,45 +35,25 @@ val run_flow :
     overrides, cancellation, status sink. Without one the flow runs
     uncached on [config]'s budgets. *)
 
-val run_kernel : ?config:Flow.config -> Hls.Kernels.t -> row
-
-val run_all :
-  ?config:Flow.config -> ?names:string list -> ?kernels:Hls.Kernels.t list -> unit -> row list
-(** Runs the paper's nine benchmarks sequentially ([kernels] overrides
-    [names]; default all nine). *)
-
 type task_timing = {
   t_bench : string;
   t_flavor : string;     (** ["baseline"] or ["iterative"] *)
   t_seconds : float;     (** the task's own wall-clock *)
 }
 
-val run_all_timed :
+val run_all :
   ?config:Flow.config ->
   ?session:Session.t ->
-  ?jobs:int ->
-  ?names:string list ->
-  ?kernels:Hls.Kernels.t list ->
-  unit ->
+  jobs:int ->
+  Hls.Kernels.t list ->
   row list * task_timing list * float
-(** Like {!run_all_parallel}, also returning per-task wall-clock timings
-    (in submission order) and the total wall-clock of the whole batch.
-    The sum of task timings approximates the sequential cost, so
-    [sum /. wall] is the realised parallel speedup. Every task runs
+(** The evaluation of [kernels] fanned out over a {!Support.Pool} of
+    [jobs] worker domains: one task per kernel x flavor. Returns one row
+    per kernel, the per-task wall-clock timings (both in submission
+    order) and the wall-clock of the whole batch; the sum of the task
+    timings approximates the sequential cost, so [sum /. wall] is the
+    realised parallel speedup. Every task builds its own kernel graph and
+    RNGs, so the rows are identical — row for row — at any [jobs] width;
+    at [jobs = 1] each task runs in place, in order. Every task runs
     under the one [session] (as in {!run_flow}); its store is
     domain-safe. *)
-
-val run_all_parallel :
-  ?config:Flow.config ->
-  ?session:Session.t ->
-  ?jobs:int ->
-  ?names:string list ->
-  ?kernels:Hls.Kernels.t list ->
-  unit ->
-  row list
-(** The evaluation fanned out over a {!Support.Pool}: one task per
-    kernel x flavor, [jobs] worker domains ([jobs] defaults to
-    {!Support.Pool.default_jobs}, i.e. the [REPRO_JOBS] environment
-    variable or 1). Every task builds its own kernel graph and RNGs, so
-    the returned rows are identical — row for row — to {!run_all} at any
-    [jobs] width; only wall-clock changes. *)

@@ -209,6 +209,11 @@ let prepare config audit session input =
   run_gate audit ~stage:"dfg" (fun () -> Lint.Engine.check_graph g);
   narrow_stage config audit session g
 
+exception Milp_failed of string * Buffering.Formulation.failure
+
+let milp_failed_message name failure =
+  name ^ ": " ^ Buffering.Formulation.failure_message failure
+
 (* Solve and audit: one MILP solve (a cancellation point: it is the
    longest single stage, never interrupted mid-solve), its [milp] gate,
    then the LP-free performance oracle — the candidate placement is
@@ -223,7 +228,7 @@ let solve_and_audit ~name audit session ?warm milp g model cfdfcs =
     Trace.with_span "flow:milp" (fun () ->
         Buffering.Formulation.solve ~cache:session.Session.cache ?warm milp g model cfdfcs)
   with
-  | Error msg -> failwith (name ^ ": " ^ msg)
+  | Error failure -> raise (Milp_failed (name, failure))
   | Ok placement ->
     let open Buffering.Formulation in
     run_gate audit ~stage:"milp" (fun () ->

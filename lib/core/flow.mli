@@ -7,9 +7,10 @@
     + {e prepare}: copy the input, clear its buffers, seed opaque buffers
       on all loop back edges, run the [dfg] gate and the value-range
       narrowing stage;
-    + {e solve and audit}: solve the buffer-placement MILP, run the
-      [milp] gate, then certify the candidate placement (the
-      [tv-buffer] and [perf] gates);
+    + {e solve and audit}: solve the buffer-placement MILP (a solve
+      without a placement raises {!Milp_failed}), run the [milp] gate,
+      then certify the candidate placement (the [tv-buffer] and [perf]
+      gates);
     + {e finish}: translation-validate the final synthesis, run the
       [final-dfg] gate and record the {!outcome}.
 
@@ -142,6 +143,15 @@ val baseline : ?config:config -> ?session:Session.t -> Dataflow.Graph.t -> outco
 val run : ?config:config -> ?session:Session.t -> flavor -> Dataflow.Graph.t -> outcome
 (** [run flavor g] is {!iterative} or {!baseline}: the one place that
     picks between the two. *)
+
+exception Milp_failed of string * Buffering.Formulation.failure
+(** Raised by both flows when a buffer MILP solve returns no placement:
+    the flow's name (["Flow.iterative"] or ["Flow.baseline"]) and the
+    solver's verdict. Callers classify the constructor, never a message. *)
+
+val milp_failed_message : string -> Buffering.Formulation.failure -> string
+(** [milp_failed_message name failure] is the failure's one-line text,
+    e.g. ["Flow.baseline: buffer MILP infeasible"]. *)
 
 val summary : outcome -> string
 (** A canonical, byte-comparable rendering of everything a flow run

@@ -23,14 +23,6 @@ let flow_config =
 
 let sim_config = { Sim.Elastic.default_config with Sim.Elastic.max_cycles = 200_000 }
 
-let is_explained_failure msg =
-  let has sub =
-    let n = String.length sub and m = String.length msg in
-    let rec go i = i + n <= m && (String.sub msg i n = sub || go (i + 1)) in
-    go 0
-  in
-  has "node budget exhausted" || has "budget exhausted" || has "MILP infeasible"
-
 (* The per-SCC steady-state bound equalizes rates only in choice-free
    circuits. A nested loop merges the inner loop into the outer loop's
    SCC, and the inner channels legitimately sustain a higher rate than
@@ -157,9 +149,14 @@ let check_program ?(config = flow_config) ?(session = Core.Session.make ()) ?(mu
       match flow () with
       | exception Lint.Engine.Lint_error rep ->
         fail "lint-gate" (Format.asprintf "%a" Lint.Engine.pp_report rep)
-      | exception Failure msg ->
-        if is_explained_failure msg then explain ~flavor "milp-budget" msg
-        else fail "flow-error" msg
+      | exception Core.Flow.Milp_failed (name, failure) -> (
+        let msg = Core.Flow.milp_failed_message name failure in
+        (* a budget that runs out, or a tiny-budget model without a
+           placement, is a resource limit of the campaign, not a bug *)
+        match failure with
+        | Buffering.Formulation.Exhausted | Infeasible -> explain ~flavor "milp-budget" msg
+        | Unbounded -> fail "flow-error" msg)
+      | exception Failure msg -> fail "flow-error" msg
       | exception e -> fail "flow-error" (Printexc.to_string e)
       | o ->
         Support.Trace.add "fuzz.flows" 1;

@@ -11,9 +11,10 @@
       front end accepts its own generator's output;
     - {b lint-gate} / {b tv-gate}: no stage gate fires
       ({!Lint.Engine.Lint_error} from inside the flow);
-    - {b flow-error}: the flow completes (a MILP node-budget exhaustion
-      is recorded as {e explained}, not as a violation — the budget is a
-      resource limit, not a wrong answer);
+    - {b flow-error}: the flow completes (a {!Core.Flow.Milp_failed}
+      with [Exhausted] or [Infeasible] is recorded as {e explained}
+      [milp-budget], not as a violation — the budget is a resource
+      limit, not a wrong answer);
     - {b phi-exceeds-bound}: every iteration's MILP throughput claim
       stays within the LP-free certified bound ([milp_phi <=
       certified_bound + 1e-4]);
@@ -72,7 +73,3 @@ val check_program :
   report
 (** The battery on an explicit program — the minimizer's re-check entry
     point (shrunk candidates are not products of {!Hls.Generate}). *)
-
-val is_explained_failure : string -> bool
-(** Recognise flow [Failure] messages that are resource-limit outcomes
-    (MILP node budget, simulator cycle cap) rather than bugs. *)

@@ -46,9 +46,7 @@ let rec pp_expr fmt = function
   | Ternary (c, a, b) ->
     Format.fprintf fmt "(%a ? %a : %a)" pp_expr c pp_expr a pp_expr b
 
-let rec pp_stmt fmt s = pp_stmt_indent fmt 0 s
-
-and pp_stmt_indent fmt indent s =
+let rec pp_stmt_indent fmt indent s =
   let pad = String.make indent ' ' in
   match s with
   | Decl (x, e) -> Format.fprintf fmt "%sint %s = %a;@\n" pad x pp_expr e

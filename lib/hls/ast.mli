@@ -40,5 +40,4 @@ type func = {
 }
 
 val pp_expr : Format.formatter -> expr -> unit
-val pp_stmt : Format.formatter -> stmt -> unit
 val pp_func : Format.formatter -> func -> unit

@@ -55,8 +55,6 @@ let r_width =
 let rules =
   [ r_unconnected; r_unreachable; r_comb_cycle; r_no_back_edge; r_self_loop; r_width ]
 
-let () = List.iter Rule.register rules
-
 let unit_desc g u =
   let n = G.unit_node g u in
   if n.G.label = "" then Printf.sprintf "%s#%d" (K.name n.G.kind) u

@@ -1,7 +1,5 @@
 type severity = Error | Warning | Info
 
-let severity_rank = function Error -> 2 | Warning -> 1 | Info -> 0
-let severity_compare a b = compare (severity_rank a) (severity_rank b)
 let severity_name = function Error -> "error" | Warning -> "warning" | Info -> "info"
 
 type location =
@@ -23,8 +21,6 @@ type t = {
 }
 
 let make ?(extra = []) ~rule ~severity ~loc message = { rule; severity; loc; message; extra }
-
-let pp_severity fmt s = Fmt.string fmt (severity_name s)
 
 let location_parts = function
   | Unit i -> ("unit", Some i)

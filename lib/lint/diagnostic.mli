@@ -9,9 +9,6 @@
 
 type severity = Error | Warning | Info
 
-val severity_compare : severity -> severity -> int
-(** Orders [Error > Warning > Info]. *)
-
 val severity_name : severity -> string
 
 type location =
@@ -38,7 +35,6 @@ val make :
   ?extra:(string * string) list ->
   rule:string -> severity:severity -> loc:location -> string -> t
 
-val pp_severity : severity Fmt.t
 val pp_location : location Fmt.t
 val pp : t Fmt.t
 (** [rule-id severity @ location: message] on one line. *)

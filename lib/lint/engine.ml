@@ -42,8 +42,6 @@ let gate ~stage r =
                (fun d -> { d with D.message = Printf.sprintf "[%s] %s" stage d.D.message })
                r.diagnostics)))
 
-(* Referencing the rule modules here forces their registration even if a
-   client only ever touches the engine. *)
 let check_graph ?stage g = of_diagnostics (Dfg_rules.check ?stage g)
 let check_ranges ?result g = of_diagnostics (Range_rules.check ?result g)
 
@@ -85,16 +83,18 @@ let report_to_json ?label r =
         ("diagnostics", J.Arr (List.map D.to_json r.diagnostics));
       ])
 
-let catalogue () =
-  (* the list heads force linkage of every rule module *)
-  ignore Dfg_rules.rules;
-  ignore Range_rules.rules;
-  ignore Net_rules.rules;
-  ignore Lut_rules.rules;
-  ignore Milp_rules.rules;
-  ignore Perf_rules.rules;
-  ignore Equiv_rules.rules;
-  Rule.all ()
+(* target order is the constructor order of [Rule.target] *)
+let catalogue =
+  List.concat
+    [
+      Dfg_rules.rules;
+      Range_rules.rules;
+      Net_rules.rules;
+      Lut_rules.rules;
+      Milp_rules.rules;
+      Perf_rules.rules;
+      Equiv_rules.rules;
+    ]
+  |> List.sort (fun (a : Rule.info) b -> compare (a.target, a.id) (b.target, b.id))
 
-let pp_catalogue fmt () =
-  List.iter (fun r -> Fmt.pf fmt "%a@\n" Rule.pp_info r) (catalogue ())
+let pp_catalogue fmt () = List.iter (fun r -> Fmt.pf fmt "%a@\n" Rule.pp_info r) catalogue

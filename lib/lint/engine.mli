@@ -101,8 +101,8 @@ val report_to_json : ?label:string -> report -> Support.Json.t
 (** One JSON object; [label] (e.g. the kernel name) is included when
     given. *)
 
-val catalogue : unit -> Rule.info list
-(** All registered rules (forces registration of the built-in rule
-    modules). *)
+val catalogue : Rule.info list
+(** Every rule of the seven rule modules, sorted by target (in the
+    constructor order of {!Rule.target}) then id. *)
 
 val pp_catalogue : Format.formatter -> unit -> unit

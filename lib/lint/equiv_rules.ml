@@ -46,8 +46,6 @@ let buffer_nonrefinement =
 let rules =
   [ aig_mismatch; cover_mismatch; label_unsound; domain_inconsistent; buffer_nonrefinement ]
 
-let () = List.iter Rule.register rules
-
 let dom_name = function
   | Net.Data -> "data"
   | Net.Valid -> "valid"

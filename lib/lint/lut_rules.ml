@@ -70,8 +70,6 @@ let rules =
     r_penalty;
   ]
 
-let () = List.iter Rule.register rules
-
 let check g (lg : L.t) (tg : LM.t) (model : Timing.Model.t) =
   let acc = ref [] in
   let emit d = acc := d :: !acc in

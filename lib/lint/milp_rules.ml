@@ -51,8 +51,6 @@ let r_solve_failed =
 
 let rules = [ r_row; r_bound; r_integrality; r_cp; r_unfixable; r_solve_failed ]
 
-let () = List.iter Rule.register rules
-
 let solve_failure msg = Rule.diag r_solve_failed ~loc:D.Whole "%s" msg
 
 let eps = 1e-6

@@ -34,8 +34,6 @@ let r_owner =
 
 let rules = [ r_undriven; r_dup_io; r_comb_cycle; r_owner ]
 
-let () = List.iter Rule.register rules
-
 let kind_name = function
   | Net.Input _ -> "input"
   | Net.Output _ -> "output"

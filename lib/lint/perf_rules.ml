@@ -60,7 +60,6 @@ let r_uncovered =
   }
 
 let rules = [ r_phi; r_comb; r_deadlock; r_truncated; r_karp; r_crossing; r_uncovered ]
-let () = List.iter Rule.register rules
 
 let cycle_loc cy = match cy.C.cy_channels with c :: _ -> D.Channel c | [] -> D.Whole
 

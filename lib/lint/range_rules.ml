@@ -53,7 +53,6 @@ let r_equiv =
   }
 
 let rules = [ r_overflow; r_dead; r_excess; r_diverged; r_equiv ]
-let () = List.iter Rule.register rules
 
 let unit_desc g u =
   let n = G.unit_node g u in

@@ -9,37 +9,12 @@ let target_name = function
   | Perf -> "perf"
   | Tv -> "tv"
 
-let target_rank = function
-  | Dfg -> 0
-  | Range -> 1
-  | Netlist -> 2
-  | Lut_mapping -> 3
-  | Milp -> 4
-  | Perf -> 5
-  | Tv -> 6
-
 type info = {
   id : string;
   target : target;
   severity : Diagnostic.severity;
   doc : string;
 }
-
-let registry : (string, info) Hashtbl.t = Hashtbl.create 32
-
-let register r =
-  if Hashtbl.mem registry r.id then
-    invalid_arg (Printf.sprintf "Lint.Rule.register: duplicate rule id %s" r.id);
-  Hashtbl.replace registry r.id r
-
-let find id = Hashtbl.find_opt registry id
-
-let all () =
-  Hashtbl.fold (fun _ r acc -> r :: acc) registry []
-  |> List.sort (fun a b ->
-         match compare (target_rank a.target) (target_rank b.target) with
-         | 0 -> compare a.id b.id
-         | c -> c)
 
 let diag r ~loc fmt =
   Format.kasprintf

@@ -1,11 +1,11 @@
-(** The lint rule registry.
+(** Lint rule descriptions.
 
     Rules are identified by a stable kebab-case id ([dfg-comb-cycle],
     [milp-row-violated], …), grouped by the analysis target they inspect,
-    and carry a default severity plus a one-line description. The rule
-    modules ({!Dfg_rules}, {!Net_rules}, {!Lut_rules}, {!Milp_rules})
-    register their catalogue at module initialisation; {!Engine} forces
-    the registration and exposes the combined catalogue. *)
+    and carry a default severity plus a one-line description. Each rule
+    module ({!Dfg_rules}, {!Range_rules}, {!Net_rules}, {!Lut_rules},
+    {!Milp_rules}, {!Perf_rules}, {!Equiv_rules}) exports its rules as a
+    [rules] list; {!Engine.catalogue} is their sorted union. *)
 
 type target =
   | Dfg          (** dataflow-graph structure *)
@@ -24,14 +24,6 @@ type info = {
   severity : Diagnostic.severity;  (** default severity of this rule's findings *)
   doc : string;                    (** one-line description for the catalogue *)
 }
-
-val register : info -> unit
-(** Raises [Invalid_argument] on a duplicate id. *)
-
-val find : string -> info option
-
-val all : unit -> info list
-(** The registered catalogue, sorted by target then id. *)
 
 val diag : info -> loc:Diagnostic.location -> ('a, Format.formatter, unit, Diagnostic.t) format4 -> 'a
 (** [diag r ~loc fmt …] builds a {!Diagnostic.t} for rule [r] at its

@@ -68,8 +68,6 @@ let constr t i =
   let c = Support.Vec.get t.constrs i in
   (c.terms, c.rel, c.rhs)
 
-let constr_name t i = (Support.Vec.get t.constrs i).cname
-
 let col_major t =
   let nv = n_vars t and nc = n_constrs t in
   match t.cols with
@@ -154,10 +152,3 @@ let pp_violation t fmt = function
     Format.fprintf fmt "var %s = %g outside [%g, %g]" (var_name t var) value lo hi
   | V_integrality { var; value } ->
     Format.fprintf fmt "var %s = %g is not integral" (var_name t var) value
-
-let pp_stats fmt t =
-  let binaries =
-    Support.Vec.fold (fun acc v -> if v.kind = Binary then acc + 1 else acc) 0 t.vars
-  in
-  Format.fprintf fmt "%s: %d vars (%d binary), %d constraints" t.mname (n_vars t) binaries
-    (n_constrs t)

@@ -29,8 +29,6 @@ val add_constr : t -> ?name:string -> (float * int) list -> relation -> float ->
 
 val n_constrs : t -> int
 val constr : t -> int -> (float * int) list * relation * float
-val constr_name : t -> int -> string
-(** The name given at {!add_constr} ([""] if none). *)
 
 val col_major : t -> Sparse.t array
 (** Column-major sparse view of the constraint matrix (one {!Sparse.t}
@@ -63,5 +61,3 @@ val violations : t -> ?eps:float -> float array -> violation list
     [Invalid_argument] if the assignment length differs from {!n_vars}. *)
 
 val pp_violation : t -> Format.formatter -> violation -> unit
-
-val pp_stats : Format.formatter -> t -> unit

@@ -183,8 +183,6 @@ let sim_eval s =
         end)
   done
 
-let sim_get s i = s.values.(i)
-
 let sim_get_output s nm =
   let rec find = function
     | [] -> invalid_arg ("Netlist.sim_get_output: no output " ^ nm)

@@ -99,7 +99,6 @@ val sim_eval : sim -> unit
 (** Settle combinational logic (bounded fixpoint; raises [Failure] if the
     netlist does not stabilise, i.e., contains a combinational cycle). *)
 
-val sim_get : sim -> int -> bool
 val sim_get_output : sim -> string -> bool
 val sim_step : sim -> unit
 (** Clock edge: latch all FFs from their D fanins (call after

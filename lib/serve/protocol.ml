@@ -362,23 +362,19 @@ let measured_of_metrics (m : Core.Experiment.metrics) =
 
 (* ---- structured errors ---- *)
 
-(* Map a flow exception to a protocol error code. The MILP layer reports
-   budget exhaustion and infeasibility through `Failure` messages (the
-   fuzz oracle classifies the same strings), lint gates raise their
-   report, and anything else is an internal error — all of them must
-   come back as error events, never kill the daemon. *)
+(* Map a flow exception to a protocol error code. A MILP without a
+   placement, a lint gate's report and anything else (an internal
+   error) must all come back as error events, never kill the daemon. *)
 let error_of_exn exn =
-  let has msg sub =
-    let n = String.length sub and m = String.length msg in
-    let rec go i = i + n <= m && (String.sub msg i n = sub || go (i + 1)) in
-    go 0
-  in
   match exn with
   | Lint.Engine.Lint_error report ->
     ("lint-failed", Format.asprintf "%a" Lint.Engine.pp_report report)
-  | Failure msg when has msg "budget exhausted" -> ("milp-exhausted", msg)
-  | Failure msg when has msg "infeasible" -> ("milp-infeasible", msg)
-  | Failure msg when has msg "unbounded" -> ("milp-unbounded", msg)
+  | Core.Flow.Milp_failed (name, failure) ->
+    ( (match failure with
+      | Buffering.Formulation.Exhausted -> "milp-exhausted"
+      | Infeasible -> "milp-infeasible"
+      | Unbounded -> "milp-unbounded"),
+      Core.Flow.milp_failed_message name failure )
   | Failure msg -> ("flow-failed", msg)
   | Not_found -> ("unknown-kernel", "no benchmark kernel by that name (see `regulate list`)")
   | exn -> (

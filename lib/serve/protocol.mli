@@ -104,8 +104,8 @@ val measured_of_metrics : Core.Experiment.metrics -> measured
 
 val error_of_exn : exn -> string * string
 (** [(code, message)] for a flow exception: ["milp-exhausted"],
-    ["milp-infeasible"], ["lint-failed"], ["compile-failed"],
-    ["unknown-kernel"], ["flow-failed"] or ["internal-error"]. The MILP
-    codes key on the same [Failure] message substrings the fuzz oracle
-    classifies, so a budget blowout is a structured protocol error, never
-    a daemon-killing exception. *)
+    ["milp-infeasible"] or ["milp-unbounded"] for a
+    {!Core.Flow.Milp_failed}, ["lint-failed"], ["compile-failed"],
+    ["unknown-kernel"], ["flow-failed"] for any other [Failure], or
+    ["internal-error"]. A budget blowout is a structured protocol error,
+    never a daemon-killing exception. *)

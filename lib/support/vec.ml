@@ -56,8 +56,6 @@ let map_to_list f t =
 
 let to_list t = map_to_list (fun x -> x) t
 
-let to_array t = Array.init t.len (fun i -> t.data.(i))
-
 let exists p t =
   let rec loop i = i < t.len && (p t.data.(i) || loop (i + 1)) in
   loop 0

@@ -60,11 +60,6 @@ let bxor t ~owner a b =
   let q = band t ~owner (bnot a) b in
   bor t ~owner p q
 
-let bmux t ~owner ~sel a b =
-  let p = band t ~owner sel a in
-  let q = band t ~owner (bnot sel) b in
-  bor t ~owner p q
-
 let add_co t ~owner ~tag l =
   ignore owner;
   t.out_list <- (t.n_cos, tag, l) :: t.out_list;
@@ -94,13 +89,6 @@ let eval t ci_value =
     end
   done;
   values
-
-let n_ands t =
-  let c = ref 0 in
-  for i = 1 to n_nodes t - 1 do
-    if not (is_ci t i) then incr c
-  done;
-  !c
 
 let depth t =
   let n = n_nodes t in

@@ -33,7 +33,6 @@ val band : t -> owner:int -> lit -> lit -> lit
 
 val bor : t -> owner:int -> lit -> lit -> lit
 val bxor : t -> owner:int -> lit -> lit -> lit
-val bmux : t -> owner:int -> sel:lit -> lit -> lit -> lit
 
 val add_co : t -> owner:int -> tag:int -> lit -> unit
 (** Register a combinational output (flip-flop D input or primary
@@ -56,6 +55,5 @@ val eval : t -> (int -> bool) -> bool array
 (** [eval t ci_value] computes all node values given a valuation of CI
     nodes (by node id). *)
 
-val n_ands : t -> int
 val depth : t -> int
 (** AND-node depth from CIs (an upper proxy for mapped levels). *)

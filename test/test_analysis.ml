@@ -336,7 +336,9 @@ let test_kernels_certified_vs_milp () =
         }
       in
       match Buffering.Formulation.solve cfg g model cfdfcs with
-      | Error msg -> Alcotest.fail (k.Hls.Kernels.name ^ ": MILP failed: " ^ msg)
+      | Error e ->
+        Alcotest.fail
+          (k.Hls.Kernels.name ^ ": MILP failed: " ^ Buffering.Formulation.failure_message e)
       | Ok p ->
         let candidate = G.copy g in
         List.iter

@@ -320,7 +320,8 @@ let buffering_lp name =
   let model = Timing.Precharacterized.build g in
   let cfg = { Buffering.Formulation.default_config with node_limit = 1 } in
   match Buffering.Formulation.solve cfg g model (Buffering.Cfdfc.extract g) with
-  | Error msg -> Alcotest.failf "%s: MILP failed: %s" name msg
+  | Error e ->
+    Alcotest.failf "%s: MILP failed: %s" name (Buffering.Formulation.failure_message e)
   | Ok p -> p.Buffering.Formulation.lp
 
 let test_lp name () =

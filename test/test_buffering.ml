@@ -66,7 +66,7 @@ let test_milp_forces_buffer () =
   | Ok p ->
     check (Alcotest.list Alcotest.int) "c0 buffered" [ c0 ] p.F.new_buffers;
     check Alcotest.bool "proved" true p.F.proved_optimal
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (F.failure_message e)
 
 let test_milp_no_buffer_when_fast () =
   let g, c0, _ = linear_graph () in
@@ -77,7 +77,7 @@ let test_milp_no_buffer_when_fast () =
   in
   match F.solve cfg g model [] with
   | Ok p -> check (Alcotest.list Alcotest.int) "no buffers" [] p.F.new_buffers
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (F.failure_message e)
 
 let test_milp_penalty_steers_choice () =
   (* reg -> c0 -> c1 -> reg, each hop 2.5 ns: one buffer needed on c0 or
@@ -93,11 +93,11 @@ let test_milp_penalty_steers_choice () =
   let model = mk_model g pairs [ (c0, 0.9); (c1, 0.0) ] in
   (match F.solve { cfg with F.use_penalty = true } g model [] with
   | Ok p -> check (Alcotest.list Alcotest.int) "penalty avoids c0" [ c1 ] p.F.new_buffers
-  | Error e -> Alcotest.fail e);
+  | Error e -> Alcotest.fail (F.failure_message e));
   (* sanity: one buffer suffices in either mode *)
   match F.solve { cfg with F.use_penalty = false } g model [] with
   | Ok p -> check Alcotest.int "eq.1 places one buffer" 1 (List.length p.F.new_buffers)
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (F.failure_message e)
 
 let test_milp_ready_direction () =
   (* a backward (ready) path can also force a buffer *)
@@ -109,7 +109,7 @@ let test_milp_ready_direction () =
   in
   match F.solve cfg g model [] with
   | Ok p -> check (Alcotest.list Alcotest.int) "c0 buffered" [ c0 ] p.F.new_buffers
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (F.failure_message e)
 
 let test_milp_unfixable_counted () =
   let g, c0, _ = linear_graph () in
@@ -120,7 +120,7 @@ let test_milp_unfixable_counted () =
   in
   match F.solve cfg g model [] with
   | Ok p -> check Alcotest.int "unfixable" 1 p.F.unfixable_paths
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (F.failure_message e)
 
 (* ------------------------------------------------------------------ *)
 (* throughput on the loop fixture *)
@@ -140,7 +140,7 @@ let test_milp_loop_throughput () =
     | _ -> Alcotest.fail "expected one throughput");
     (* no gratuitous extra buffers: they would cost objective *)
     check (Alcotest.list Alcotest.int) "no extra buffers" [] p.F.new_buffers
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (F.failure_message e)
 
 let test_milp_cycle_legality () =
   (* remove the seeded buffer: the MILP must place one on the cycle *)
@@ -151,7 +151,7 @@ let test_milp_cycle_legality () =
   | Ok p ->
     check Alcotest.bool "at least one buffer placed" true (List.length p.F.new_buffers >= 1);
     ignore back
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (F.failure_message e)
 
 (* Extra buffers on a cycle reduce the modelled throughput: Θ <= 1/(#buffers) *)
 let test_milp_throughput_degrades () =
@@ -178,7 +178,7 @@ let test_milp_throughput_degrades () =
     | [ th ] -> check Alcotest.bool "throughput at most 1/2" true (th <= 0.5 +. 1e-6)
     | _ -> Alcotest.fail "one cfdfc expected");
     ignore back
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (F.failure_message e)
 
 let suite =
   [

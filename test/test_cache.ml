@@ -241,8 +241,11 @@ let render_report rows =
 
 let run_compare ?cache ~jobs () =
   render_report
-    (Core.Experiment.run_all_parallel ~config:Fixtures.cheap_flow_config
-       ~session:(Core.Session.make ?cache ()) ~jobs ~kernels:Fixtures.tiny_kernels ())
+    (let rows, _, _ =
+       Core.Experiment.run_all ~config:Fixtures.cheap_flow_config
+         ~session:(Core.Session.make ?cache ()) ~jobs Fixtures.tiny_kernels
+     in
+     rows)
 
 let test_cold_warm_identical () =
   let dir = temp_dir () in

@@ -44,10 +44,68 @@ let test_kernels_default_all () =
   | Some ks -> Alcotest.(check int) "all nine" (List.length Hls.Kernels.all) (List.length ks)
   | None -> Alcotest.fail "usage error"
 
+(* The per-kernel report driver, on a stub check: task 2 raises. *)
+
+module J = Support.Json
+
+(* [f ()]'s result and everything it printed on stdout *)
+let capture_stdout f =
+  let file = Filename.temp_file "report" ".out" in
+  let saved = Unix.dup Unix.stdout in
+  let fd = Unix.openfile file [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  flush stdout;
+  Unix.dup2 fd Unix.stdout;
+  Unix.close fd;
+  let r =
+    Fun.protect f ~finally:(fun () ->
+        Format.print_flush ();
+        flush stdout;
+        Unix.dup2 saved Unix.stdout;
+        Unix.close saved)
+  in
+  let out = In_channel.with_open_bin file In_channel.input_all in
+  Sys.remove file;
+  (r, out)
+
+let report ~json ~jobs tasks =
+  capture_stdout (fun () ->
+      Cli.report ~json ~jobs ~label:string_of_int
+        ~check:(fun i -> if i = 2 then failwith "boom" else i * i)
+        ~to_json:(fun i sq -> J.Obj [ ("label", J.Str (string_of_int i)); ("sq", J.Num (float sq)) ])
+        ~print:(fun i sq -> Printf.printf "%d squared is %d\n" i sq)
+        ~failed:(fun _ -> false) tasks)
+
+let test_report_driver () =
+  let tasks = [ 0; 1; 2; 3; 4 ] in
+  let failed, text = report ~json:false ~jobs:1 tasks in
+  Alcotest.(check bool) "a raising task fails the run" true failed;
+  Alcotest.(check string) "text rows in submission order"
+    "0 squared is 0\n1 squared is 1\n2               ERROR: Failure(\"boom\")\n3 squared is 9\n\
+     4 squared is 16\n"
+    text;
+  let failed1, json1 = report ~json:true ~jobs:1 tasks in
+  Alcotest.(check bool) "json: a raising task fails the run" true failed1;
+  (match J.of_string json1 with
+  | Ok (J.Arr rows) ->
+    Alcotest.(check (list (option string)))
+      "one row per task, in submission order" [ Some "0"; Some "1"; Some "2"; Some "3"; Some "4" ]
+      (List.map (J.str_mem "label") rows);
+    Alcotest.(check (option string))
+      "the raising task is an error row" (Some "Failure(\"boom\")")
+      (J.str_mem "error" (List.nth rows 2))
+  | _ -> Alcotest.failf "not a closed JSON array: %S" json1);
+  Alcotest.(check (pair bool string)) "jobs=3 text == jobs=1" (failed, text)
+    (report ~json:false ~jobs:3 tasks);
+  Alcotest.(check (pair bool string)) "jobs=3 json == jobs=1" (failed1, json1)
+    (report ~json:true ~jobs:3 tasks);
+  Alcotest.(check bool) "no failure without the raising task" false
+    (fst (report ~json:true ~jobs:3 [ 0; 1; 3 ]))
+
 let suite =
   [
     Alcotest.test_case "integer ranges" `Quick test_int_ranges;
     Alcotest.test_case "unknown kernel" `Quick test_unknown_kernel;
     Alcotest.test_case "kernel list" `Quick test_kernel_list;
     Alcotest.test_case "kernels default to all" `Quick test_kernels_default_all;
+    Alcotest.test_case "report driver: order, error rows, jobs" `Quick test_report_driver;
   ]

@@ -315,7 +315,7 @@ let test_milp_real_certificate () =
   let g, (_, _, _, model) = fig2_pipeline () in
   let cfg = { Buffering.Formulation.default_config with cp_target = 4.2 } in
   match Buffering.Formulation.solve cfg g model (Buffering.Cfdfc.extract g) with
-  | Error msg -> Alcotest.fail ("solve failed: " ^ msg)
+  | Error e -> Alcotest.fail ("solve failed: " ^ Buffering.Formulation.failure_message e)
   | Ok p ->
     let r =
       E.check_milp ~cp_target:4.2 ~buffered:p.Buffering.Formulation.all_buffered model
@@ -337,7 +337,7 @@ let test_gate_semantics () =
   | _ -> Alcotest.fail "expected Lint_error"
 
 let test_catalogue () =
-  let rules = E.catalogue () in
+  let rules = E.catalogue in
   check Alcotest.bool "at least a dozen rules" true (List.length rules >= 12);
   let ids = List.map (fun r -> r.Lint.Rule.id) rules in
   check Alcotest.int "ids unique" (List.length ids) (List.length (List.sort_uniq compare ids))

@@ -89,19 +89,24 @@ let test_default_jobs () =
       Alcotest.(check int) "unparsable falls back to 1" 1 (Pool.default_jobs ()))
 
 (* ------------------------------------------------------------------ *)
-(* The engine-level property: run_all_parallel ~jobs:4 returns the same
-   rows — row for row — as the sequential run_all, on three kernels.
-   Tiny kernels and a small branch & bound budget keep the twelve flow
-   runs test-sized; determinism does not depend on the budget. *)
+(* The engine-level property: Experiment.run_all at jobs=4 returns the
+   same rows — row for row — as at jobs=1, where each task runs in place
+   in submission order, on three kernels. Tiny kernels and a small
+   branch & bound budget keep the twelve flow runs test-sized;
+   determinism does not depend on the budget. *)
 
-let test_run_all_parallel_equals_sequential () =
-  let kernels = Fixtures.tiny_kernels in
-  let config = Fixtures.cheap_flow_config in
-  let seq = Core.Experiment.run_all ~config ~kernels () in
-  let par = Core.Experiment.run_all_parallel ~config ~jobs:4 ~kernels () in
+let test_run_all_jobs_invariant () =
+  let run jobs =
+    let rows, timings, _ =
+      Core.Experiment.run_all ~config:Fixtures.cheap_flow_config ~jobs Fixtures.tiny_kernels
+    in
+    Alcotest.(check int) "one timing per task" (2 * List.length rows) (List.length timings);
+    rows
+  in
+  let seq = run 1 in
+  let par = run 4 in
   let render rows = Format.asprintf "%a" Core.Report.csv rows in
-  Alcotest.(check string)
-    "jobs=4 rows are byte-identical to sequential" (render seq) (render par);
+  Alcotest.(check string) "jobs=4 rows are byte-identical to jobs=1" (render seq) (render par);
   List.iter
     (fun (r : Core.Experiment.row) ->
       Alcotest.(check bool)
@@ -131,6 +136,6 @@ let suite =
     Alcotest.test_case "create rejects jobs=0" `Quick test_create_rejects_zero;
     Alcotest.test_case "shutdown is idempotent" `Quick test_shutdown_idempotent;
     Alcotest.test_case "default_jobs reads REPRO_JOBS" `Quick test_default_jobs;
-    Alcotest.test_case "run_all_parallel == run_all (3 kernels)" `Slow
-      test_run_all_parallel_equals_sequential;
+    Alcotest.test_case "run_all jobs=4 == jobs=1 (3 kernels)" `Slow
+      test_run_all_jobs_invariant;
   ]

@@ -207,11 +207,15 @@ let test_event_roundtrip () =
 
 let test_error_classification () =
   let code exn = fst (P.error_of_exn exn) in
-  check Alcotest.string "node budget" "milp-exhausted"
-    (code (Failure "buffer MILP node budget exhausted after 20 nodes"));
-  check Alcotest.string "wall budget" "milp-exhausted"
-    (code (Failure "buffer MILP time budget exhausted"));
-  check Alcotest.string "infeasible" "milp-infeasible" (code (Failure "MILP infeasible: bound"));
+  let milp name f = Core.Flow.Milp_failed (name, f) in
+  check Alcotest.string "budget" "milp-exhausted" (code (milp "Flow.iterative" Exhausted));
+  check Alcotest.string "infeasible" "milp-infeasible" (code (milp "Flow.iterative" Infeasible));
+  check Alcotest.string "unbounded" "milp-unbounded" (code (milp "Flow.iterative" Unbounded));
+  check Alcotest.string "message" "Flow.baseline: buffer MILP infeasible"
+    (snd (P.error_of_exn (milp "Flow.baseline" Infeasible)));
+  (* a solver fault is an internal failure, whatever words its text holds *)
+  check Alcotest.string "solver fault" "flow-failed"
+    (code (Failure "Simplex: phase 1 unbounded (impossible)"));
   check Alcotest.string "other failure" "flow-failed" (code (Failure "something else"));
   check Alcotest.string "unknown kernel" "unknown-kernel" (code Not_found);
   check Alcotest.string "internal" "internal-error" (code Exit);
@@ -342,12 +346,12 @@ let test_server_cancellation () =
   check Alcotest.int "one served" 1 s.P.s_served
 
 let test_poisoned_request_keeps_serving () =
-  (* a request whose MILP blows its budget (the fuzz oracle's Failure
-     strings) must come back as a structured error and leave the daemon
-     fully operational — likewise a malformed line *)
+  (* a request whose MILP blows its budget must come back as a
+     structured error and leave the daemon fully operational — likewise
+     a malformed line *)
   let runner _session (r : P.request) =
     if String.length r.P.id >= 6 && String.sub r.P.id 0 6 = "poison" then
-      failwith "buffer MILP node budget exhausted after 20 nodes"
+      raise (Core.Flow.Milp_failed ("Flow.iterative", Buffering.Formulation.Exhausted))
     else dummy_completion r.P.id
   in
   let t = S.create ~runner { S.default_config with S.jobs = 1; queue_limit = 4 } in
