@@ -368,16 +368,17 @@ let run (res : Analyze.result) g =
 
 let pp_report fmt r =
   let open Format in
-  if r.r_diverged then fprintf fmt "analysis diverged; graph left unchanged@,"
+  if r.r_diverged then pp_print_string fmt "analysis diverged; graph left unchanged"
   else begin
-    fprintf fmt "units: %d -> %d, channel bits: %d -> %d@," r.r_units_before
-      r.r_units_after r.r_bits_before r.r_bits_after;
+    fprintf fmt "units: %d -> %d, channel bits: %d -> %d" r.r_units_before r.r_units_after
+      r.r_bits_before r.r_bits_after;
     List.iter
       (fun e ->
-        fprintf fmt "  narrow %s#%d: %d -> %d bits  %s@," e.nr_label e.nr_uid
-          e.nr_old_width e.nr_new_width e.nr_range)
+        fprintf fmt "@\n  narrow %s#%d: %d -> %d bits%s" e.nr_label e.nr_uid e.nr_old_width
+          e.nr_new_width
+          (if e.nr_range = "" then "" else "  " ^ e.nr_range))
       r.r_narrowed;
-    List.iter (fun (u, l, v) -> fprintf fmt "  fold %s#%d = %d@," l u v) r.r_folded;
-    List.iter (fun (u, l, what) -> fprintf fmt "  rewire %s#%d: %s@," l u what) r.r_rewired;
-    List.iter (fun (u, l) -> fprintf fmt "  delete %s#%d@," l u) r.r_deleted
+    List.iter (fun (u, l, v) -> fprintf fmt "@\n  fold %s#%d = %d" l u v) r.r_folded;
+    List.iter (fun (u, l, what) -> fprintf fmt "@\n  rewire %s#%d: %s" l u what) r.r_rewired;
+    List.iter (fun (u, l) -> fprintf fmt "@\n  delete %s#%d" l u) r.r_deleted
   end

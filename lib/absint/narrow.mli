@@ -40,3 +40,5 @@ val run : Analyze.result -> Dataflow.Graph.t -> Dataflow.Graph.t * report
     expected on a valid input graph). *)
 
 val pp_report : Format.formatter -> report -> unit
+(** A summary line, then one line per narrowed, folded, rewired and
+    deleted unit (in that order); no trailing newline. *)

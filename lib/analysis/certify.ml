@@ -49,9 +49,7 @@ let channel_weights g is_back cid =
   (tokens, K.latency kind + reg, unit_cap + slots)
 
 let certify ?(karp = true) g =
-  let back =
-    match G.marked_back_edges g with [] -> A.back_edges g | marked -> marked
-  in
+  let back = A.loop_back_edges g in
   let back_set = Hashtbl.create 16 in
   List.iter (fun c -> Hashtbl.replace back_set c ()) back;
   let weights = channel_weights g (Hashtbl.mem back_set) in

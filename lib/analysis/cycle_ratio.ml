@@ -7,45 +7,6 @@ let eps = 1e-10
 
 (* ---------- Karp's dynamic program (cross-check) ---------- *)
 
-(* Tarjan over a plain adjacency array; returns components as int lists. *)
-let sccs_of n (adj : int list array) =
-  let index = Array.make n (-1) in
-  let lowlink = Array.make n 0 in
-  let on_stack = Array.make n false in
-  let stack = ref [] in
-  let counter = ref 0 in
-  let comps = ref [] in
-  let rec strongconnect v =
-    index.(v) <- !counter;
-    lowlink.(v) <- !counter;
-    incr counter;
-    stack := v :: !stack;
-    on_stack.(v) <- true;
-    List.iter
-      (fun w ->
-        if index.(w) = -1 then begin
-          strongconnect w;
-          lowlink.(v) <- min lowlink.(v) lowlink.(w)
-        end
-        else if on_stack.(w) then lowlink.(v) <- min lowlink.(v) index.(w))
-      adj.(v);
-    if lowlink.(v) = index.(v) then begin
-      let rec pop acc =
-        match !stack with
-        | w :: rest ->
-          stack := rest;
-          on_stack.(w) <- false;
-          if w = v then w :: acc else pop (w :: acc)
-        | [] -> acc
-      in
-      comps := pop [] :: !comps
-    end
-  in
-  for v = 0 to n - 1 do
-    if index.(v) = -1 then strongconnect v
-  done;
-  !comps
-
 (* Minimum cycle mean of one SCC (nodes relabelled 0..m-1, intra edges
    as (src, dst, cost)), by Karp's theorem:
      lambda* = min_v max_k (D_m(v) - D_k(v)) / (m - k)
@@ -92,24 +53,12 @@ let karp (gr : graph) =
     gr.edges;
   let zero = List.filter (fun e -> e.e_time = 0) gr.edges in
   let timed = List.filter (fun e -> e.e_time > 0) gr.edges in
-  (* reject zero-time cycles (the closure below would diverge on them) *)
   let zadj = Array.make n [] in
   List.iter (fun e -> zadj.(e.e_src) <- e :: zadj.(e.e_src)) zero;
-  let color = Array.make n 0 in
-  let rec zdfs v =
-    color.(v) <- 1;
-    List.iter
-      (fun e ->
-        match color.(e.e_dst) with
-        | 1 -> invalid_arg "Cycle_ratio.karp: zero-time cycle"
-        | 0 -> zdfs e.e_dst
-        | _ -> ())
-      zadj.(v);
-    color.(v) <- 2
-  in
-  for v = 0 to n - 1 do
-    if color.(v) = 0 then zdfs v
-  done;
+  (* the zero-time subgraph must be a DAG (the closure below would
+     diverge on a zero-time cycle): relax in its topological order *)
+  let zorder, zcyclic = Support.Digraph.topo (Array.map (List.map (fun e -> e.e_dst)) zadj) in
+  if zcyclic <> [] then invalid_arg "Cycle_ratio.karp: zero-time cycle";
   if timed = [] then None
   else begin
     (* heads = targets of timed edges: the only nodes the contracted
@@ -118,30 +67,10 @@ let karp (gr : graph) =
     let head_id = Hashtbl.create 16 in
     List.iteri (fun i h -> Hashtbl.replace head_id h i) heads;
     let inf = max_int / 4 in
-    (* the zero-time subgraph is a DAG: relax in its topological order *)
-    let zorder =
-      let indeg = Array.make n 0 in
-      List.iter (fun e -> indeg.(e.e_dst) <- indeg.(e.e_dst) + 1) zero;
-      let q = Queue.create () in
-      for v = 0 to n - 1 do
-        if indeg.(v) = 0 then Queue.add v q
-      done;
-      let order = ref [] in
-      while not (Queue.is_empty q) do
-        let v = Queue.pop q in
-        order := v :: !order;
-        List.iter
-          (fun e ->
-            indeg.(e.e_dst) <- indeg.(e.e_dst) - 1;
-            if indeg.(e.e_dst) = 0 then Queue.add e.e_dst q)
-          zadj.(v)
-      done;
-      List.rev !order
-    in
     let zdist_from h =
       let d = Array.make n inf in
       d.(h) <- 0;
-      List.iter
+      Array.iter
         (fun v ->
           if d.(v) < inf then
             List.iter
@@ -205,7 +134,7 @@ let karp (gr : graph) =
           (match karp_mean m intra with
           | Some r when r < !best -> best := r
           | _ -> ()))
-      (sccs_of xn xadj);
+      (Support.Digraph.sccs xadj);
     if !best = infinity then None else Some !best
   end
 

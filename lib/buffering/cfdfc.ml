@@ -11,7 +11,7 @@ type t = {
 
 let extract ?(cycle_limit = 256) g =
   let sccs = A.cyclic_sccs g in
-  let back = match G.marked_back_edges g with [] -> A.back_edges g | marked -> marked in
+  let back = A.loop_back_edges g in
   let all_cycles, truncated = A.simple_cycles_capped ~limit:cycle_limit g in
   List.map
     (fun units ->

@@ -10,9 +10,7 @@ let channel_latency g (c : G.chan) =
   unit_lat + buf_lat
 
 let compute ?(cap = 4) g =
-  let back =
-    match G.marked_back_edges g with [] -> A.back_edges g | marked -> marked
-  in
+  let back = A.loop_back_edges g in
   let is_back = Hashtbl.create 16 in
   List.iter (fun c -> Hashtbl.replace is_back c ()) back;
   (* longest registered latency from entries over the acyclic skeleton *)

@@ -70,11 +70,7 @@ let opaque_spec = { G.transparent = false; slots = 2 }
 let opaque = Some opaque_spec
 
 let seed_back_edges g =
-  (* the front end's explicit loop-carried channels when available; the
-     generic DFS classification otherwise *)
-  let back =
-    match G.marked_back_edges g with [] -> A.back_edges g | marked -> marked
-  in
+  let back = A.loop_back_edges g in
   List.iter (fun c -> G.set_buffer g c opaque) back;
   back
 

@@ -125,8 +125,8 @@ type outcome = {
 }
 
 val seed_back_edges : Dataflow.Graph.t -> Dataflow.Graph.channel_id list
-(** Place (and return) the opaque buffers required on loop back edges.
-    Mutates the graph. *)
+(** Place (and return) the opaque buffers required on
+    {!Dataflow.Analysis.loop_back_edges}. Mutates the graph. *)
 
 val iterative : ?config:config -> ?session:Session.t -> Dataflow.Graph.t -> outcome
 (** Mapping-aware iterative flow. The input graph is not mutated.

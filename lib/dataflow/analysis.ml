@@ -1,52 +1,9 @@
-let succ_units g u = List.map snd (Graph.succs g u)
-
-(* Tarjan's algorithm (recursive: the DFS depth is bounded by the unit
-   count). *)
-let sccs g =
-  let n = Graph.n_units g in
-  let index = Array.make n (-1) in
-  let lowlink = Array.make n 0 in
-  let on_stack = Array.make n false in
-  let stack = ref [] in
-  let counter = ref 0 in
-  let components = ref [] in
-  let rec strongconnect v =
-    index.(v) <- !counter;
-    lowlink.(v) <- !counter;
-    incr counter;
-    stack := v :: !stack;
-    on_stack.(v) <- true;
-    List.iter
-      (fun w ->
-        if index.(w) = -1 then begin
-          strongconnect w;
-          lowlink.(v) <- min lowlink.(v) lowlink.(w)
-        end
-        else if on_stack.(w) then lowlink.(v) <- min lowlink.(v) index.(w))
-      (succ_units g v);
-    if lowlink.(v) = index.(v) then begin
-      let rec pop acc =
-        match !stack with
-        | w :: rest ->
-          stack := rest;
-          on_stack.(w) <- false;
-          if w = v then w :: acc else pop (w :: acc)
-        | [] -> acc
-      in
-      components := pop [] :: !components
-    end
-  in
-  for v = 0 to n - 1 do
-    if index.(v) = -1 then strongconnect v
-  done;
-  !components
-
 let has_self_loop g u = List.exists (fun (_, d) -> d = u) (Graph.succs g u)
 
 let cyclic_sccs g =
   List.filter
     (fun comp -> match comp with [ u ] -> has_self_loop g u | _ :: _ :: _ -> true | [] -> false)
-    (sccs g)
+    (Support.Digraph.sccs (Array.init (Graph.n_units g) (fun u -> List.map snd (Graph.succs g u))))
 
 type color = White | Grey | Black
 
@@ -76,31 +33,19 @@ let back_edges g =
   done;
   List.rev !back
 
+let loop_back_edges g =
+  match Graph.marked_back_edges g with [] -> back_edges g | marked -> marked
+
 let topo_order g =
-  let back = back_edges g in
   let is_back = Hashtbl.create 16 in
-  List.iter (fun c -> Hashtbl.replace is_back c ()) back;
-  let n = Graph.n_units g in
-  let indeg = Array.make n 0 in
-  Graph.iter_channels g (fun c ->
-      if not (Hashtbl.mem is_back c.Graph.cid) then indeg.(c.Graph.dst) <- indeg.(c.Graph.dst) + 1);
-  let queue = Queue.create () in
-  for u = 0 to n - 1 do
-    if indeg.(u) = 0 then Queue.add u queue
-  done;
-  let order = ref [] in
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    order := u :: !order;
-    List.iter
-      (fun (cid, w) ->
-        if not (Hashtbl.mem is_back cid) then begin
-          indeg.(w) <- indeg.(w) - 1;
-          if indeg.(w) = 0 then Queue.add w queue
-        end)
-      (Graph.succs g u)
-  done;
-  List.rev !order
+  List.iter (fun c -> Hashtbl.replace is_back c ()) (back_edges g);
+  let adj =
+    Array.init (Graph.n_units g) (fun u ->
+        List.filter_map
+          (fun (cid, w) -> if Hashtbl.mem is_back cid then None else Some w)
+          (Graph.succs g u))
+  in
+  Array.to_list (fst (Support.Digraph.topo adj))
 
 let simple_cycles_capped ?(limit = 512) g =
   let n = Graph.n_units g in

@@ -2,17 +2,19 @@
     components, cycle enumeration, back-edge detection and a topological
     order. *)
 
-val sccs : Graph.t -> Graph.unit_id list list
-(** Tarjan strongly connected components; components in reverse
-    topological order, each as a list of unit ids. Singleton components
-    without a self-loop are included. *)
-
 val cyclic_sccs : Graph.t -> Graph.unit_id list list
-(** Only components that actually contain a cycle. *)
+(** The strongly connected components that contain a cycle (two or more
+    units, or one unit with a self-loop), in {!Support.Digraph.sccs}
+    order over the units' successor lists. *)
 
 val back_edges : Graph.t -> Graph.channel_id list
 (** Channels whose removal breaks all cycles (DFS back edges from the
-    entry units). These are where the flow seeds its initial buffers. *)
+    entry units). *)
+
+val loop_back_edges : Graph.t -> Graph.channel_id list
+(** The channels the flow seeds its initial buffers on: the front end's
+    marked loop-carried channels ({!Graph.marked_back_edges}) when there
+    are any, else {!back_edges}. *)
 
 val simple_cycles_capped : ?limit:int -> Graph.t -> Graph.channel_id list list * bool
 (** Johnson-style enumeration of simple cycles, each as a channel list,
@@ -23,4 +25,5 @@ val simple_cycles_capped : ?limit:int -> Graph.t -> Graph.channel_id list list *
 
 val topo_order : Graph.t -> Graph.unit_id list
 (** Topological order ignoring back edges (i.e., of the DAG obtained by
-    deleting [back_edges]). *)
+    deleting [back_edges], not [loop_back_edges]), as peeled by
+    {!Support.Digraph.topo}. *)

@@ -140,54 +140,7 @@ let sccs_filtered g ~keep =
   let adj = Array.make n [] in
   G.iter_channels g (fun c ->
       if keep c && c.G.src <> c.G.dst then adj.(c.G.src) <- c.G.dst :: adj.(c.G.src));
-  (* iterative Tarjan *)
-  let index = Array.make n (-1) and low = Array.make n 0 in
-  let on_stack = Array.make n false in
-  let stack = ref [] and counter = ref 0 and comps = ref [] in
-  for root = 0 to n - 1 do
-    if index.(root) < 0 then begin
-      let call = ref [ (root, ref adj.(root)) ] in
-      index.(root) <- !counter;
-      low.(root) <- !counter;
-      incr counter;
-      stack := root :: !stack;
-      on_stack.(root) <- true;
-      while !call <> [] do
-        match !call with
-        | [] -> ()
-        | (v, rest) :: parents -> (
-          match !rest with
-          | w :: tl ->
-            rest := tl;
-            if index.(w) < 0 then begin
-              index.(w) <- !counter;
-              low.(w) <- !counter;
-              incr counter;
-              stack := w :: !stack;
-              on_stack.(w) <- true;
-              call := (w, ref adj.(w)) :: !call
-            end
-            else if on_stack.(w) then low.(v) <- min low.(v) low.(w)
-          | [] ->
-            if low.(v) = index.(v) then begin
-              let rec pop acc =
-                match !stack with
-                | [] -> acc
-                | u :: rest ->
-                  stack := rest;
-                  on_stack.(u) <- false;
-                  if u = v then u :: acc else pop (u :: acc)
-              in
-              comps := pop [] :: !comps
-            end;
-            call := parents;
-            (match parents with
-            | (p, _) :: _ -> low.(p) <- min low.(p) low.(v)
-            | [] -> ()))
-      done
-    end
-  done;
-  List.filter (fun comp -> List.length comp >= 2) !comps
+  List.filter (fun comp -> List.length comp >= 2) (Support.Digraph.sccs adj)
 
 let pp_members g comp =
   let shown = List.filteri (fun i _ -> i < 6) comp in

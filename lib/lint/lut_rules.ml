@@ -140,30 +140,15 @@ let check g (lg : L.t) (tg : LM.t) (model : Timing.Model.t) =
       | _ -> ())
     tg.LM.kinds;
   (* ---- acyclicity of the timing graph (Kahn peeling) ---- *)
-  let n = Array.length tg.LM.kinds in
-  let indeg = Array.make n 0 in
-  Array.iter (List.iter (fun d -> indeg.(d) <- indeg.(d) + 1)) tg.LM.succs;
-  let q = Queue.create () in
-  Array.iteri (fun i d -> if d = 0 then Queue.add i q) indeg;
-  let peeled = ref 0 in
-  while not (Queue.is_empty q) do
-    let i = Queue.pop q in
-    incr peeled;
-    List.iter
-      (fun d ->
-        indeg.(d) <- indeg.(d) - 1;
-        if indeg.(d) = 0 then Queue.add d q)
-      tg.LM.succs.(i)
-  done;
-  if !peeled < n then begin
-    (* any node still carrying in-degree lies on or downstream of a cycle;
-       report one representative *)
-    let witness = ref (-1) in
-    Array.iteri (fun i d -> if d > 0 && !witness < 0 then witness := i) indeg;
+  (match Support.Digraph.topo tg.LM.succs with
+  | _, [] -> ()
+  | _, (witness :: _ as rest) ->
+    (* the unpeeled nodes lie on or downstream of a cycle; report the
+       lowest-numbered one *)
     emit
-      (Rule.diag r_timing_cycle ~loc:(D.Timing_node !witness)
-         "timing graph has a cycle (%d of %d nodes lie on or behind it)" (n - !peeled) n)
-  end;
+      (Rule.diag r_timing_cycle ~loc:(D.Timing_node witness)
+         "timing graph has a cycle (%d of %d nodes lie on or behind it)" (List.length rest)
+         (Array.length tg.LM.kinds)));
   (* ---- penalty range (Eq. 2) ---- *)
   if Array.length model.Timing.Model.penalty <> n_channels then
     emit

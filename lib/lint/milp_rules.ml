@@ -115,36 +115,23 @@ let check_cp ~cp ~buffered (model : M.t) emit =
   let n = !n in
   let term_of = Array.make (max n 1) M.T_reg in
   List.iter (fun t -> term_of.(Hashtbl.find ids t) <- t) !terms;
-  let succ = Array.make n [] and indeg = Array.make n 0 in
-  List.iter
-    (fun (s, t, d) ->
-      succ.(s) <- (t, d) :: succ.(s);
-      indeg.(t) <- indeg.(t) + 1)
-    !edges;
+  let succ = Array.make n [] in
+  List.iter (fun (s, t, d) -> succ.(s) <- (t, d) :: succ.(s)) !edges;
   let arrival = Array.make n 0. in
   for i = 0 to n - 1 do
     arrival.(i) <- Option.value (Hashtbl.find_opt base i) ~default:0.
   done;
-  let q = Queue.create () in
-  Array.iteri (fun i d -> if d = 0 then Queue.add i q) indeg;
-  let peeled = ref 0 in
-  while not (Queue.is_empty q) do
-    let i = Queue.pop q in
-    incr peeled;
-    List.iter
-      (fun (t, d) ->
-        if arrival.(i) +. d > arrival.(t) then arrival.(t) <- arrival.(i) +. d;
-        indeg.(t) <- indeg.(t) - 1;
-        if indeg.(t) = 0 then Queue.add t q)
-      succ.(i)
-  done;
-  if !peeled < n then begin
-    let witness = ref (-1) in
-    Array.iteri (fun i d -> if d > 0 && !witness < 0 then witness := i) indeg;
+  let order, rest = Support.Digraph.topo (Array.map (List.map fst) succ) in
+  Array.iter
+    (fun i ->
+      List.iter
+        (fun (t, d) -> if arrival.(i) +. d > arrival.(t) then arrival.(t) <- arrival.(i) +. d)
+        succ.(i))
+    order;
+  if rest <> [] then
     emit
-      (Rule.diag r_cp ~loc:(D.Channel (chan_of term_of.(!witness)))
+      (Rule.diag r_cp ~loc:(D.Channel (chan_of term_of.(List.hd rest)))
          "unbuffered segments form a combinational cycle: arrival times diverge")
-  end
   else begin
     for i = 0 to n - 1 do
       if arrival.(i) > cp +. 1e-4 then

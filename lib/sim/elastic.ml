@@ -94,28 +94,13 @@ let run ?(config = default_config) ?(memories = []) ?dump_deadlock ?vcd g =
   (* every cycle must carry at least one opaque buffer, otherwise the
      handshake is a combinational cycle (same legality rule the netlist
      synthesis enforces) *)
-  let has_unbuffered_cycle () =
-    let n = G.n_units g in
-    let color = Array.make n 0 in
-    let found = ref false in
-    let rec dfs u =
-      color.(u) <- 1;
-      List.iter
-        (fun (cid, w) ->
-          let opaque =
-            match G.buffer g cid with Some { G.transparent = false; _ } -> true | _ -> false
-          in
-          if not opaque then
-            if color.(w) = 1 then found := true else if color.(w) = 0 then dfs w)
-        (G.succs g u);
-      color.(u) <- 2
-    in
-    for u = 0 to n - 1 do
-      if color.(u) = 0 then dfs u
-    done;
-    !found
+  let unbuffered_succs u =
+    List.filter_map
+      (fun (cid, w) ->
+        match G.buffer g cid with Some { G.transparent = false; _ } -> None | _ -> Some w)
+      (G.succs g u)
   in
-  if has_unbuffered_cycle () then
+  if snd (Support.Digraph.topo (Array.init (G.n_units g) unbuffered_succs)) <> [] then
     failwith "Elastic.run: combinational cycle (a DFG cycle has no opaque buffer)";
   let n_chan = G.n_channels g in
   let n_units = G.n_units g in

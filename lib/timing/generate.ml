@@ -15,33 +15,14 @@ let terminal_of kinds n =
   | Lut_map.Cross_bwd c -> Model.T_chan_bwd c
   | Lut_map.Delay _ -> invalid_arg "terminal_of: delay node"
 
-let topo_order (tg : Lut_map.t) =
-  let n = Array.length tg.Lut_map.kinds in
-  let indeg = Array.make n 0 in
-  Array.iteri (fun _ succs -> List.iter (fun d -> indeg.(d) <- indeg.(d) + 1) succs) tg.Lut_map.succs;
-  let q = Queue.create () in
-  for i = 0 to n - 1 do
-    if indeg.(i) = 0 then Queue.add i q
-  done;
-  let order = ref [] in
-  let count = ref 0 in
-  while not (Queue.is_empty q) do
-    let u = Queue.pop q in
-    incr count;
-    order := u :: !order;
-    List.iter
-      (fun d ->
-        indeg.(d) <- indeg.(d) - 1;
-        if indeg.(d) = 0 then Queue.add d q)
-      tg.Lut_map.succs.(u)
-  done;
-  if !count <> n then failwith "Generate.run: cyclic timing graph (unbuffered combinational cycle)";
-  Array.of_list (List.rev !order)
-
 let run (tg : Lut_map.t) g =
   let kinds = tg.Lut_map.kinds in
   let n = Array.length kinds in
-  let order = topo_order tg in
+  let order =
+    match Support.Digraph.topo tg.Lut_map.succs with
+    | order, [] -> order
+    | _ -> failwith "Generate.run: cyclic timing graph (unbuffered combinational cycle)"
+  in
   (* Sources are terminal CLASSES: the merged register launch, and every
      (channel, direction) crossing class — cross nodes are private per
      LUT edge, so a class seeds all its member nodes at once. *)

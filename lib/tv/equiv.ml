@@ -71,38 +71,14 @@ let signature_hex r =
    (Input/Ff/Const gates are sources; an FF's D fanin is a consumer of
    the combinational frame, not a dependency of the FF's output). *)
 let topo_order net =
-  let n = Net.n_gates net in
-  let indeg = Array.make n 0 in
-  let succs = Array.make n [] in
+  let succs = Array.make (Net.n_gates net) [] in
   Net.iter net (fun g ->
       match g.Net.kind with
       | Net.Input _ | Net.Ff _ | Net.Const _ -> ()
-      | _ ->
-        Array.iter
-          (fun f ->
-            if f >= 0 then begin
-              succs.(f) <- g.Net.id :: succs.(f);
-              indeg.(g.Net.id) <- indeg.(g.Net.id) + 1
-            end)
-          g.Net.fanins);
-  let q = Queue.create () in
-  for i = 0 to n - 1 do
-    if indeg.(i) = 0 then Queue.add i q
-  done;
-  let order = Array.make n 0 in
-  let k = ref 0 in
-  while not (Queue.is_empty q) do
-    let v = Queue.pop q in
-    order.(!k) <- v;
-    incr k;
-    List.iter
-      (fun s ->
-        indeg.(s) <- indeg.(s) - 1;
-        if indeg.(s) = 0 then Queue.add s q)
-      succs.(v)
-  done;
-  if !k < n then failwith "Tv.Equiv: combinational cycle in netlist";
-  order
+      | _ -> Array.iter (fun f -> if f >= 0 then succs.(f) <- g.Net.id :: succs.(f)) g.Net.fanins);
+  match Support.Digraph.topo succs with
+  | order, [] -> order
+  | _ -> failwith "Tv.Equiv: combinational cycle in netlist"
 
 (* One combinational frame over 64 lanes; [stim] holds the word of every
    Input/Ff gate (the frame's free variables). *)

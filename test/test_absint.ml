@@ -147,6 +147,43 @@ let test_gsum_narrowing () =
   check Alcotest.(list string) "simulation-equivalent" []
     (Tv.Simdiff.check ~original:g ~variant:gn ())
 
+(* The text report prints one line per entry, whatever the line
+   widths: width-dependent cut hints used to glue entries together. *)
+let test_report_lines () =
+  let entry uid label range =
+    { N.nr_uid = uid; nr_label = label; nr_old_width = 32; nr_new_width = 7; nr_range = range }
+  in
+  let long = String.make 90 'x' in
+  let report =
+    {
+      N.r_narrowed =
+        [ entry 1 "const1" "{1}"; entry 9 long ""; entry 12 "br_i" "[0,99] 0b0xxxxxxx" ];
+      r_folded = [ (4, "add_4", 7) ];
+      r_rewired = [ (6, "br_6", "steering constant 1") ];
+      r_deleted = [ (8, "sink_8") ];
+      r_bits_before = 611;
+      r_bits_after = 351;
+      r_units_before = 40;
+      r_units_after = 39;
+      r_diverged = false;
+    }
+  in
+  check
+    Alcotest.(list string)
+    "one line per entry"
+    [
+      "units: 40 -> 39, channel bits: 611 -> 351";
+      "  narrow const1#1: 32 -> 7 bits  {1}";
+      "  narrow " ^ long ^ "#9: 32 -> 7 bits";
+      "  narrow br_i#12: 32 -> 7 bits  [0,99] 0b0xxxxxxx";
+      "  fold add_4#4 = 7";
+      "  rewire br_6#6: steering constant 1";
+      "  delete sink_8#8";
+    ]
+    (String.split_on_char '\n' (Format.asprintf "%a" N.pp_report report));
+  check Alcotest.string "diverged" "analysis diverged; graph left unchanged"
+    (Format.asprintf "%a" N.pp_report { report with N.r_diverged = true })
+
 (* satellite regression: the full flow with narrowing on and off must
    produce sim-equivalent circuits (exit value and memory state) *)
 let test_flow_narrow_on_off () =
@@ -257,6 +294,7 @@ let suite =
     Alcotest.test_case "termination: non-terminating loop" `Quick test_termination_nonterminating;
     Alcotest.test_case "termination: benchmark suite" `Quick test_termination_kernels;
     Alcotest.test_case "gsum narrowing saves bits, equivalent" `Quick test_gsum_narrowing;
+    Alcotest.test_case "narrowing report: one line per entry" `Quick test_report_lines;
     Alcotest.test_case "flow narrow on/off equivalent" `Slow test_flow_narrow_on_off;
     Alcotest.test_case "dead branch deleted" `Quick test_dead_branch_deleted;
     Alcotest.test_case "constant fold" `Quick test_const_fold;

@@ -227,6 +227,47 @@ let prop_topo_random_dag =
       let order = A.topo_order g in
       List.length order = G.n_units g)
 
+(* gsum as compiled (no buffers yet) has two unbuffered cyclic SCCs.
+   These SCC, peel and diagnostic orders reach digests and lint output,
+   so they are pinned. *)
+let test_unbuffered_gsum_orders () =
+  let g = Hls.Kernels.graph (Hls.Kernels.by_name "gsum") in
+  check
+    Alcotest.(list (list int))
+    "cyclic sccs"
+    [
+      [ 4; 35; 7; 29; 9; 30; 11; 31; 13; 25; 15; 18; 32; 21; 22; 3; 26; 6; 10; 34; 12; 33 ];
+      [ 5; 8; 16; 17; 20 ];
+    ]
+    (A.cyclic_sccs g);
+  check
+    Alcotest.(list int)
+    "topo order"
+    [ 0; 27; 1; 2; 4; 35; 7; 29; 9; 30; 38; 11; 31; 13; 25; 14; 15; 36; 18; 32; 28; 21; 3; 19;
+      22; 26; 33; 37; 6; 10; 5; 34; 8; 12; 16; 23; 17; 24; 20 ]
+    (A.topo_order g);
+  check
+    Alcotest.(list string)
+    "dfg-comb-cycle diagnostics"
+    [
+      "error   dfg-comb-cycle @ unit 3: cycle through {cmerge2#3 (cmerge_loop), fork2#33 \
+       (fanout_cmerge_loop), mux2#4 (loop_i), fork2#35 (fanout_loop_i), branch#9 (br_i), \
+       fork2#30 (fanout_br_i), … (22 units)} has no opaque buffer on any channel";
+      "error   dfg-comb-cycle @ unit 5: cycle through {mux2#5 (loop_s), branch#8 (br_s), \
+       branch#16 (br_s), add#17 (add_17), mux2#20 (phi_s)} has no opaque buffer on any channel";
+    ]
+    (List.filter_map
+       (fun d ->
+         if d.Lint.Diagnostic.rule = "dfg-comb-cycle" then
+           Some (Format.asprintf "%a" Lint.Diagnostic.pp d)
+         else None)
+       (Lint.Engine.check_graph g).Lint.Engine.diagnostics);
+  match Sim.Elastic.run g with
+  | _ -> Alcotest.fail "expected the combinational-cycle check to reject the graph"
+  | exception Failure m ->
+    check Alcotest.string "simulator refuses"
+      "Elastic.run: combinational cycle (a DFG cycle has no opaque buffer)" m
+
 let test_dot_output () =
   let g, _ = Fixtures.loop () in
   let dot = Dataflow.Dot.to_string g in
@@ -273,6 +314,7 @@ let suite =
     ("simple cycles self loop", `Quick, test_simple_cycles_self_loop);
     ("shortest path self on cycle", `Quick, test_shortest_path_self_on_cycle);
     ("topo order", `Quick, test_topo_order);
+    ("unbuffered gsum: scc, peel and lint orders", `Quick, test_unbuffered_gsum_orders);
     qtest prop_topo_random_dag;
     ("dot output", `Quick, test_dot_output);
     ("marked back edges", `Quick, test_marked_back_edges);

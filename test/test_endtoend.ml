@@ -49,7 +49,12 @@ let gen_program seed =
     in
     Hls.Ast.Binop (op, expr 1, expr 1)
   in
-  let rec stmt ~in_loop depth =
+  (* [iters]: the enclosing loops' iterators. [Hls.Interp] keeps one flat
+     store, so an inner loop that redeclared one would reset the outer
+     counter forever; a drawn name already in scope is bumped to the next
+     free one, which costs no extra draw and leaves every other program
+     unchanged. *)
+  let rec stmt ~iters ~in_loop depth =
     match if depth = 0 then Support.Rng.int rng 2 else Support.Rng.int rng 4 with
     | 0 -> Hls.Ast.Assign (var (), expr 2)
     | 1 ->
@@ -61,17 +66,23 @@ let gen_program seed =
         Hls.Ast.If
           ( cond (),
             [ (if Support.Rng.bool rng then Hls.Ast.Break else Hls.Ast.Continue) ],
-            [ stmt ~in_loop (depth - 1) ] )
-      else Hls.Ast.If (cond (), [ stmt ~in_loop (depth - 1) ], [ stmt ~in_loop (depth - 1) ])
+            [ stmt ~iters ~in_loop (depth - 1) ] )
+      else
+        Hls.Ast.If
+          (cond (), [ stmt ~iters ~in_loop (depth - 1) ], [ stmt ~iters ~in_loop (depth - 1) ])
     | _ ->
       (* bounded counting loop over a fresh iterator *)
-      let i = Printf.sprintf "i%d" (Support.Rng.int rng 1000) in
+      let rec fresh k =
+        let i = Printf.sprintf "i%d" k in
+        if List.mem i iters then fresh (k + 1) else i
+      in
+      let i = fresh (Support.Rng.int rng 1000) in
       let bound = 2 + Support.Rng.int rng 5 in
       Hls.Ast.For
         ( Hls.Ast.Decl (i, Hls.Ast.Int 0),
           Hls.Ast.Binop (Hls.Ast.Lt, Hls.Ast.Var i, Hls.Ast.Int bound),
           Hls.Ast.Assign (i, Hls.Ast.Binop (Hls.Ast.Add, Hls.Ast.Var i, Hls.Ast.Int 1)),
-          [ stmt ~in_loop:true (depth - 1) ] )
+          [ stmt ~iters:(i :: iters) ~in_loop:true (depth - 1) ] )
   in
   let n_stmts = 2 + Support.Rng.int rng 3 in
   let body =
@@ -80,7 +91,7 @@ let gen_program seed =
       Hls.Ast.Decl ("y", Hls.Ast.Int (Support.Rng.int rng 16));
       Hls.Ast.Decl ("z", Hls.Ast.Int (Support.Rng.int rng 16));
     ]
-    @ List.init n_stmts (fun _ -> stmt ~in_loop:false 2)
+    @ List.init n_stmts (fun _ -> stmt ~iters:[] ~in_loop:false 2)
     @ [
         Hls.Ast.Return
           (Hls.Ast.Binop (Hls.Ast.Add, Hls.Ast.Var "x",
@@ -91,24 +102,29 @@ let gen_program seed =
 
 let mem_data seed = Array.init 16 (fun i -> (seed + (i * 37)) land 255)
 
+let circuit_matches_interpreter seed =
+  let f = gen_program seed in
+  let expected = Hls.Interp.run f ~args:[] ~memories:[ ("m", mem_data seed) ] in
+  let g = Hls.Compile.compile f in
+  (match G.validate g with Ok () -> () | Error e -> failwith e);
+  let _ = Core.Flow.seed_back_edges g in
+  let r =
+    Sim.Elastic.run
+      ~config:{ Sim.Elastic.max_cycles = 200_000; deadlock_window = 1_000 }
+      ~memories:[ ("m", mem_data seed) ]
+      g
+  in
+  r.Sim.Elastic.finished && r.Sim.Elastic.exit_value = Some expected
+
 let prop_random_programs =
   QCheck.Test.make ~name:"random programs: circuit == interpreter" ~count:40
     QCheck.(int_range 0 1_000_000)
-    (fun seed ->
-      let f = gen_program seed in
-      let expected =
-        Hls.Interp.run f ~args:[] ~memories:[ ("m", mem_data seed) ]
-      in
-      let g = Hls.Compile.compile f in
-      (match G.validate g with Ok () -> () | Error e -> failwith e);
-      let _ = Core.Flow.seed_back_edges g in
-      let r =
-        Sim.Elastic.run
-          ~config:{ Sim.Elastic.max_cycles = 200_000; deadlock_window = 1_000 }
-          ~memories:[ ("m", mem_data seed) ]
-          g
-      in
-      r.Sim.Elastic.finished && r.Sim.Elastic.exit_value = Some expected)
+    circuit_matches_interpreter
+
+(* seed 634811 draws [for i473 … { for i473 … }]; the generator must
+   rename the inner iterator or the interpreter runs away *)
+let test_nested_iterator_seed () =
+  Alcotest.(check bool) "circuit == interpreter" true (circuit_matches_interpreter 634811)
 
 (* Latency-insensitivity: buffering any subset of channels must preserve
    the computed value (only the schedule may change). *)
@@ -159,6 +175,8 @@ let prop_pp_parse_roundtrip =
 let suite =
   [
     qtest prop_random_programs;
+    ("random programs: nested iterators stay distinct (seed 634811)", `Quick,
+     test_nested_iterator_seed);
     qtest prop_pp_parse_roundtrip;
     qtest prop_buffering_preserves_function;
     qtest prop_timing_model_sane;

@@ -75,8 +75,9 @@ let test_interp_runaway () =
 (* Compilation structure *)
 
 let seed_back_edges g =
-  let back = match G.marked_back_edges g with [] -> A.back_edges g | m -> m in
-  List.iter (fun c -> G.set_buffer g c (Some { G.transparent = false; slots = 2 })) back
+  List.iter
+    (fun c -> G.set_buffer g c (Some { G.transparent = false; slots = 2 }))
+    (A.loop_back_edges g)
 
 let test_ternary_circuit () =
   (* the ternary compiles to a select unit and matches the interpreter *)

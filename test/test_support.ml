@@ -82,32 +82,67 @@ let test_vec_iterators () =
     (Support.Vec.find_index (fun x -> x = 3) v)
 
 (* ------------------------------------------------------------------ *)
-(* Union-find *)
+(* Digraph *)
 
-let test_uf_basic () =
-  let uf = Support.Union_find.create 6 in
-  Support.Union_find.union uf 0 1;
-  Support.Union_find.union uf 2 3;
-  Support.Union_find.union uf 1 2;
-  check Alcotest.bool "0~3" true (Support.Union_find.same uf 0 3);
-  check Alcotest.bool "0!~4" false (Support.Union_find.same uf 0 4);
-  let classes = Support.Union_find.classes uf in
-  let sizes = Array.to_list classes |> List.map List.length |> List.filter (( <> ) 0) in
-  check (Alcotest.list Alcotest.int) "class sizes" [ 4; 1; 1 ] (List.sort (fun a b -> compare b a) sizes)
+(* The ordering contract of digraph.mli, worked by hand. *)
+let test_digraph_orders () =
+  check
+    Alcotest.(list (list int))
+    "sccs: reverse completion order, members root first"
+    [ [ 4 ]; [ 0; 1 ]; [ 2; 3 ] ]
+    (Support.Digraph.sccs [| [ 1 ]; [ 0; 2 ]; [ 3 ]; [ 2 ]; [] |]);
+  let order, rest = Support.Digraph.topo [| []; []; [ 1; 0 ]; [ 4 ]; [ 3; 5 ]; []; [] |] in
+  check Alcotest.(list int) "topo: seeds ascending, successors in list order" [ 2; 6; 1; 0 ]
+    (Array.to_list order);
+  check Alcotest.(list int) "topo: the cycle and what it feeds stay" [ 3; 4; 5 ] rest
 
-let prop_uf_transitive =
-  QCheck.Test.make ~name:"union-find transitivity" ~count:100
-    QCheck.(pair (int_range 2 30) (list_of_size (Gen.int_range 0 40) (pair small_nat small_nat)))
+(* Both kernels against brute-force reachability (Floyd-Warshall over
+   walks of one or more edges) on random small digraphs, self-loops and
+   parallel edges included. *)
+let prop_digraph_vs_reachability =
+  QCheck.Test.make ~name:"digraph sccs and topo vs reachability" ~count:300
+    QCheck.(pair (int_range 1 10) (list_of_size (Gen.int_range 0 25) (pair small_nat small_nat)))
     (fun (n, pairs) ->
-      let uf = Support.Union_find.create n in
-      List.iter (fun (a, b) -> Support.Union_find.union uf (a mod n) (b mod n)) pairs;
-      (* representatives are consistent *)
-      List.for_all
-        (fun (a, b) ->
-          let a = a mod n and b = b mod n in
-          Support.Union_find.same uf a b
-          = (Support.Union_find.find uf a = Support.Union_find.find uf b))
-        pairs)
+      let edges = List.map (fun (a, b) -> (a mod n, b mod n)) pairs in
+      let adj = Array.make n [] in
+      List.iter (fun (a, b) -> adj.(a) <- b :: adj.(a)) edges;
+      let reach = Array.make_matrix n n false in
+      List.iter (fun (a, b) -> reach.(a).(b) <- true) edges;
+      for k = 0 to n - 1 do
+        for i = 0 to n - 1 do
+          for j = 0 to n - 1 do
+            if reach.(i).(k) && reach.(k).(j) then reach.(i).(j) <- true
+          done
+        done
+      done;
+      let all = List.init n Fun.id in
+      let comps = Support.Digraph.sccs adj in
+      let comp_of = Array.make n (-1) in
+      List.iteri (fun i c -> List.iter (fun v -> comp_of.(v) <- i) c) comps;
+      let sccs_ok =
+        List.sort compare (List.concat comps) = all
+        && List.for_all
+             (fun u ->
+               List.for_all
+                 (fun v -> comp_of.(u) = comp_of.(v) = (u = v || (reach.(u).(v) && reach.(v).(u))))
+                 all)
+             all
+        (* a component precedes every component it reaches *)
+        && List.for_all (fun (a, b) -> comp_of.(a) <= comp_of.(b)) edges
+      in
+      let order, rest = Support.Digraph.topo adj in
+      let pos = Array.make n (-1) in
+      Array.iteri (fun i v -> pos.(v) <- i) order;
+      let on_cycle c = reach.(c).(c) in
+      let behind_cycle v = List.exists (fun c -> on_cycle c && (c = v || reach.(c).(v))) all in
+      let topo_ok =
+        List.sort compare (Array.to_list order @ rest) = all
+        && List.sort compare rest = rest
+        && List.for_all (fun (a, b) -> pos.(b) < 0 || (pos.(a) >= 0 && pos.(a) < pos.(b))) edges
+        && rest = List.filter behind_cycle all
+        && (rest <> []) = List.exists on_cycle all
+      in
+      sccs_ok && topo_ok)
 
 let suite =
   [
@@ -120,6 +155,6 @@ let suite =
     ("vec push/get/set", `Quick, test_vec_push_get);
     ("vec bounds checked", `Quick, test_vec_bounds);
     ("vec iterators", `Quick, test_vec_iterators);
-    ("union-find basics", `Quick, test_uf_basic);
-    qtest prop_uf_transitive;
+    ("digraph orders", `Quick, test_digraph_orders);
+    qtest prop_digraph_vs_reachability;
   ]
