@@ -130,15 +130,6 @@ let flow_cmd =
   let routing = Arg.(value & flag & info [ "routing-aware" ] ~doc:"Fold placement wire estimates into the model.") in
   let slack = Arg.(value & flag & info [ "slack-match" ] ~doc:"Pad reconvergent paths with transparent capacity.") in
   let balance = Arg.(value & flag & info [ "balance" ] ~doc:"Run AND re-association before mapping.") in
-  let tv_exact =
-    Arg.(
-      value & flag
-      & info [ "tv-exact" ]
-          ~doc:
-            "Confirm every translation-validation signature mismatch by scalar replay and \
-             exhaustive evaluation of the offending LUT cone (the cheap signature gates always \
-             run).")
-  in
   let digest =
     Arg.(
       value & flag
@@ -148,7 +139,7 @@ let flow_cmd =
              plus every per-iteration decision), byte-comparable against the $(b,done) events of \
              `regulate serve`.")
   in
-  let run k flavor levels routing slack balance tv_exact no_narrow digest milp_nodes
+  let run k flavor levels routing slack balance no_narrow digest milp_nodes
       milp_budget_s trace cache_dir =
     let config =
       {
@@ -156,7 +147,6 @@ let flow_cmd =
         Core.Flow.routing_aware = routing;
         slack_match = slack;
         balance;
-        tv_exact;
         narrow = not no_narrow;
       }
     in
@@ -201,7 +191,7 @@ let flow_cmd =
     (Cmd.info "flow" ~doc:"Run one buffering flow on one kernel.")
     (Term.term_result
        Term.(
-         const run $ kernel_arg $ flavor $ Cli.levels_arg $ routing $ slack $ balance $ tv_exact
+         const run $ kernel_arg $ flavor $ Cli.levels_arg $ routing $ slack $ balance
          $ Cli.no_narrow_arg $ digest $ milp_nodes_arg $ milp_budget_arg $ Cli.trace_arg
          $ Cli.cache_dir_arg))
 
@@ -648,15 +638,15 @@ let verify_cmd =
    intermediate iteration), then re-checks the final netlist / AIG / LUT
    cover triple once more to report its semantic signature and witness
    counts alongside the wall time. *)
-let tv_kernel ~levels ~exact ~session flavor k =
-  let config = { (Core.Flow.with_levels levels Core.Flow.default_config) with tv_exact = exact } in
+let tv_kernel ~levels ~session flavor k =
+  let config = Core.Flow.with_levels levels Core.Flow.default_config in
   let g = Hls.Kernels.graph k in
   let t0 = Unix.gettimeofday () in
   let res =
     match Core.Flow.run ~config ~session flavor g with
     | outcome ->
       let ds, tv =
-        Lint.Equiv_rules.check_translation ~exact outcome.Core.Flow.net outcome.Core.Flow.lutgraph
+        Lint.Equiv_rules.check_translation outcome.Core.Flow.net outcome.Core.Flow.lutgraph
       in
       Ok (Lint.Engine.of_diagnostics ds, tv)
     | exception Lint.Engine.Lint_error report -> Error (`Lint report)
@@ -675,14 +665,6 @@ let tv_cmd =
     Arg.(
       value & opt fconv `Both
       & info [ "flavor" ] ~docv:"FLAVOR" ~doc:"iterative, baseline or both (default both).")
-  in
-  let exact =
-    Arg.(
-      value & flag
-      & info [ "tv-exact" ]
-          ~doc:
-            "Confirm every signature mismatch by scalar replay and exhaustive evaluation of the \
-             offending LUT cone.")
   in
   let ok = function Ok (r, _) -> Lint.Engine.ok r | Error _ -> false in
   let to_json (k, fl) (res, ms) =
@@ -719,7 +701,7 @@ let tv_cmd =
       Format.printf "  %a@." Lint.Engine.pp_report r
     | Error (`Exn msg) -> Printf.printf "%-15s %-9s ERROR: %s %7.1f ms\n" name fn msg ms
   in
-  let run ks json flavor exact levels jobs trace cache_dir =
+  let run ks json flavor levels jobs trace cache_dir =
     let flavors =
       match flavor with `Both -> List.map snd Core.Flow.flavors | #Core.Flow.flavor as fl -> [ fl ]
     in
@@ -728,7 +710,7 @@ let tv_cmd =
       let session = Core.Session.make ~cache () in
       Cli.report ~json ~jobs
         ~label:(fun (k, _) -> kernel_name k)
-        ~check:(fun (k, fl) -> tv_kernel ~levels ~exact ~session fl k)
+        ~check:(fun (k, fl) -> tv_kernel ~levels ~session fl k)
         ~to_json ~print
         ~failed:(fun (res, _) -> not (ok res))
         tasks
@@ -746,7 +728,7 @@ let tv_cmd =
           (netlist/AIG/LUT-cover), label & domain soundness, and buffer-insertion refinement.")
     (Term.term_result
        Term.(
-         const run $ kernels_arg $ json_arg $ flavor $ exact $ Cli.levels_arg $ Cli.jobs_arg $ Cli.trace_arg
+         const run $ kernels_arg $ json_arg $ flavor $ Cli.levels_arg $ Cli.jobs_arg $ Cli.trace_arg
          $ Cli.cache_dir_arg))
 
 (* ---- compare ---- *)
@@ -866,17 +848,9 @@ let serve_cmd =
     match Cli.open_cache cache_dir with
     | Error _ as e -> e
     | Ok cache ->
-      let cfg =
-        {
-          Serve.Server.jobs;
-          queue_limit;
-          levels;
-          milp_nodes;
-          milp_budget_s;
-          cache;
-          flow = { Core.Flow.default_config with Core.Flow.narrow = not no_narrow };
-        }
-      in
+      let flow = { Core.Flow.default_config with Core.Flow.narrow = not no_narrow } in
+      let flow = match levels with Some n -> Core.Flow.with_levels n flow | None -> flow in
+      let cfg = { Serve.Server.jobs; queue_limit; milp_nodes; milp_budget_s; cache; flow } in
       let t = Serve.Server.create cfg in
       (match socket with
       | None -> Serve.Server.serve_channels t stdin stdout

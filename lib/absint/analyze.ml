@@ -178,11 +178,12 @@ let unit_transfer ctx (n : G.node) =
   | K.Load _ -> [| (if V.is_bot (inv 0) then V.Bot else V.top w) |]
   | K.Store _ -> [| (if any_bot () then V.Bot else V.const w 0) |]
 
-let run ?(widen_after = 16) ?max_evals g =
+(* per-channel update budget before widening *)
+let widen_after = 16
+
+let run g =
   let nu = G.n_units g and nc = G.n_channels g in
-  let max_evals =
-    match max_evals with Some m -> m | None -> 512 * (nu + 1)
-  in
+  let max_evals = 512 * (nu + 1) in
   let ctx = { g; values = Array.make nc V.Bot; extra = Array.make nc [] } in
   let counts = Array.make nc 0 in
   let queue = Queue.create () in

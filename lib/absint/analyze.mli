@@ -14,11 +14,11 @@ type result = {
   evals : int;
 }
 
-val run : ?widen_after:int -> ?max_evals:int -> Dataflow.Graph.t -> result
+val run : Dataflow.Graph.t -> result
 (** Buffers and back-edge marks are irrelevant to the result, so the graph
-    does not need seeded buffers.  [widen_after] is the per-channel update
-    budget before widening (default 16); [max_evals] the global unit
-    evaluation cap (default [512 * (n_units + 1)]). *)
+    does not need seeded buffers.  A channel widens after 16 updates, and
+    the run gives up (diverges) after [512 * (n_units + 1)] unit
+    evaluations. *)
 
 val value : result -> Dataflow.Graph.channel_id -> Value.t
 

@@ -162,10 +162,10 @@ let certify ?(karp = true) g =
     karp_checks = !karp_checks;
   }
 
-let karp_agrees ?(tol = 1e-9) t =
+let karp_agrees t =
   List.for_all
     (fun s ->
-      match s.sc_karp with None -> true | Some k -> Float.abs (k -. s.sc_ratio) <= tol)
+      match s.sc_karp with None -> true | Some k -> Float.abs (k -. s.sc_ratio) <= 1e-9)
     t.sccs
 
 let pp_cycle g fmt cy =

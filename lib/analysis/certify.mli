@@ -58,9 +58,8 @@ val certify : ?karp:bool -> Dataflow.Graph.t -> t
     records its value per SCC. Emits [perf.*] {!Support.Trace}
     counters. *)
 
-val karp_agrees : ?tol:float -> t -> bool
-(** Every SCC where Karp ran agrees with Howard within [tol]
-    (default 1e-9). *)
+val karp_agrees : t -> bool
+(** Every SCC where Karp ran agrees with Howard within 1e-9. *)
 
 val pp_cycle : Dataflow.Graph.t -> Format.formatter -> cycle -> unit
 (** [u3(mux2) -c7-> u5(add) -c9-> u3] with the token/latency/capacity

@@ -9,7 +9,10 @@ let channel_latency g (c : G.chan) =
   in
   unit_lat + buf_lat
 
-let compute ?(cap = 4) g =
+(* most transparent slots one channel is padded with *)
+let cap = 4
+
+let compute g =
   let back = A.loop_back_edges g in
   let is_back = Hashtbl.create 16 in
   List.iter (fun c -> Hashtbl.replace is_back c ()) back;
@@ -38,8 +41,8 @@ let compute ?(cap = 4) g =
     []
   |> List.rev
 
-let apply ?cap g =
-  let pads = compute ?cap g in
+let apply g =
+  let pads = compute g in
   List.iter
     (fun (cid, slots) -> G.set_buffer g cid (Some { G.transparent = true; slots }))
     pads;

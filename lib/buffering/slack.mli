@@ -14,10 +14,10 @@
     by more than its own latency enough transparent slots to park the
     early tokens. *)
 
-val compute : ?cap:int -> Dataflow.Graph.t -> (Dataflow.Graph.channel_id * int) list
+val compute : Dataflow.Graph.t -> (Dataflow.Graph.channel_id * int) list
 (** Channels needing transparent capacity, with slot counts (capped at
-    [cap], default 4). Channels that already have a buffer are skipped. *)
+    4). Channels that already have a buffer are skipped. *)
 
-val apply : ?cap:int -> Dataflow.Graph.t -> int
+val apply : Dataflow.Graph.t -> int
 (** Compute and install the transparent buffers; returns how many
     channels were padded. *)

@@ -9,7 +9,6 @@ type config = {
   routing_aware : bool;
   slack_match : bool;
   balance : bool;
-  tv_exact : bool;
   narrow : bool;
 }
 
@@ -29,7 +28,6 @@ let default_config =
       routing_aware = false;
       slack_match = false;
       balance = false;
-      tv_exact = false;
       narrow = true;
     }
 
@@ -142,14 +140,12 @@ let run_gate audit ~stage check =
 
 (* Translation-validation gates (the equiv-* rules). The signature pass
    is cheap (a few 64-lane simulation rounds per representation) and
-   runs on every synthesised artefact; [tv_exact] additionally replays
-   every witness through the scalar oracles. The [flow:tv] span bounds
+   runs on every synthesised artefact. The [flow:tv] span bounds
    the whole family, so the CI budget guard can hold the validator
    under a fixed share of flow wall time. *)
-let tv_gate config audit ~stage net lg =
+let tv_gate audit ~stage net lg =
   run_gate audit ~stage (fun () ->
-      Trace.with_span "flow:tv" (fun () ->
-          Lint.Engine.check_translation ~exact:config.tv_exact net lg))
+      Trace.with_span "flow:tv" (fun () -> Lint.Engine.check_translation net lg))
 
 let refine_gate audit ~stage ~base ~buffered ~allowed =
   run_gate audit ~stage (fun () ->
@@ -255,7 +251,7 @@ let iteration ~it ~(model : Timing.Model.t) ~(placement : Buffering.Formulation.
 (* Finish: validate the final synthesis ([tv_stage] names the gate),
    audit the result graph, and record the outcome. *)
 let finish config audit ~tv_stage ~narrowing ~iterations ~cert graph (net, lg) =
-  tv_gate config audit ~stage:tv_stage net lg;
+  tv_gate audit ~stage:tv_stage net lg;
   let final_levels = lg.Techmap.Lutgraph.max_level in
   run_gate audit ~stage:"final-dfg" (fun () -> Lint.Engine.check_graph graph);
   {
@@ -335,7 +331,7 @@ let iterative ?(config = default_config) ?(session = Session.make ()) input =
     run_gate audit ~stage:"netlist" (fun () -> Lint.Engine.check_netlist g net);
     (* every iteration's netlist/AIG/cover triple is validated, whether
        it came from a fresh synthesis or a warm artifact-cache hit *)
-    tv_gate config audit ~stage:"tv" net lg;
+    tv_gate audit ~stage:"tv" net lg;
     let lut_extra = if config.routing_aware then routing_extra net lg else fun _ -> 0. in
     let tg, model =
       Trace.with_span "flow:model" (fun () ->

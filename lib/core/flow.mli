@@ -46,11 +46,6 @@ type config = {
       (** run the depth-reducing AND re-association pass before LUT
           mapping (ABC's [balance]; off to match the paper's `if -K 6`
           only run) *)
-  tv_exact : bool;
-      (** translation-validation gates confirm every signature-mismatch
-          witness by scalar replay and exhaustive evaluation of the
-          offending cone (the [--tv-exact] CLI flag; off by default —
-          the cheap 64-lane signature pass always runs) *)
   narrow : bool;
       (** run the abstract-interpretation value analysis and the verified
           narrowing rewrite ({!module:Absint}) on the seeded graph before

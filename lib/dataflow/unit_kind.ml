@@ -38,10 +38,7 @@ let out_arity = function
   | Load _ -> 1
   | Store _ -> 1
 
-let operator ?latency ?ii op =
-  let latency = Option.value latency ~default:(Ops.default_latency op) in
-  let ii = Option.value ii ~default:(Ops.default_ii op) in
-  Operator { op; latency; ii }
+let operator op = Operator { op; latency = Ops.default_latency op; ii = Ops.default_ii op }
 
 let name = function
   | Entry -> "entry"

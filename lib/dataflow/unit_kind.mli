@@ -28,8 +28,8 @@ type t =
 val in_arity : t -> int
 val out_arity : t -> int
 
-val operator : ?latency:int -> ?ii:int -> Ops.t -> t
-(** [operator op] with Dynamatic default latency/II unless overridden. *)
+val operator : Ops.t -> t
+(** [operator op] with Dynamatic's default latency and II for [op]. *)
 
 val name : t -> string
 val pp : Format.formatter -> t -> unit

@@ -53,37 +53,3 @@ let shrink_stmts pred ss =
 let shrink_func pred (f : Ast.func) =
   let body = shrink_stmts (fun b -> pred { f with Ast.body = b }) f.Ast.body in
   { f with Ast.body = body }
-
-let ddmin pred xs =
-  let rec go xs n =
-    let len = List.length xs in
-    if len <= 1 || n > len then xs
-    else begin
-      let chunk = max 1 (len / n) in
-      let rec chunks acc rest =
-        match rest with
-        | [] -> List.rev acc
-        | _ ->
-          let take = min chunk (List.length rest) in
-          let rec split k xs =
-            if k = 0 then ([], xs)
-            else match xs with [] -> ([], []) | x :: t -> let a, b = split (k - 1) t in (x :: a, b)
-          in
-          let c, rest' = split take rest in
-          chunks (c :: acc) rest'
-      in
-      let cs = chunks [] xs in
-      (* try each chunk alone *)
-      match List.find_opt pred cs with
-      | Some c -> go c 2
-      | None -> (
-        (* try each complement *)
-        let complements =
-          List.mapi (fun i _ -> List.concat (List.filteri (fun j _ -> j <> i) cs)) cs
-        in
-        match List.find_opt pred complements with
-        | Some c -> go c (max 2 (n - 1))
-        | None -> if n < len then go xs (min len (2 * n)) else xs)
-    end
-  in
-  if pred xs then go xs 2 else xs

@@ -1,5 +1,5 @@
-(** Failure minimization: shrink a failing kernel (or a failing DFG
-    mutation list) while preserving the failure.
+(** Failure minimization: shrink a failing kernel while preserving the
+    failure.
 
     The predicate is the caller's: it re-runs whatever oracle caught the
     original failure and answers "does this candidate still fail the
@@ -19,11 +19,6 @@ val shrink_func :
 (** {!shrink_stmts} applied to a function body (the return statement is
     part of the body and may itself be dropped only if the predicate
     accepts that). *)
-
-val ddmin : ('a list -> bool) -> 'a list -> 'a list
-(** Classic delta debugging on a list: smallest sublist (under the
-    halving strategy) that still satisfies the predicate. The input list
-    must satisfy it. Used to bisect DFG mutation lists. *)
 
 val size : Hls.Ast.func -> int
 (** Statement count (nested included) — the metric shrinking reduces. *)

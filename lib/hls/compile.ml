@@ -282,7 +282,15 @@ let rec compile_stmt b env ~scope s =
         (fun (name, v) ->
           if name = ctrl_key || not (Sset.mem name routed) then None
           else begin
-            let m = unit_ b ~label:("loop_" ^ name) ~width:(value_width b v) (K.Mux 2) in
+            (* a scalar's loop-carried value can be wider than its entry
+               value (a 1-bit comparison result before a loop that
+               assigns it a full-width value), so size the mux for the
+               full width; memory tokens keep their own width *)
+            let width =
+              if String.starts_with ~prefix:"@" name then value_width b v
+              else max b.width (value_width b v)
+            in
+            let m = unit_ b ~label:("loop_" ^ name) ~width (K.Mux 2) in
             use b index ~dst:m ~port:0;
             use b v ~dst:m ~port:1;
             Some (name, m)

@@ -56,11 +56,10 @@ let check_mapping g lg tg model =
 let check_milp ~cp_target ~buffered model lp x =
   of_diagnostics (Milp_rules.check ~cp_target ~buffered model lp x)
 
-let check_perf ?eps ?truncated ~phi cert g =
-  of_diagnostics (Perf_rules.check ?eps ?truncated ~phi cert g)
+let check_perf ?truncated ~phi cert g =
+  of_diagnostics (Perf_rules.check ?truncated ~phi cert g)
 
-let check_translation ?vectors ?seed ?exact net lg =
-  of_diagnostics (fst (Equiv_rules.check_translation ?vectors ?seed ?exact net lg))
+let check_translation net lg = of_diagnostics (fst (Equiv_rules.check_translation net lg))
 
 let check_refinement ~base ~buffered ~allowed =
   of_diagnostics (Equiv_rules.check_refinement ~base ~buffered ~allowed)

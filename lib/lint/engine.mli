@@ -66,7 +66,6 @@ val check_milp :
   report
 
 val check_perf :
-  ?eps:float ->
   ?truncated:bool ->
   phi:(Dataflow.Graph.unit_id list * float) list ->
   Analysis.Certify.t ->
@@ -75,13 +74,7 @@ val check_perf :
 (** The MILP's throughput claims vs. the independent certificate; see
     {!Perf_rules.check}. *)
 
-val check_translation :
-  ?vectors:int ->
-  ?seed:int ->
-  ?exact:bool ->
-  Net.t ->
-  Techmap.Lutgraph.t ->
-  report
+val check_translation : Net.t -> Techmap.Lutgraph.t -> report
 (** The translation validator's equivalence and label/domain soundness
     passes over a synthesised + mapped circuit; see
     {!Equiv_rules.check_translation}. *)

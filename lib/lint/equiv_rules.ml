@@ -56,8 +56,8 @@ let dom_name = function
    diagnostics together with the raw equivalence result so callers (the
    [regulate tv] CLI) can report signatures and counts without running
    the simulation twice. *)
-let check_translation ?vectors ?seed ?exact net lg =
-  let r = Tv.Equiv.run ?vectors ?seed ?exact net lg in
+let check_translation net lg =
+  let r = Tv.Equiv.run net lg in
   let equiv_ds =
     List.map
       (function

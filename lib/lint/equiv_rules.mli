@@ -21,13 +21,7 @@
 
 val rules : Rule.info list
 
-val check_translation :
-  ?vectors:int ->
-  ?seed:int ->
-  ?exact:bool ->
-  Net.t ->
-  Techmap.Lutgraph.t ->
-  Diagnostic.t list * Tv.Equiv.result
+val check_translation : Net.t -> Techmap.Lutgraph.t -> Diagnostic.t list * Tv.Equiv.result
 (** Passes 1 (combinational equivalence) and 2 (label & domain
     soundness); also returns the raw equivalence result so callers can
     report signatures and counts without re-simulating. *)

@@ -6,8 +6,8 @@
       name — a multiply-driven named net (the simulator and the
       testbench address IO by name).
     - [net-comb-cycle] (error): a combinational cycle (a path of
-      non-flip-flop gates back to itself); [Net.sim_eval] would fail to
-      stabilise on it.
+      non-flip-flop gates back to itself); no combinational frame of
+      it is well defined, and the translation validator rejects it.
     - [net-owner-invalid] (warning): a gate labelled with a dataflow
       unit id outside the graph — penalty attribution and LUT labelling
       would silently misbehave. *)

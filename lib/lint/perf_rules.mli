@@ -14,7 +14,6 @@
 val rules : Rule.info list
 
 val check :
-  ?eps:float ->
   ?truncated:bool ->
   phi:(Dataflow.Graph.unit_id list * float) list ->
   Analysis.Certify.t ->
@@ -22,7 +21,7 @@ val check :
   Diagnostic.t list
 (** [phi] pairs each CFDFC's unit set with the throughput the MILP
     claimed for it; CFDFCs are matched to the certificate's SCCs by
-    their unit sets. [eps] (default 1e-4) absorbs LP arithmetic noise.
+    their unit sets. A slack of 1e-4 absorbs LP arithmetic noise.
     [truncated] (default false) reports that cycle enumeration hit its
     cap upstream. *)
 

@@ -83,10 +83,10 @@ let grant_mux net ~owner ~width grants datas =
    visible outside is the NOT computing s_ready from the skid flag. *)
 let elaborate_opaque_buffer net ~fwd_owner ~bwd_owner cw =
   let width = Array.length cw.s_data in
-  let v0 = Net.ff net ~owner:fwd_owner ~dom:Net.Valid () in
-  let v1 = Net.ff net ~owner:fwd_owner ~dom:Net.Valid () in
-  let d0 = Array.init width (fun _ -> Net.ff net ~owner:fwd_owner ~dom:Net.Data ()) in
-  let d1 = Array.init width (fun _ -> Net.ff net ~owner:fwd_owner ~dom:Net.Data ()) in
+  let v0 = Net.ff net ~owner:fwd_owner ~dom:Net.Valid in
+  let v1 = Net.ff net ~owner:fwd_owner ~dom:Net.Valid in
+  let d0 = Array.init width (fun _ -> Net.ff net ~owner:fwd_owner ~dom:Net.Data) in
+  let d1 = Array.init width (fun _ -> Net.ff net ~owner:fwd_owner ~dom:Net.Data) in
   let owner = fwd_owner in
   let deq = Net.and2 net ~owner v0 cw.d_ready in
   let nv1 = Net.not_ net ~owner:bwd_owner v1 in
@@ -131,10 +131,10 @@ let link_channel net g (c : G.chan) cw =
 (* Build a pipelined valid chain with a common [enable]; returns
    (stage valids, enable wire to be connected by the caller). *)
 let valid_chain net ~owner depth =
-  Array.init depth (fun _ -> Net.ff net ~owner ~dom:Net.Valid ())
+  Array.init depth (fun _ -> Net.ff net ~owner ~dom:Net.Valid)
 
 let enabled_ff net ~owner ~dom ~enable next =
-  let r = Net.ff net ~owner ~dom () in
+  let r = Net.ff net ~owner ~dom in
   let d = Net.mux2 net ~owner ~sel:enable next r in
   Net.connect net r d;
   r
@@ -213,7 +213,7 @@ let elaborate_unit net g (n : G.node) wires =
       Net.connect net i.d_ready all_ready
     | _ ->
       (* eager fork with per-output "sent" flags *)
-      let sent = Array.init nf (fun _ -> Net.ff net ~owner ~dom:Net.Valid ()) in
+      let sent = Array.init nf (fun _ -> Net.ff net ~owner ~dom:Net.Valid) in
       let dones =
         Array.init nf (fun k ->
             let nsent = Net.not_ net ~owner sent.(k) in
@@ -250,8 +250,8 @@ let elaborate_unit net g (n : G.node) wires =
     let tok = outs.(0) and idx = outs.(1) in
     let valids = Array.map (fun i -> i.d_valid) ins in
     let free_grants = one_hot_grants net ~owner valids in
-    let lock = Net.ff net ~owner ~dom:Net.Valid () in
-    let winner_reg = Array.map (fun _ -> Net.ff net ~owner ~dom:Net.Valid ()) valids in
+    let lock = Net.ff net ~owner ~dom:Net.Valid in
+    let winner_reg = Array.map (fun _ -> Net.ff net ~owner ~dom:Net.Valid) valids in
     let grants =
       Array.mapi (fun k fg -> Net.mux2 net ~owner ~sel:lock winner_reg.(k) fg) free_grants
     in
@@ -259,8 +259,8 @@ let elaborate_unit net g (n : G.node) wires =
       Net.or_list net ~owner ~dom:Net.Valid
         (Array.to_list (Array.mapi (fun k g -> Net.and2 net ~owner g valids.(k)) grants))
     in
-    let sent_tok = Net.ff net ~owner ~dom:Net.Valid () in
-    let sent_idx = Net.ff net ~owner ~dom:Net.Valid () in
+    let sent_tok = Net.ff net ~owner ~dom:Net.Valid in
+    let sent_idx = Net.ff net ~owner ~dom:Net.Valid in
     let vo_tok = Net.and2 net ~owner any (Net.not_ net ~owner sent_tok) in
     let vo_idx = Net.and2 net ~owner any (Net.not_ net ~owner sent_idx) in
     Net.connect net tok.s_valid vo_tok;
@@ -445,7 +445,7 @@ let elaborate_unit net g (n : G.node) wires =
     let addr = ins.(0) and data = ins.(1) and o = outs.(0) in
     (* registered completion token (1-cycle memory acknowledge): a
        dependent guarded load can never race the write *)
-    let v_pend = Net.ff net ~owner ~dom:Net.Valid () in
+    let v_pend = Net.ff net ~owner ~dom:Net.Valid in
     let enable = Net.or2 net ~owner o.s_ready (Net.not_ net ~owner v_pend) in
     let all_valid = join_inputs net ~owner ~go:enable ins in
     let fire = Net.and2 net ~owner all_valid enable in

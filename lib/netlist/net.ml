@@ -95,8 +95,8 @@ let or_list t ~owner ~dom = function
   | [] -> const t ~owner ~dom false
   | xs -> tree (fun a b -> or2 t ~owner a b) xs
 
-let ff t ~owner ~dom ?(init = false) () =
-  let id = add t (Ff init) [| -1 |] owner dom in
+let ff t ~owner ~dom =
+  let id = add t (Ff false) [| -1 |] owner dom in
   t.regs <- id :: t.regs;
   id
 
@@ -132,67 +132,3 @@ let validate t =
             errors := Printf.sprintf "gate %d: unconnected or bad fanin" g.id :: !errors)
         g.fanins);
   match !errors with [] -> Ok () | es -> Error (String.concat "; " (List.rev es))
-
-(* ------------------------------------------------------------------ *)
-(* Simulation *)
-
-type sim = {
-  net : t;
-  values : bool array;       (* current combinational values *)
-  state : bool array;        (* FF outputs, indexed by gate id *)
-  in_values : (string, bool) Hashtbl.t;
-}
-
-let sim_create net =
-  let n = n_gates net in
-  let s =
-    { net; values = Array.make n false; state = Array.make n false; in_values = Hashtbl.create 16 }
-  in
-  List.iter
-    (fun id -> match (gate net id).kind with Ff init -> s.state.(id) <- init | _ -> ())
-    (ffs net);
-  s
-
-let sim_set_input s nm v = Hashtbl.replace s.in_values nm v
-
-let eval_gate s g =
-  let v i = s.values.(i) in
-  match g.kind with
-  | Input nm -> (try Hashtbl.find s.in_values nm with Not_found -> false)
-  | Const b -> b
-  | Buf | Output _ -> v g.fanins.(0)
-  | Not -> not (v g.fanins.(0))
-  | And2 -> v g.fanins.(0) && v g.fanins.(1)
-  | Or2 -> v g.fanins.(0) || v g.fanins.(1)
-  | Xor2 -> v g.fanins.(0) <> v g.fanins.(1)
-  | Ff _ -> s.state.(g.id)
-
-let sim_eval s =
-  let n = n_gates s.net in
-  let changed = ref true in
-  let iters = ref 0 in
-  while !changed do
-    changed := false;
-    incr iters;
-    if !iters > n + 2 then failwith "Net.sim_eval: combinational cycle";
-    iter s.net (fun g ->
-        let nv = eval_gate s g in
-        if nv <> s.values.(g.id) then begin
-          s.values.(g.id) <- nv;
-          changed := true
-        end)
-  done
-
-let sim_get_output s nm =
-  let rec find = function
-    | [] -> invalid_arg ("Netlist.sim_get_output: no output " ^ nm)
-    | id :: rest -> (
-      match (gate s.net id).kind with Output n when n = nm -> s.values.(id) | _ -> find rest)
-  in
-  find (outputs s.net)
-
-let sim_step s =
-  let latched =
-    List.map (fun id -> (id, s.values.((gate s.net id).fanins.(0)))) (ffs s.net)
-  in
-  List.iter (fun (id, v) -> s.state.(id) <- v) latched

@@ -67,15 +67,16 @@ val and_list : t -> owner:int -> dom:domain -> int list -> int
 
 val or_list : t -> owner:int -> dom:domain -> int list -> int
 
-val ff : t -> owner:int -> dom:domain -> ?init:bool -> unit -> int
-(** Flip-flop; connect its D input later with {!connect}. *)
+val ff : t -> owner:int -> dom:domain -> int
+(** Flip-flop with reset value [false]; connect its D input later with
+    {!connect}. *)
 
 val clone_map_kind : t -> (gate -> kind) -> t
 (** Structural copy with every gate's kind rewritten by the callback
     (gate ids, fanins, owners and domains are preserved). The new kind
     must keep the gate's arity or {!validate} will reject the clone.
-    Used by the translation validator's mutation harness to inject
-    seeded gate flips. *)
+    The test suite's mutation harness injects seeded gate flips with
+    it. *)
 
 val inputs : t -> int list
 val outputs : t -> int list
@@ -85,21 +86,3 @@ val count_ffs : t -> int
 
 val validate : t -> (unit, string) result
 (** Every fanin connected, arities correct. *)
-
-(** {2 Simulation}
-
-    Cycle-level gate simulation for differential testing: combinational
-    fixpoint per cycle, then clock edge. *)
-
-type sim
-
-val sim_create : t -> sim
-val sim_set_input : sim -> string -> bool -> unit
-val sim_eval : sim -> unit
-(** Settle combinational logic (bounded fixpoint; raises [Failure] if the
-    netlist does not stabilise, i.e., contains a combinational cycle). *)
-
-val sim_get_output : sim -> string -> bool
-val sim_step : sim -> unit
-(** Clock edge: latch all FFs from their D fanins (call after
-    {!sim_eval}). *)

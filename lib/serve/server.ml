@@ -1,7 +1,6 @@
 type config = {
   jobs : int;
   queue_limit : int;
-  levels : int option;
   milp_nodes : int option;
   milp_budget_s : float option;
   cache : Cache.Session.t;
@@ -12,7 +11,6 @@ let default_config =
   {
     jobs = 1;
     queue_limit = 8;
-    levels = None;
     milp_nodes = None;
     milp_budget_s = None;
     cache = Cache.Session.disabled;
@@ -44,9 +42,7 @@ let with_lock mu f =
   Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
 
 let flow_config cfg (req : Protocol.request) =
-  match (req.levels, cfg.levels) with
-  | Some l, _ | None, Some l -> Core.Flow.with_levels l cfg.flow
-  | None, None -> cfg.flow
+  match req.levels with Some l -> Core.Flow.with_levels l cfg.flow | None -> cfg.flow
 
 (* Key for whole-completion memoisation: every input that can change
    the result — the request minus its id (program, flavor, overrides),

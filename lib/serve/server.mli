@@ -23,13 +23,13 @@
 type config = {
   jobs : int;              (** worker-pool width *)
   queue_limit : int;       (** max accepted-but-unfinished compiles; reject beyond *)
-  levels : int option;
-      (** server-wide target-levels override (a request's own [levels]
-          wins); applied with {!Core.Flow.with_levels} *)
   milp_nodes : int option;      (** default per-request MILP node budget *)
   milp_budget_s : float option; (** default per-request MILP wall budget *)
   cache : Cache.Session.t; (** shared across all requests; [finish]ed on drain *)
-  flow : Core.Flow.config; (** base flow configuration *)
+  flow : Core.Flow.config;
+      (** base flow configuration, server-wide level target included; a
+          request's own [levels] overrides it through
+          {!Core.Flow.with_levels} *)
 }
 
 val default_config : config

@@ -3,9 +3,7 @@ type 'a t = {
   mutable len : int;
 }
 
-let create ?(capacity = 16) () = { data = [||]; len = 0 } |> fun t ->
-  ignore capacity;
-  t
+let create () = { data = [||]; len = 0 }
 
 let length t = t.len
 

@@ -4,7 +4,7 @@
 
 type 'a t
 
-val create : ?capacity:int -> unit -> 'a t
+val create : unit -> 'a t
 val length : 'a t -> int
 val get : 'a t -> int -> 'a
 val set : 'a t -> int -> 'a -> unit

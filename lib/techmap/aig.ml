@@ -77,19 +77,6 @@ let fanins t n =
 let owner t n = (Support.Vec.get t.nodes n).owner
 let dom t n = (Support.Vec.get t.nodes n).dom
 
-let eval t ci_value =
-  let n = n_nodes t in
-  let values = Array.make n false in
-  for i = 1 to n - 1 do
-    let nd = Support.Vec.get t.nodes i in
-    if nd.f0 = -1 then values.(i) <- ci_value i
-    else begin
-      let v l = values.(node_of_lit l) <> is_complement l in
-      values.(i) <- v nd.f0 && v nd.f1
-    end
-  done;
-  values
-
 let depth t =
   let n = n_nodes t in
   let d = Array.make n 0 in

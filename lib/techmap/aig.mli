@@ -51,9 +51,5 @@ val dom : t -> int -> Net.domain
 val node_of_lit : lit -> int
 val is_complement : lit -> bool
 
-val eval : t -> (int -> bool) -> bool array
-(** [eval t ci_value] computes all node values given a valuation of CI
-    nodes (by node id). *)
-
 val depth : t -> int
 (** AND-node depth from CIs (an upper proxy for mapped levels). *)

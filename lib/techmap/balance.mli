@@ -8,7 +8,7 @@
     operands first.
 
     The result is a fresh {!Synth.t} whose combinational outputs carry
-    the same tags; functional equivalence is checked by the test suite
-    via {!Truth.equivalent} and direct AIG-vs-AIG simulation. *)
+    the same tags; the test suite checks functional equivalence by
+    direct AIG-vs-AIG simulation and by mapping the balanced AIG. *)
 
 val run : Synth.t -> Synth.t

@@ -42,7 +42,10 @@ let cut_union a b k =
   done;
   if !over then None else Some (Array.sub out 0 !n)
 
-let run ?(k = Lutgraph.lut_k) ?(cut_limit = 8) (synth : Synth.t) =
+(* priority cuts kept per node *)
+let cut_limit = 8
+
+let run ?(k = Lutgraph.lut_k) (synth : Synth.t) =
   Support.Trace.with_span ~cat:"techmap" "techmap:map" @@ fun () ->
   let aig = synth.Synth.aig in
   let n = Aig.n_nodes aig in

@@ -4,6 +4,6 @@
     few cuts ordered by (depth, leaf count); selection walks back from the
     combinational outputs materialising one LUT per chosen cut. *)
 
-val run : ?k:int -> ?cut_limit:int -> Synth.t -> Lutgraph.t
-(** Defaults: [k] is {!Lutgraph.lut_k} (Stratix-style 6-LUTs, as the
-    paper's ABC run) and [cut_limit = 8] priority cuts per node. *)
+val run : ?k:int -> Synth.t -> Lutgraph.t
+(** [k] defaults to {!Lutgraph.lut_k} (Stratix-style 6-LUTs, as the
+    paper's ABC run); every node keeps at most 8 priority cuts. *)

@@ -36,58 +36,3 @@ let lut_table (lg : L.t) lid =
     if value lut.L.root then table := Int64.logor !table (Int64.shift_left 1L assignment)
   done;
   !table
-
-let eval_network (lg : L.t) ci_value =
-  let aig = lg.L.synth.Synth.aig in
-  let n = L.n_luts lg in
-  let out = Array.make n false in
-  (* process in root order: leaves' LUTs precede users *)
-  let order = Array.init n (fun i -> i) in
-  Array.sort (fun a b -> compare lg.L.luts.(a).L.root lg.L.luts.(b).L.root) order;
-  let tables = Array.init n (lut_table lg) in
-  Array.iter
-    (fun lid ->
-      let lut = lg.L.luts.(lid) in
-      let idx = ref 0 in
-      Array.iteri
-        (fun i leaf ->
-          let v =
-            if Aig.is_ci aig leaf then ci_value leaf
-            else out.(lg.L.lut_of_node.(leaf))
-          in
-          if v then idx := !idx lor (1 lsl i))
-        lut.L.leaves;
-      out.(lid) <- Int64.logand (Int64.shift_right_logical tables.(lid) !idx) 1L = 1L)
-    order;
-  out
-
-let equivalent ?(vectors = 256) ?(seed = 1) (lg : L.t) =
-  let aig = lg.L.synth.Synth.aig in
-  let rng = Support.Rng.create seed in
-  let n_nodes = Aig.n_nodes aig in
-  let ok = ref true in
-  for _ = 1 to vectors do
-    if !ok then begin
-      let ci_vals = Array.make n_nodes false in
-      for node = 1 to n_nodes - 1 do
-        if Aig.is_ci aig node then ci_vals.(node) <- Support.Rng.bool rng
-      done;
-      let reference = Aig.eval aig (fun node -> ci_vals.(node)) in
-      let mapped = eval_network lg (fun node -> ci_vals.(node)) in
-      List.iter
-        (fun (_, _, lit) ->
-          let node = Aig.node_of_lit lit in
-          let want =
-            if node = 0 then Aig.is_complement lit
-            else reference.(node) <> Aig.is_complement lit
-          in
-          let got =
-            if node = 0 then Aig.is_complement lit
-            else if Aig.is_ci aig node then ci_vals.(node) <> Aig.is_complement lit
-            else mapped.(lg.L.lut_of_node.(node)) <> Aig.is_complement lit
-          in
-          if want <> got then ok := false)
-        (Aig.cos aig)
-    end
-  done;
-  !ok

@@ -1,21 +1,10 @@
-(** LUT truth tables and functional verification of the mapping.
+(** LUT truth tables.
 
     Each mapped LUT's function is computed by exhaustively evaluating its
-    AIG cone over its (at most K) leaves; the whole LUT network can then
-    be simulated and checked against the AIG itself — the equivalence
-    check a synthesis flow runs after technology mapping. *)
+    AIG cone over its (at most K) leaves. The translation validator
+    ([Tv.Equiv]) simulates the cover through these tables. *)
 
 val lut_table : Lutgraph.t -> int -> int64
 (** Truth table of a LUT (bit [i] = output under leaf assignment [i],
     leaf 0 is the least significant selector bit). Raises
     [Invalid_argument] for LUTs with more than 6 leaves. *)
-
-val eval_network : Lutgraph.t -> (int -> bool) -> bool array
-(** Evaluate the mapped network: given values for the combinational
-    inputs (by AIG node id), compute every LUT's output, indexed by LUT
-    id. *)
-
-val equivalent : ?vectors:int -> ?seed:int -> Lutgraph.t -> bool
-(** Compare the LUT network against the AIG on random input vectors:
-    every combinational output must agree. This is the post-mapping
-    equivalence check; [vectors] defaults to 256. *)

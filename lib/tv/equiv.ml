@@ -3,11 +3,7 @@
    64-bit-parallel random simulation. Each [int64] word carries 64
    independent input lanes, so one pass over each representation checks
    64 vectors; a word mismatch yields a concrete counterexample lane
-   with no false positives. The expensive confirmation path ([exact])
-   replays every witness lane through the scalar oracles ([Aig.eval],
-   [Truth.eval_network], a scalar netlist walk) and exhaustively
-   re-derives the offending LUT's function from its AIG cone — feasible
-   because cuts have at most K = 6 leaves. *)
+   with no false positives. *)
 
 module L = Techmap.Lutgraph
 module Aig = Techmap.Aig
@@ -47,8 +43,6 @@ type result = {
           netlist function, in CO order — byte-identical across runs
           with equal seed/vectors, whatever the worker-pool width *)
   mismatches : mismatch list;  (* in detection order *)
-  exact_checked : int;
-  exact_confirmed : int;
 }
 
 (* SplitMix64-style combine: fold a simulation word into a signature. *)
@@ -192,60 +186,13 @@ let lowest_diff_bit a b =
   let rec find i = if Int64.logand (Int64.shift_right_logical x i) 1L = 1L then i else find (i + 1) in
   find 0
 
-(* ---- scalar confirmation (exact mode) ---- *)
-
-let eval_net_scalar net order stim_of =
-  let n = Net.n_gates net in
-  let value = Array.make n false in
-  Array.iter
-    (fun id ->
-      let g = Net.gate net id in
-      let f i = g.Net.fanins.(i) >= 0 && value.(g.Net.fanins.(i)) in
-      value.(id) <-
-        (match g.Net.kind with
-        | Net.Input _ | Net.Ff _ -> stim_of id
-        | Net.Const b -> b
-        | Net.Buf | Net.Output _ -> f 0
-        | Net.Not -> not (f 0)
-        | Net.And2 -> f 0 && f 1
-        | Net.Or2 -> f 0 || f 1
-        | Net.Xor2 -> f 0 <> f 1))
-    order;
-  value
-
-(* Independent evaluator of an AIG cone under a leaf assignment — a
-   second implementation of what [Truth.lut_table] computes, so the
-   exhaustive re-check does not trust the code under test. *)
-let cone_eval aig root leaves idx =
-  let leaf_pos = Hashtbl.create 8 in
-  Array.iteri (fun i leaf -> Hashtbl.replace leaf_pos leaf i) leaves;
-  let memo = Hashtbl.create 16 in
-  let rec ev v =
-    if v = 0 then false
-    else
-      match Hashtbl.find_opt leaf_pos v with
-      | Some i -> (idx lsr i) land 1 = 1
-      | None -> (
-        match Hashtbl.find_opt memo v with
-        | Some b -> b
-        | None ->
-          if Aig.is_ci aig v then false
-          else begin
-            let f0, f1 = Aig.fanins aig v in
-            let lv lit =
-              let b = ev (Aig.node_of_lit lit) in
-              if Aig.is_complement lit then not b else b
-            in
-            let b = lv f0 && lv f1 in
-            Hashtbl.replace memo v b;
-            b
-          end)
-  in
-  ev root
-
 (* ---- the main pass ---- *)
 
-let run ?(vectors = 256) ?(seed = 0x7ea) ?(exact = false) net (lg : L.t) =
+(* 256 vectors (four 64-lane words) from a fixed seed *)
+let vectors = 256
+let seed = 0x7ea
+
+let run net (lg : L.t) =
   Trace.with_span ~cat:"tv" "tv:equiv" @@ fun () ->
   let synth = lg.L.synth in
   let aig = synth.Synth.aig in
@@ -347,76 +294,6 @@ let run ?(vectors = 256) ?(seed = 0x7ea) ?(exact = false) net (lg : L.t) =
         lorder
   done;
   let mismatches = List.rev !mismatches in
-  (* exact confirmation: replay every witness lane through the scalar
-     oracles; for cover witnesses also exhaust the offending cone *)
-  let exact_checked = ref 0 in
-  let exact_confirmed = ref 0 in
-  if exact then
-    List.iter
-      (fun m ->
-        let with_lane lane f =
-          incr exact_checked;
-          let gv = Hashtbl.create 64 and cv = Hashtbl.create 64 in
-          List.iter (fun (g, b) -> Hashtbl.replace gv g b) lane.lane_gates;
-          List.iter (fun (v, b) -> Hashtbl.replace cv v b) lane.lane_cis;
-          let stim_of id = Option.value (Hashtbl.find_opt gv id) ~default:false in
-          let civ v = Option.value (Hashtbl.find_opt cv v) ~default:false in
-          let net_vals = eval_net_scalar net order stim_of in
-          let aig_vals = Aig.eval aig civ in
-          if f ~net_vals ~aig_vals ~civ then incr exact_confirmed
-        in
-        match m with
-        | Aig_mismatch { tag; lane; _ } ->
-          with_lane lane (fun ~net_vals ~aig_vals ~civ:_ ->
-              let g = Net.gate net tag in
-              let bn = g.Net.fanins.(0) >= 0 && net_vals.(g.Net.fanins.(0)) in
-              let _, _, lit = List.find (fun (_, t, _) -> t = tag) cos in
-              let ba =
-                let b = aig_vals.(Aig.node_of_lit lit) in
-                if Aig.is_complement lit then not b else b
-              in
-              bn <> ba)
-        | Cover_co_mismatch { tag; lane; _ } ->
-          with_lane lane (fun ~net_vals ~aig_vals:_ ~civ ->
-              match Truth.eval_network lg civ with
-              | exception _ -> true
-              | outs ->
-                let g = Net.gate net tag in
-                let bn = g.Net.fanins.(0) >= 0 && net_vals.(g.Net.fanins.(0)) in
-                let _, _, lit = List.find (fun (_, t, _) -> t = tag) cos in
-                let v = Aig.node_of_lit lit in
-                let bc =
-                  if v = 0 then false
-                  else if Aig.is_ci aig v then civ v
-                  else match lg.L.lut_of_node.(v) with -1 -> false | lid -> outs.(lid)
-                in
-                let bc = if Aig.is_complement lit then not bc else bc in
-                bn <> bc)
-        | Cover_mismatch { lut; lane } ->
-          with_lane lane (fun ~net_vals:_ ~aig_vals ~civ ->
-              let l = lg.L.luts.(lut) in
-              let scalar_differs =
-                match Truth.eval_network lg civ with
-                | exception _ -> true
-                | outs -> outs.(lut) <> aig_vals.(l.L.root)
-              in
-              (* exhaustively compare the stored table against an
-                 independent evaluation of the cone: 2^|leaves| cases *)
-              let table_differs =
-                match tables.(lut) with
-                | Error _ -> true
-                | Ok table ->
-                  let nl = Array.length l.L.leaves in
-                  let differs = ref false in
-                  for idx = 0 to (1 lsl nl) - 1 do
-                    let tb = Int64.logand (Int64.shift_right_logical table idx) 1L = 1L in
-                    if tb <> cone_eval aig l.L.root l.L.leaves idx then differs := true
-                  done;
-                  !differs
-              in
-              scalar_differs || table_differs)
-        | Cover_structural _ -> ())
-      mismatches;
   let r =
     {
       cos_checked = n_cos;
@@ -424,39 +301,10 @@ let run ?(vectors = 256) ?(seed = 0x7ea) ?(exact = false) net (lg : L.t) =
       vectors = rounds * 64;
       signatures = List.map (fun (co, tag, _) -> (tag, sign.(co))) cos;
       mismatches;
-      exact_checked = !exact_checked;
-      exact_confirmed = !exact_confirmed;
     }
   in
   Trace.add "tv.vectors" r.vectors;
   Trace.add "tv.cos" r.cos_checked;
   Trace.add "tv.luts" r.luts_checked;
   Trace.add "tv.mismatches" (List.length r.mismatches);
-  if exact then begin
-    Trace.add "tv.exact.checked" r.exact_checked;
-    Trace.add "tv.exact.confirmed" r.exact_confirmed
-  end;
   r
-
-(* Netlist-only per-CO signatures (outputs then FF D inputs, by gate
-   id): the reference function of a netlist independent of any AIG or
-   cover — what the mutation harness compares to prove a gate flip is
-   observable. *)
-let net_signatures ?(vectors = 256) ?(seed = 0x7ea) net =
-  let order = topo_order net in
-  let cos = Net.outputs net @ Net.ffs net in
-  let sign = Array.make (List.length cos) 0x5851F42D4C957F2DL in
-  let rng = Rng.create seed in
-  let rounds = max 1 ((vectors + 63) / 64) in
-  for _round = 1 to rounds do
-    let stim = Array.make (Net.n_gates net) 0L in
-    List.iter (fun gid -> stim.(gid) <- Rng.int64 rng) (stim_gates net);
-    let words = eval_net_words net order stim in
-    List.iteri
-      (fun i tag ->
-        let g = Net.gate net tag in
-        let w = if g.Net.fanins.(0) >= 0 then words.(g.Net.fanins.(0)) else 0L in
-        sign.(i) <- mix sign.(i) w)
-      cos
-  done;
-  List.mapi (fun i tag -> (tag, sign.(i))) cos

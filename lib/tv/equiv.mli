@@ -10,10 +10,9 @@
     word carries 64 independent input lanes drawn from a seeded
     {!Support.Rng}, so signatures are deterministic and byte-identical
     at any worker-pool width. A word mismatch yields a concrete
-    counterexample lane. With [exact], every witness is additionally
-    replayed through the scalar oracles and the offending LUT's function
-    is exhaustively re-derived from its cone (2^K cases, K <= 6) by an
-    independent cone evaluator. *)
+    counterexample lane. The test suite confirms every witness by
+    replaying it through independent scalar evaluators
+    ([test/logic_reference.ml]). *)
 
 type lane = {
   lane_gates : (int * bool) list;  (** netlist Input/Ff gate id -> stimulus *)
@@ -43,24 +42,15 @@ type result = {
       (** per-CO [(netlist gate tag, semantic hash)] of the netlist
           function, in CO order *)
   mismatches : mismatch list;
-  exact_checked : int;             (** witnesses replayed (exact mode) *)
-  exact_confirmed : int;           (** witnesses that reproduced *)
 }
 
-val run :
-  ?vectors:int -> ?seed:int -> ?exact:bool -> Net.t -> Techmap.Lutgraph.t -> result
-(** Validate netlist vs. [lg.synth.aig] vs. the LUT cover. [vectors]
-    defaults to 256 (4 words), [seed] is fixed, cuts larger than
-    {!Techmap.Lutgraph.lut_k} leaves are structural errors, [exact] turns
-    on witness confirmation. Emits [tv.*] trace counters. Raises
-    [Failure] on a combinationally cyclic netlist. *)
+val run : Net.t -> Techmap.Lutgraph.t -> result
+(** Validate netlist vs. [lg.synth.aig] vs. the LUT cover on 256 vectors
+    (4 words) from a fixed seed. Cuts larger than
+    {!Techmap.Lutgraph.lut_k} leaves are structural errors. Emits [tv.*]
+    trace counters. Raises [Failure] on a combinationally cyclic
+    netlist. *)
 
 val signature_hex : result -> string
 (** All per-CO signatures folded to one 16-hex-digit digest — the
     "semantic hash" of the compile, stable across pool widths. *)
-
-val net_signatures : ?vectors:int -> ?seed:int -> Net.t -> (int * int64) list
-(** Per-CO signatures of a netlist alone (outputs then FF D inputs, by
-    driving gate id). Two netlists with equal gate ids can be compared
-    signature-for-signature; the mutation harness uses this to prove a
-    seeded gate flip is observable. *)

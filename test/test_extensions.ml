@@ -40,11 +40,11 @@ let test_truth_xor_table () =
      LUT root node computes XNOR (1001b); the inversion lives on the
      combinational-output literal and the equivalence check covers it *)
   check Alcotest.int64 "xnor root table" 9L (Techmap.Truth.lut_table lg 0);
-  check Alcotest.bool "still equivalent" true (Techmap.Truth.equivalent ~vectors:16 lg)
+  check Alcotest.bool "still equivalent" true (Logic_reference.cover_equivalent ~vectors:16 lg)
 
 let test_equivalence_fig2 () =
   let _, _, _, lg = mapped_fig2 () in
-  check Alcotest.bool "mapping preserves function" true (Techmap.Truth.equivalent ~vectors:64 lg)
+  check Alcotest.bool "mapping preserves function" true (Logic_reference.cover_equivalent ~vectors:64 lg)
 
 (* property: mapping of random netlists is functionally equivalent *)
 let prop_equivalence_random =
@@ -74,7 +74,7 @@ let prop_equivalence_random =
       ignore (Net.output net ~owner:0 "y1" (pick ()));
       let synth = Techmap.Synth.run net in
       let lg = Techmap.Mapper.run synth in
-      Techmap.Truth.equivalent ~vectors:64 ~seed lg)
+      Logic_reference.cover_equivalent ~vectors:64 ~seed lg)
 
 (* ------------------------------------------------------------------ *)
 (* balance pass *)
@@ -93,7 +93,7 @@ let test_balance_reduces_chain_depth () =
   check Alcotest.int "balanced depth" 4 (Techmap.Aig.depth balanced.Techmap.Synth.aig);
   (* function preserved end to end: map the balanced AIG and check it *)
   let lg = Techmap.Mapper.run balanced in
-  check Alcotest.bool "equivalent after mapping" true (Techmap.Truth.equivalent ~vectors:64 lg)
+  check Alcotest.bool "equivalent after mapping" true (Logic_reference.cover_equivalent ~vectors:64 lg)
 
 (* property: balancing random netlists never increases depth and the
    original and balanced AIGs agree on all outputs *)
@@ -129,7 +129,7 @@ let prop_balance_preserves_function =
         let gate_value = Hashtbl.create 16 in
         let eval (s : Techmap.Synth.t) =
           let values =
-            Techmap.Aig.eval s.Techmap.Synth.aig (fun node ->
+            Logic_reference.eval_aig s.Techmap.Synth.aig (fun node ->
                 match Hashtbl.find_opt s.Techmap.Synth.gate_of_ci node with
                 | Some gid -> Option.value (Hashtbl.find_opt gate_value gid) ~default:false
                 | None -> false)
@@ -271,23 +271,6 @@ let test_lut_extra_increases_delays () =
   check Alcotest.bool "surcharge visible" true (total inflated > total base +. 0.4)
 
 (* ------------------------------------------------------------------ *)
-(* Verilog export *)
-
-let test_verilog_structure () =
-  let _, net, _, _ = mapped_fig2 () in
-  let v = Verilog.of_netlist net in
-  let contains needle =
-    let n = String.length needle and h = String.length v in
-    let rec go i = i + n <= h && (String.sub v i n = needle || go (i + 1)) in
-    go 0
-  in
-  check Alcotest.bool "module" true (contains "module fig2");
-  check Alcotest.bool "clk" true (contains "input wire clk");
-  check Alcotest.bool "assigns" true (contains "assign");
-  check Alcotest.bool "registers" true (contains "always @(posedge clk)");
-  check Alcotest.bool "endmodule" true (contains "endmodule")
-
-(* ------------------------------------------------------------------ *)
 (* AST pretty-printer round-trips through the parser *)
 
 let test_ast_pp_roundtrip () =
@@ -350,7 +333,6 @@ let suite =
     ("slack preserves kernels", `Quick, test_slack_preserves_kernels);
     ("routing-aware flow", `Quick, test_routing_aware_flow);
     ("lut_extra increases delays", `Quick, test_lut_extra_increases_delays);
-    ("verilog export structure", `Quick, test_verilog_structure);
     ("ast pp round-trips", `Quick, test_ast_pp_roundtrip);
     ("channel stats", `Quick, test_channel_stats);
     ("critical path reported", `Quick, test_critical_path_reported);

@@ -58,12 +58,6 @@ let test_campaign_deterministic_across_jobs () =
     (Support.Json.to_string (Fuzz.Harness.stats_to_json (strip b)));
   check int "no violations" 0 a.Fuzz.Harness.stats.Fuzz.Harness.s_violations
 
-let test_ddmin () =
-  let pred xs = List.mem 7 xs in
-  check (list int) "singleton" [ 7 ] (Fuzz.Minimize.ddmin pred [ 1; 2; 7; 4; 5; 6; 9; 8 ]);
-  check (list int) "already minimal" [ 7 ] (Fuzz.Minimize.ddmin pred [ 7 ]);
-  check (list int) "unsatisfied input unchanged" [ 1; 2 ] (Fuzz.Minimize.ddmin pred [ 1; 2 ])
-
 (* the minimizer shrinks a seeded known-failure to the pinned size *)
 let test_minimizer_shrinks () =
   let rec has_store = function
@@ -224,7 +218,6 @@ let suite =
     test_case "generated programs parse, interpret, compile" `Quick test_generator_well_formed;
     test_case "campaign stats identical at any pool width" `Slow
       test_campaign_deterministic_across_jobs;
-    test_case "ddmin shrinks to the core" `Quick test_ddmin;
     test_case "minimizer shrinks a seeded failure" `Quick test_minimizer_shrinks;
     test_case "oracle reports a planted violation" `Quick test_harness_reports_planted_failure;
     test_case "oracle warm re-run hits the cache" `Quick test_oracle_warm_rerun;

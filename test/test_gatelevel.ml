@@ -13,7 +13,7 @@ let check = Alcotest.check
    (cycles, exit value) *)
 let run_netlist ?(max_cycles = 2_000) g =
   let net = Elaborate.run g in
-  let sim = Net.sim_create net in
+  let sim = Logic_reference.sim_create net in
   let find_named prefix =
     List.filter_map
       (fun id ->
@@ -32,7 +32,7 @@ let run_netlist ?(max_cycles = 2_000) g =
         | _ -> None)
       (Net.outputs net)
   in
-  List.iter (fun nm -> Net.sim_set_input sim nm true) (find_named "exit_ready");
+  List.iter (fun nm -> Logic_reference.sim_set_input sim nm true) (find_named "exit_ready");
   (* one-invocation protocol: hold each entry's valid until the token is
      accepted (valid && ready at a clock edge), then deassert *)
   let entries =
@@ -43,11 +43,11 @@ let run_netlist ?(max_cycles = 2_000) g =
       (find_named "entry_valid")
   in
   let drive_entries () =
-    List.iter (fun (vnm, _, fired) -> Net.sim_set_input sim vnm (not !fired)) entries
+    List.iter (fun (vnm, _, fired) -> Logic_reference.sim_set_input sim vnm (not !fired)) entries
   in
   let latch_entries () =
     List.iter
-      (fun (_, rnm, fired) -> if (not !fired) && Net.sim_get_output sim rnm then fired := true)
+      (fun (_, rnm, fired) -> if (not !fired) && Logic_reference.sim_get_output sim rnm then fired := true)
       entries
   in
   let exit_valid = List.hd (find_outputs "exit_valid") in
@@ -61,15 +61,15 @@ let run_netlist ?(max_cycles = 2_000) g =
   let value = ref None in
   while !value = None && !cycle < max_cycles do
     drive_entries ();
-    Net.sim_eval sim;
-    if Net.sim_get_output sim exit_valid then begin
+    Logic_reference.sim_eval sim;
+    if Logic_reference.sim_get_output sim exit_valid then begin
       let v = ref 0 in
-      List.iteri (fun i nm -> if Net.sim_get_output sim nm then v := !v lor (1 lsl i)) data_outs;
+      List.iteri (fun i nm -> if Logic_reference.sim_get_output sim nm then v := !v lor (1 lsl i)) data_outs;
       value := Some !v
     end
     else begin
       latch_entries ();
-      Net.sim_step sim;
+      Logic_reference.sim_step sim;
       incr cycle
     end
   done;
@@ -80,7 +80,7 @@ let run_netlist ?(max_cycles = 2_000) g =
    rdata inputs are driven back, mimicking a registered BRAM *)
 let run_netlist_with_memory ?(max_cycles = 5_000) g mems =
   let net = Elaborate.run g in
-  let sim = Net.sim_create net in
+  let sim = Logic_reference.sim_create net in
   let inputs =
     List.filter_map
       (fun id -> match (Net.gate net id).Net.kind with Net.Input nm -> Some nm | _ -> None)
@@ -99,7 +99,7 @@ let run_netlist_with_memory ?(max_cycles = 5_000) g mems =
         (vnm, "entry_ready" ^ suffix, ref false))
       (with_prefix "entry_valid" inputs)
   in
-  List.iter (fun nm -> Net.sim_set_input sim nm true) (with_prefix "exit_ready" inputs);
+  List.iter (fun nm -> Logic_reference.sim_set_input sim nm true) (with_prefix "exit_ready" inputs);
   let exit_valid = List.hd (with_prefix "exit_valid" outputs) in
   let data_outs =
     with_prefix "exit_data" outputs
@@ -123,7 +123,7 @@ let run_netlist_with_memory ?(max_cycles = 5_000) g mems =
   in
   let bus_value bus =
     List.fold_left
-      (fun (acc, i) nm -> ((acc lor (if Net.sim_get_output sim nm then 1 lsl i else 0)), i + 1))
+      (fun (acc, i) nm -> ((acc lor (if Logic_reference.sim_get_output sim nm then 1 lsl i else 0)), i + 1))
       (0, 0) bus
     |> fst
   in
@@ -154,8 +154,8 @@ let run_netlist_with_memory ?(max_cycles = 5_000) g mems =
   let cycle = ref 0 in
   let value = ref None in
   while !value = None && !cycle < max_cycles do
-    List.iter (fun (vnm, _, fired) -> Net.sim_set_input sim vnm (not !fired)) entries;
-    Net.sim_eval sim;
+    List.iter (fun (vnm, _, fired) -> Logic_reference.sim_set_input sim vnm (not !fired)) entries;
+    Logic_reference.sim_eval sim;
     (* combinational (LUT-RAM) reads: present the addressed word and
        settle again so the load pipeline latches it this cycle *)
     List.iter
@@ -164,28 +164,28 @@ let run_netlist_with_memory ?(max_cycles = 5_000) g mems =
         let arr = mem_of m in
         let a = bus_value raddr mod Array.length arr in
         List.iteri
-          (fun i nm -> Net.sim_set_input sim nm ((arr.(a) lsr i) land 1 = 1))
+          (fun i nm -> Logic_reference.sim_set_input sim nm ((arr.(a) lsr i) land 1 = 1))
           (rdata_inputs m u))
       load_ports;
-    Net.sim_eval sim;
-    if Net.sim_get_output sim exit_valid then begin
+    Logic_reference.sim_eval sim;
+    if Logic_reference.sim_get_output sim exit_valid then begin
       let v = ref 0 in
-      List.iteri (fun i nm -> if Net.sim_get_output sim nm then v := !v lor (1 lsl i)) data_outs;
+      List.iteri (fun i nm -> if Logic_reference.sim_get_output sim nm then v := !v lor (1 lsl i)) data_outs;
       value := Some !v
     end
     else begin
       List.iter
-        (fun (_, rnm, fired) -> if (not !fired) && Net.sim_get_output sim rnm then fired := true)
+        (fun (_, rnm, fired) -> if (not !fired) && Logic_reference.sim_get_output sim rnm then fired := true)
         entries;
       List.iter
         (fun (m, _, wen, waddr, wdata) ->
-          if Net.sim_get_output sim wen then begin
+          if Logic_reference.sim_get_output sim wen then begin
             let arr = mem_of m in
             let a = bus_value waddr mod Array.length arr in
             arr.(a) <- bus_value wdata
           end)
         store_ports;
-      Net.sim_step sim;
+      Logic_reference.sim_step sim;
       incr cycle
     end
   done;
@@ -259,16 +259,16 @@ let test_branchy_gate_vs_unit () =
   (* fig2 ends in sinks; instead check it at unit level and only assert
      the netlist stabilises and accepts the token *)
   let net = Elaborate.run g in
-  let sim = Net.sim_create net in
+  let sim = Logic_reference.sim_create net in
   List.iter
     (fun id ->
       match (Net.gate net id).Net.kind with
-      | Net.Input nm -> Net.sim_set_input sim nm true
+      | Net.Input nm -> Logic_reference.sim_set_input sim nm true
       | _ -> ())
     (Net.inputs net);
-  Net.sim_eval sim;
-  Net.sim_step sim;
-  Net.sim_eval sim;
+  Logic_reference.sim_eval sim;
+  Logic_reference.sim_step sim;
+  Logic_reference.sim_eval sim;
   check Alcotest.bool "stable" true true
 
 let suite =

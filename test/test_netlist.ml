@@ -15,14 +15,14 @@ let test_net_basic () =
   let y = Net.and2 net ~owner:0 a b in
   ignore (Net.output net ~owner:0 "y" y);
   check Alcotest.bool "valid" true (Result.is_ok (Net.validate net));
-  let sim = Net.sim_create net in
-  Net.sim_set_input sim "a" true;
-  Net.sim_set_input sim "b" true;
-  Net.sim_eval sim;
-  check Alcotest.bool "and true" true (Net.sim_get_output sim "y");
-  Net.sim_set_input sim "b" false;
-  Net.sim_eval sim;
-  check Alcotest.bool "and false" false (Net.sim_get_output sim "y")
+  let sim = Logic_reference.sim_create net in
+  Logic_reference.sim_set_input sim "a" true;
+  Logic_reference.sim_set_input sim "b" true;
+  Logic_reference.sim_eval sim;
+  check Alcotest.bool "and true" true (Logic_reference.sim_get_output sim "y");
+  Logic_reference.sim_set_input sim "b" false;
+  Logic_reference.sim_eval sim;
+  check Alcotest.bool "and false" false (Logic_reference.sim_get_output sim "y")
 
 let test_net_domain_join () =
   let net = Net.create "t" in
@@ -34,16 +34,16 @@ let test_net_domain_join () =
 let test_net_ff () =
   let net = Net.create "t" in
   let d = Net.input net ~owner:0 ~dom:Net.Data "d" in
-  let q = Net.ff net ~owner:0 ~dom:Net.Data () in
+  let q = Net.ff net ~owner:0 ~dom:Net.Data in
   Net.connect net q d;
   ignore (Net.output net ~owner:0 "q" q);
-  let sim = Net.sim_create net in
-  Net.sim_set_input sim "d" true;
-  Net.sim_eval sim;
-  check Alcotest.bool "before edge" false (Net.sim_get_output sim "q");
-  Net.sim_step sim;
-  Net.sim_eval sim;
-  check Alcotest.bool "after edge" true (Net.sim_get_output sim "q")
+  let sim = Logic_reference.sim_create net in
+  Logic_reference.sim_set_input sim "d" true;
+  Logic_reference.sim_eval sim;
+  check Alcotest.bool "before edge" false (Logic_reference.sim_get_output sim "q");
+  Logic_reference.sim_step sim;
+  Logic_reference.sim_eval sim;
+  check Alcotest.bool "after edge" true (Logic_reference.sim_get_output sim "q")
 
 let test_net_comb_cycle_detected () =
   let net = Net.create "t" in
@@ -51,9 +51,9 @@ let test_net_comb_cycle_detected () =
   let n = Net.not_ net ~owner:0 w in
   Net.connect net w n;
   ignore (Net.output net ~owner:0 "y" n);
-  let sim = Net.sim_create net in
-  Alcotest.check_raises "oscillates" (Failure "Net.sim_eval: combinational cycle") (fun () ->
-      Net.sim_eval sim)
+  let sim = Logic_reference.sim_create net in
+  Alcotest.check_raises "oscillates" (Failure "Logic_reference.eval_net: combinational cycle") (fun () ->
+      Logic_reference.sim_eval sim)
 
 let test_net_unconnected_wire () =
   let net = Net.create "t" in
@@ -77,15 +77,15 @@ let eval_dp op a b =
   let av = bits "a" a and bv = bits "b" b in
   let out = Datapath.of_op net ~owner:0 op [ av; bv ] in
   Array.iteri (fun i g -> ignore (Net.output net ~owner:0 (Printf.sprintf "y%d" i) g)) out;
-  let sim = Net.sim_create net in
+  let sim = Logic_reference.sim_create net in
   for i = 0 to width - 1 do
-    Net.sim_set_input sim (Printf.sprintf "a%d" i) ((a lsr i) land 1 = 1);
-    Net.sim_set_input sim (Printf.sprintf "b%d" i) ((b lsr i) land 1 = 1)
+    Logic_reference.sim_set_input sim (Printf.sprintf "a%d" i) ((a lsr i) land 1 = 1);
+    Logic_reference.sim_set_input sim (Printf.sprintf "b%d" i) ((b lsr i) land 1 = 1)
   done;
-  Net.sim_eval sim;
+  Logic_reference.sim_eval sim;
   let r = ref 0 in
   for i = Array.length out - 1 downto 0 do
-    r := (!r lsl 1) lor (if Net.sim_get_output sim (Printf.sprintf "y%d" i) then 1 else 0)
+    r := (!r lsl 1) lor (if Logic_reference.sim_get_output sim (Printf.sprintf "y%d" i) then 1 else 0)
   done;
   !r
 
@@ -156,7 +156,7 @@ let test_interaction_units () =
 let test_elaborate_fig2_fires () =
   let g, _, _, _, _ = Fixtures.fig2 () in
   let net = Elaborate.run g in
-  let sim = Net.sim_create net in
+  let sim = Logic_reference.sim_create net in
   (* find the entry unit's valid input name *)
   let entry_valid =
     List.find_map
@@ -167,8 +167,8 @@ let test_elaborate_fig2_fires () =
       (Net.inputs net)
     |> Option.get
   in
-  Net.sim_set_input sim entry_valid true;
-  Net.sim_eval sim;
+  Logic_reference.sim_set_input sim entry_valid true;
+  Logic_reference.sim_eval sim;
   (* eager forks deliver combinationally; entry token accepted promptly *)
   let entry_ready =
     List.find_map
@@ -179,7 +179,7 @@ let test_elaborate_fig2_fires () =
       (Net.outputs net)
     |> Option.get
   in
-  check Alcotest.bool "entry accepted" true (Net.sim_get_output sim entry_ready)
+  check Alcotest.bool "entry accepted" true (Logic_reference.sim_get_output sim entry_ready)
 
 (* gate-level skid buffer: capacity 2, one-cycle latency, FIFO order *)
 let test_skid_buffer_protocol () =
@@ -193,12 +193,12 @@ let test_skid_buffer_protocol () =
   (* source constantly valid, sink constantly ready: after warm-up the
      buffer passes one token per cycle; with 4-bit zero data the netlist
      stabilises every cycle *)
-  let sim = Net.sim_create net in
+  let sim = Logic_reference.sim_create net in
   for _ = 1 to 5 do
-    Net.sim_eval sim;
-    Net.sim_step sim
+    Logic_reference.sim_eval sim;
+    Logic_reference.sim_step sim
   done;
-  Net.sim_eval sim;
+  Logic_reference.sim_eval sim;
   check Alcotest.bool "stable steady state" true true
 
 (* eager fork at gate level: one consumer stalls, the other is served;
@@ -216,7 +216,7 @@ let test_eager_fork_partial_delivery () =
   ignore (G.connect g ~src:f ~src_port:1 ~dst:eb ~dst_port:0);
   ignore net;
   let net = Elaborate.run g in
-  let sim = Net.sim_create net in
+  let sim = Logic_reference.sim_create net in
   let input_named prefix v =
     List.iter
       (fun id ->
@@ -224,7 +224,7 @@ let test_eager_fork_partial_delivery () =
         | Net.Input nm
           when String.length nm >= String.length prefix
                && String.sub nm 0 (String.length prefix) = prefix ->
-          Net.sim_set_input sim nm v
+          Logic_reference.sim_set_input sim nm v
         | _ -> ())
       (Net.inputs net)
   in
@@ -232,33 +232,19 @@ let test_eager_fork_partial_delivery () =
   input_named "entry_valid" true;
   input_named (Printf.sprintf "exit_ready_u%d" ea) false;
   input_named (Printf.sprintf "exit_ready_u%d" eb) true;
-  Net.sim_eval sim;
-  let out nm = Net.sim_get_output sim nm in
+  Logic_reference.sim_eval sim;
+  let out nm = Logic_reference.sim_get_output sim nm in
   check Alcotest.bool "B sees the token" true (out (Printf.sprintf "exit_valid_u%d" eb));
   check Alcotest.bool "producer not released" false (out (Printf.sprintf "entry_ready_u%d" entry));
-  Net.sim_step sim;
-  Net.sim_eval sim;
+  Logic_reference.sim_step sim;
+  Logic_reference.sim_eval sim;
   (* B already served: its valid must have dropped (no duplication) *)
   check Alcotest.bool "no duplicate to B" false (out (Printf.sprintf "exit_valid_u%d" eb));
   check Alcotest.bool "A still offered" true (out (Printf.sprintf "exit_valid_u%d" ea));
   (* unstall A: token completes, producer released *)
   input_named (Printf.sprintf "exit_ready_u%d" ea) true;
-  Net.sim_eval sim;
+  Logic_reference.sim_eval sim;
   check Alcotest.bool "producer released" true (out (Printf.sprintf "entry_ready_u%d" entry))
-
-let test_verilog_compiles_shapes () =
-  let g, _ = Fixtures.loop () in
-  let net = Elaborate.run g in
-  let v = Verilog.of_netlist net in
-  (* every gate appears exactly once as a driver: count assigns + regs *)
-  let count needle =
-    let n = String.length needle and h = String.length v in
-    let rec go i acc =
-      if i + n > h then acc else if String.sub v i n = needle then go (i + 1) (acc + 1) else go (i + 1) acc
-    in
-    go 0 0
-  in
-  check Alcotest.bool "one reg decl per ff" true (count "  reg n" = Net.count_ffs net)
 
 let suite =
   [
@@ -285,5 +271,4 @@ let suite =
     ("fig2 fires at gate level", `Quick, test_elaborate_fig2_fires);
     ("skid buffer protocol", `Quick, test_skid_buffer_protocol);
     ("eager fork partial delivery", `Quick, test_eager_fork_partial_delivery);
-    ("verilog shape", `Quick, test_verilog_compiles_shapes);
   ]

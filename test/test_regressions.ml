@@ -231,6 +231,54 @@ int f(int m[16]) {
   check Alcotest.int "reference" 46 expected;
   check (Alcotest.option Alcotest.int) "value" (Some expected) r.Sim.Elastic.exit_value
 
+(* Bug 4: a scalar that enters a loop holding a 1-bit value (a
+   comparison) got a 1-bit loop mux, so every value the body assigned
+   kept only its low bit: the circuit returned 0 where the interpreter
+   returns 200. The loop mux must take the full datapath width. *)
+let test_loop_carried_width () =
+  let f =
+    Hls.Parser.parse
+      {|
+int f(int n) {
+  int s1 = (n < 1);
+  for (int i = 0; i < 2; i = i + 1) { s1 = 200; }
+  return s1;
+}
+|}
+  in
+  let args = [ ("n", 3) ] in
+  let expected = Hls.Interp.run f ~args ~memories:[] in
+  let g = Hls.Compile.compile ~args f in
+  let _ = Core.Flow.seed_back_edges g in
+  let r = Sim.Elastic.run ~config:{ Sim.Elastic.max_cycles = 100_000; deadlock_window = 1_000 } g in
+  check Alcotest.int "reference" 200 expected;
+  check (Alcotest.option Alcotest.int) "value" (Some expected) r.Sim.Elastic.exit_value
+
+(* The same defect found by the fuzzer's generator, in two store-free
+   programs: exit value and final memories must match the interpreter. *)
+let test_loop_carried_width_generated () =
+  List.iter
+    (fun seed ->
+      let p = Hls.Generate.generate seed in
+      let name = Printf.sprintf "seed %d" seed in
+      let ref_mems = Hls.Generate.fresh_memories p in
+      let expected =
+        Hls.Interp.run p.Hls.Generate.func ~args:p.Hls.Generate.args ~memories:ref_mems
+      in
+      let g = Hls.Compile.compile ~args:p.Hls.Generate.args p.Hls.Generate.func in
+      let _ = Core.Flow.seed_back_edges g in
+      let sim_mems = Hls.Generate.fresh_memories p in
+      let r =
+        Sim.Elastic.run
+          ~config:{ Sim.Elastic.max_cycles = 200_000; deadlock_window = 1_000 }
+          ~memories:sim_mems g
+      in
+      check Alcotest.bool (name ^ " finished") true r.Sim.Elastic.finished;
+      check (Alcotest.option Alcotest.int) (name ^ " value") (Some expected)
+        r.Sim.Elastic.exit_value;
+      check Alcotest.bool (name ^ " memories") true (sim_mems = ref_mems))
+    [ 3589; 11573 ]
+
 let test_bc_outside_loop_rejected () =
   let f = Hls.Parser.parse "int f() { break; return 0; }" in
   match Hls.Compile.compile f with
@@ -250,4 +298,6 @@ let suite =
     ("break in while with store", `Quick, test_break_in_while_with_store);
     ("nested break binds inner loop", `Quick, test_nested_break_binds_inner);
     ("break outside loop rejected", `Quick, test_bc_outside_loop_rejected);
+    ("loop-carried scalar keeps full width", `Quick, test_loop_carried_width);
+    ("loop-carried width: generated seeds 3589, 11573", `Quick, test_loop_carried_width_generated);
   ]

@@ -575,7 +575,6 @@ let test_completion_key_covers_config () =
       ("routing_aware", { base with Core.Flow.routing_aware = true });
       ("slack_match", { base with Core.Flow.slack_match = true });
       ("balance", { base with Core.Flow.balance = true });
-      ("tv_exact", { base with Core.Flow.tv_exact = true });
       ("narrow", { base with Core.Flow.narrow = false });
       ("milp.cp_target", milp (fun m -> { m with Buffering.Formulation.cp_target = 3.5 }));
       ("milp.use_penalty", milp (fun m -> { m with Buffering.Formulation.use_penalty = false }));

@@ -34,7 +34,7 @@ let test_aig_eval () =
   Aig.add_co aig ~owner:0 ~tag:0 y;
   let an = Aig.node_of_lit a and bn = Aig.node_of_lit b in
   let run va vb =
-    let values = Aig.eval aig (fun n -> if n = an then va else if n = bn then vb else false) in
+    let values = Logic_reference.eval_aig aig (fun n -> if n = an then va else if n = bn then vb else false) in
     values.(Aig.node_of_lit y) <> Aig.is_complement y
   in
   check Alcotest.bool "0^0" false (run false false);
@@ -75,12 +75,12 @@ let prop_synth_equiv =
       (* try all input assignments *)
       let ok = ref true in
       for v = 0 to (1 lsl n_in) - 1 do
-        let sim = Net.sim_create net in
+        let sim = Logic_reference.sim_create net in
         for i = 0 to n_in - 1 do
-          Net.sim_set_input sim (Printf.sprintf "i%d" i) ((v lsr i) land 1 = 1)
+          Logic_reference.sim_set_input sim (Printf.sprintf "i%d" i) ((v lsr i) land 1 = 1)
         done;
-        Net.sim_eval sim;
-        let expect = Net.sim_get_output sim "y" in
+        Logic_reference.sim_eval sim;
+        let expect = Logic_reference.sim_get_output sim "y" in
         let ci_val node =
           let gid = Hashtbl.find synth.Synth.gate_of_ci node in
           match (Net.gate net gid).Net.kind with
@@ -90,7 +90,7 @@ let prop_synth_equiv =
             | None -> false)
           | _ -> false
         in
-        let values = Aig.eval aig ci_val in
+        let values = Logic_reference.eval_aig aig ci_val in
         let got =
           if Aig.node_of_lit ylit = 0 then Aig.is_complement ylit
           else values.(Aig.node_of_lit ylit) <> Aig.is_complement ylit
@@ -283,7 +283,7 @@ let check_tables_vs_aig synth lg =
           let rec pos j = if leaves.(j) = n then j else pos (j + 1) in
           if find 0 then idx land (1 lsl pos 0) <> 0 else false
         in
-        let values = Aig.eval synth.Synth.aig leaf_value in
+        let values = Logic_reference.eval_aig synth.Synth.aig leaf_value in
         let expect = values.(l.Lutgraph.root) in
         let got = Int64.logand (Int64.shift_right_logical tbl idx) 1L = 1L in
         if got <> expect then

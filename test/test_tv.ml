@@ -1,6 +1,6 @@
 module G = Dataflow.Graph
 module Equiv = Tv.Equiv
-module Mutate = Tv.Mutate
+module Mutate = Tv_mutate
 
 let check = Alcotest.check
 
@@ -24,15 +24,14 @@ let lut_flagged id lid ds =
     ds
 
 (* ------------------------------------------------------------------ *)
-(* Clean circuits validate cleanly (and exact mode has nothing to do). *)
+(* Clean circuits validate cleanly. *)
 
 let test_clean () =
   List.iter
     (fun (name, (_, net, lg)) ->
-      let ds, r = Lint.Equiv_rules.check_translation ~exact:true net lg in
+      let ds, r = Lint.Equiv_rules.check_translation net lg in
       check Alcotest.int (name ^ " diagnostics") 0 (List.length ds);
       check Alcotest.int (name ^ " mismatches") 0 (List.length r.Equiv.mismatches);
-      check Alcotest.int (name ^ " exact replays") 0 r.Equiv.exact_checked;
       check Alcotest.bool (name ^ " cos covered") true (r.Equiv.cos_checked > 0);
       check Alcotest.bool (name ^ " luts covered") true (r.Equiv.luts_checked > 0))
     [ ("fig2", mapped_fig2 ()); ("loop", mapped_loop ()) ]
@@ -62,6 +61,16 @@ let seeds = [ 1; 7; 42 ]
 (* The validator catches every seeded miscompile class with the right
    rule and a concrete witness. *)
 
+(* Every counterexample lane the validator reported must reproduce in
+   the scalar reference evaluators; returns how many there were. *)
+let replay_witnesses net lg (r : Equiv.result) =
+  let lanes =
+    List.filter (function Equiv.Cover_structural _ -> false | _ -> true) r.Equiv.mismatches
+  in
+  check Alcotest.int "every witness confirmed by scalar replay" (List.length lanes)
+    (List.length (List.filter (Logic_reference.confirms net lg) lanes));
+  List.length lanes
+
 let test_flip_gate_detected () =
   let _, net, lg = mapped_fig2 () in
   List.iter
@@ -70,7 +79,7 @@ let test_flip_gate_detected () =
       | None -> Alcotest.fail "no observable gate flip found"
       | Some (net', gid) ->
         check Alcotest.bool "flip site valid" true (gid >= 0 && gid < Net.n_gates net');
-        let ds, r = Lint.Equiv_rules.check_translation ~exact:true net' lg in
+        let ds, r = Lint.Equiv_rules.check_translation net' lg in
         check Alcotest.bool "equiv-aig-mismatch fired" true (rule_fired "equiv-aig-mismatch" ds);
         let has_witness =
           List.exists
@@ -80,9 +89,7 @@ let test_flip_gate_detected () =
             r.Equiv.mismatches
         in
         check Alcotest.bool "counterexample lane attached" true has_witness;
-        check Alcotest.bool "witnesses replayed" true (r.Equiv.exact_checked > 0);
-        check Alcotest.int "every witness confirmed by scalar replay" r.Equiv.exact_checked
-          r.Equiv.exact_confirmed)
+        ignore (replay_witnesses net' lg r))
     seeds
 
 let test_swap_cover_leaf_detected () =
@@ -92,9 +99,10 @@ let test_swap_cover_leaf_detected () =
       match Mutate.swap_cover_leaf ~seed lg with
       | None -> Alcotest.fail "no observable cover-leaf swap found"
       | Some (lg', lid) ->
-        let ds, _ = Lint.Equiv_rules.check_translation net lg' in
+        let ds, r = Lint.Equiv_rules.check_translation net lg' in
         check Alcotest.bool "equiv-cover-mismatch fired" true
           (rule_fired "equiv-cover-mismatch" ds);
+        check Alcotest.bool "counterexample lanes attached" true (replay_witnesses net lg' r > 0);
         check Alcotest.bool "mutated LUT or an output flagged" true
           (lut_flagged "equiv-cover-mismatch" lid ds
           || List.exists
