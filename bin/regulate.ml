@@ -167,11 +167,8 @@ let flow_cmd =
       outcome.Core.Flow.iterations;
     (match outcome.Core.Flow.narrowing with
     | Some r when Absint.Narrow.changed r ->
-      Printf.printf "narrowing: %d widths shrunk, %d folded, %d rewired, %d deleted (%d -> %d channel bits)\n"
+      Printf.printf "narrowing: %d widths shrunk (%d -> %d channel bits)\n"
         (List.length r.Absint.Narrow.r_narrowed)
-        (List.length r.Absint.Narrow.r_folded)
-        (List.length r.Absint.Narrow.r_rewired)
-        (List.length r.Absint.Narrow.r_deleted)
         r.Absint.Narrow.r_bits_before r.Absint.Narrow.r_bits_after
     | _ -> ());
     (match List.rev outcome.Core.Flow.iterations with
@@ -495,7 +492,6 @@ let absint_cmd =
           ("outs", J.Arr (List.map (fun s -> J.Str s) outs));
         ]
     in
-    let count l = json_int (List.length l) in
     J.Obj
       [
         ("label", J.Str (kernel_name k));
@@ -505,14 +501,9 @@ let absint_cmd =
         ( "narrowing",
           J.Obj
             [
-              ("narrowed", count report.Absint.Narrow.r_narrowed);
-              ("folded", count report.Absint.Narrow.r_folded);
-              ("rewired", count report.Absint.Narrow.r_rewired);
-              ("deleted", count report.Absint.Narrow.r_deleted);
+              ("narrowed", json_int (List.length report.Absint.Narrow.r_narrowed));
               ("bits_before", json_int report.Absint.Narrow.r_bits_before);
               ("bits_after", json_int report.Absint.Narrow.r_bits_after);
-              ("units_before", json_int report.Absint.Narrow.r_units_before);
-              ("units_after", json_int report.Absint.Narrow.r_units_after);
             ] );
         ("report", Lint.Engine.report_to_json lint);
       ]

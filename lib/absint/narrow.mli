@@ -1,17 +1,17 @@
-(** Verified narrowing: rewrite a DFG down to the envelope proven by
-    {!Analyze} — shrink unit widths, fold constant operators, collapse
-    branches/muxes with proven-constant steering, and delete units that
-    provably never fire.  The pass rebuilds the graph (unit and channel ids
-    are renumbered); kept channels retain their buffer annotations and
-    back-edge marks.  A diverged analysis yields an unchanged copy.
+(** Verified narrowing: shrink each unit of a DFG to the width its output
+    envelope, proven by {!Analyze}, needs.  The result has the input's
+    units, channels, ids, labels, back-edge marks and buffer annotations;
+    only widths change ([Const] values are masked to their unit's width).
+    A diverged analysis yields an unchanged copy.  Constant steering is
+    left in place and reported by the [range-dead-branch] lint.
 
-    The rewrites preserve token values and per-channel token order; the
-    flow additionally gates the result behind random-simulation
+    A sound width shrink preserves token values and per-channel token
+    order; the flow additionally gates the result behind random-simulation
     equivalence (see [Lint.Engine.check_narrowing]), so a transfer-function
     bug aborts the flow instead of shipping a wrong circuit. *)
 
 type entry = {
-  nr_uid : Dataflow.Graph.unit_id;  (** uid in the original graph *)
+  nr_uid : Dataflow.Graph.unit_id;
   nr_label : string;
   nr_old_width : int;
   nr_new_width : int;
@@ -20,25 +20,17 @@ type entry = {
 
 type report = {
   r_narrowed : entry list;
-  r_folded : (Dataflow.Graph.unit_id * string * int) list;
-      (** operators folded to constants: uid, label, value *)
-  r_rewired : (Dataflow.Graph.unit_id * string * string) list;
-      (** branch/mux/cmerge specialisations: uid, label, description *)
-  r_deleted : (Dataflow.Graph.unit_id * string) list;
   r_bits_before : int;  (** total channel bits *)
   r_bits_after : int;
-  r_units_before : int;
-  r_units_after : int;
   r_diverged : bool;
 }
 
 val changed : report -> bool
+(** Some unit's width shrank. *)
 
 val run : Analyze.result -> Dataflow.Graph.t -> Dataflow.Graph.t * report
-(** [run res g] where [res = Analyze.run g].  Raises [Failure] if the
-    rebuilt graph fails [Graph.validate] (an internal invariant bug, never
-    expected on a valid input graph). *)
+(** [run res g] where [res = Analyze.run g]. *)
 
 val pp_report : Format.formatter -> report -> unit
-(** A summary line, then one line per narrowed, folded, rewired and
-    deleted unit (in that order); no trailing newline. *)
+(** A channel-bits summary line, then one line per narrowed unit; no
+    trailing newline. *)

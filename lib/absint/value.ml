@@ -62,7 +62,6 @@ let const w v =
       V { lo = v; hi = v; zeros = m land lnot v; ones = v }
 
 let is_bot = function Bot -> true | _ -> false
-let is_const = function V { lo; hi; _ } when lo = hi -> Some lo | _ -> None
 
 (* Least upper bound (both arguments over-approximate token sets of the same
    channel, so width agrees). *)

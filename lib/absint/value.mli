@@ -30,7 +30,6 @@ val const : int -> int -> t
 (** [const w v] abstracts the single value [v land mask]. *)
 
 val is_bot : t -> bool
-val is_const : t -> int option
 
 val join : int -> t -> t -> t
 val meet : int -> t -> t -> t

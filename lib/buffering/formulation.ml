@@ -29,8 +29,6 @@ type placement = {
   objective : float;
   proved_optimal : bool;
   unfixable_paths : int;
-  milp_vars : int;
-  milp_constrs : int;
   lp : Milp.Lp.t;
   solution : float array;
 }
@@ -356,8 +354,6 @@ let solve ?(cache = Cache.Session.disabled) ?warm cfg g (model : M.t) cfdfcs =
         objective = obj;
         proved_optimal;
         unfixable_paths = !unfixable;
-        milp_vars = Milp.Lp.n_vars lp;
-        milp_constrs = Milp.Lp.n_constrs lp;
         lp;
         solution = x;
       }

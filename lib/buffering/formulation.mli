@@ -38,8 +38,6 @@ type placement = {
   objective : float;
   proved_optimal : bool;
   unfixable_paths : int;  (** delay pairs no buffering can fix (> CP inside a segment) *)
-  milp_vars : int;
-  milp_constrs : int;
   lp : Milp.Lp.t;         (** the solved model, kept as a certificate… *)
   solution : float array; (** …together with the raw assignment, so the
                               lint layer can re-check every row instead of

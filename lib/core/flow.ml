@@ -154,11 +154,10 @@ let refine_gate audit ~stage ~base ~buffered ~allowed =
 (* Value-range narrowing (§ the mapping-aware premise: level counts are a
    function of operator widths).  Abstract-interpretation over the seeded
    graph proves a per-channel value envelope; [Absint.Narrow] then shrinks
-   widths, folds constants and deletes dead steering, and the rewritten
-   graph replaces the input of every later stage.  The rewrite is
-   translation-validated by random simulation ([equiv-narrow]): a mismatch
-   aborts the flow, because it means the optimizer changed observable
-   behaviour. *)
+   unit widths to it, and the narrowed graph replaces the input of every
+   later stage.  The narrowing is translation-validated by random
+   simulation ([equiv-narrow]): a mismatch aborts the flow, because it
+   means the optimizer changed observable behaviour. *)
 let narrow_stage config audit session g =
   if not config.narrow then (g, None)
   else begin
@@ -170,7 +169,7 @@ let narrow_stage config audit session g =
     if Absint.Narrow.changed report then begin
       run_gate audit ~stage:"tv-narrow" (fun () ->
           Trace.with_span "flow:tv" (fun () ->
-              Lint.Engine.check_narrowing ~original:g ~variant:narrowed ()));
+              Lint.Engine.check_narrowing ~original:g ~variant:narrowed));
       (narrowed, Some report)
     end
     else (g, Some report)

@@ -45,8 +45,8 @@ let gate ~stage r =
 let check_graph ?stage g = of_diagnostics (Dfg_rules.check ?stage g)
 let check_ranges ?result g = of_diagnostics (Range_rules.check ?result g)
 
-let check_narrowing ?rounds ?seed ~original ~variant () =
-  of_diagnostics (Range_rules.check_narrowing ?rounds ?seed ~original ~variant ())
+let check_narrowing ~original ~variant =
+  of_diagnostics (Range_rules.check_narrowing ~original ~variant)
 
 let check_netlist g net = of_diagnostics (Net_rules.check g net)
 

@@ -39,13 +39,7 @@ val check_ranges : ?result:Absint.Analyze.result -> Dataflow.Graph.t -> report
     runs the analysis when no [result] is supplied.  See
     {!Range_rules.check}. *)
 
-val check_narrowing :
-  ?rounds:int ->
-  ?seed:int ->
-  original:Dataflow.Graph.t ->
-  variant:Dataflow.Graph.t ->
-  unit ->
-  report
+val check_narrowing : original:Dataflow.Graph.t -> variant:Dataflow.Graph.t -> report
 (** Random-simulation equivalence of a graph and its narrowed rewrite;
     mismatches are [equiv-narrow] errors.  See
     {!Range_rules.check_narrowing}. *)

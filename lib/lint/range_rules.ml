@@ -155,6 +155,6 @@ let check ?result g =
 (* The translation-validation gate on the narrowing rewrite: random
    simulation of both variants on shared memories.  Any mismatch is an
    error — the flows abort rather than ship the rewritten circuit. *)
-let check_narrowing ?rounds ?seed ~original ~variant () =
-  Tv.Simdiff.check ?rounds ?seed ~original ~variant ()
+let check_narrowing ~original ~variant =
+  Tv.Simdiff.check ~original ~variant ()
   |> List.map (fun msg -> Rule.diag r_equiv ~loc:D.Whole "%s" msg)

@@ -22,11 +22,6 @@ val check : ?result:Absint.Analyze.result -> Dataflow.Graph.t -> Diagnostic.t li
 (** Runs the analysis when no [result] is supplied. *)
 
 val check_narrowing :
-  ?rounds:int ->
-  ?seed:int ->
-  original:Dataflow.Graph.t ->
-  variant:Dataflow.Graph.t ->
-  unit ->
-  Diagnostic.t list
+  original:Dataflow.Graph.t -> variant:Dataflow.Graph.t -> Diagnostic.t list
 (** Random-simulation equivalence via {!Tv.Simdiff}; every mismatch is an
     [equiv-narrow] error. *)

@@ -66,8 +66,10 @@ end
    slower, not wrong *)
 let warm_heap_cap = 4096
 
-let solve ?(node_limit = 50_000) ?(eps = 1e-6) ?(time_limit = 120.) ?initial ?warm
-    ?cert_bound lp =
+(* integrality tolerance *)
+let eps = 1e-6
+
+let solve ?(node_limit = 50_000) ?(time_limit = 120.) ?initial ?warm ?cert_bound lp =
   Support.Trace.with_span ~cat:"milp" "milp:bb" @@ fun () ->
   let started = Unix.gettimeofday () in
   let maximize, obj_terms = Lp.objective lp in

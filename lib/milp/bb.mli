@@ -27,14 +27,13 @@ type result =
 
 val solve :
   ?node_limit:int ->
-  ?eps:float ->
   ?time_limit:float ->
   ?initial:float array ->
   ?warm:Simplex.basis ->
   ?cert_bound:((int * float * float) list -> float) ->
   Lp.t ->
   result
-(** Defaults: [node_limit = 50_000], integrality tolerance [eps = 1e-6],
+(** Integrality tolerance [1e-6].  Defaults: [node_limit = 50_000],
     [time_limit = 120.] seconds (wall clock; on expiry the incumbent is
     returned with [proved_optimal = false], mirroring a solver time
     limit). [initial], when feasible and integral, seeds the incumbent

@@ -89,7 +89,10 @@ let objective t = (t.maximize, t.obj)
 
 let eval_expr terms x = List.fold_left (fun acc (c, v) -> acc +. (c *. x.(v))) 0. terms
 
-let feasible t ?(eps = 1e-6) x =
+(* absolute tolerance of the bound, row and integrality checks *)
+let eps = 1e-6
+
+let feasible t x =
   let ok = ref (Array.length x = n_vars t) in
   if !ok then begin
     Support.Vec.iteri
@@ -112,7 +115,7 @@ type violation =
   | V_bound of { var : int; value : float; lo : float; hi : float }
   | V_integrality of { var : int; value : float }
 
-let violations t ?(eps = 1e-6) x =
+let violations t x =
   if Array.length x <> n_vars t then
     invalid_arg
       (Printf.sprintf "Lp.violations: assignment has %d entries for %d variables"

@@ -43,8 +43,9 @@ val objective : t -> bool * (float * int) list
 
 val eval_expr : (float * int) list -> float array -> float
 
-val feasible : t -> ?eps:float -> float array -> bool
-(** Whether an assignment satisfies all constraints and bounds. *)
+val feasible : t -> float array -> bool
+(** Whether an assignment satisfies all constraints and bounds, to an
+    absolute tolerance of [1e-6]. *)
 
 (** A certificate check failure: which row, bound or integrality
     requirement an assignment violates, with the offending values. Used
@@ -54,7 +55,7 @@ type violation =
   | V_bound of { var : int; value : float; lo : float; hi : float }
   | V_integrality of { var : int; value : float }
 
-val violations : t -> ?eps:float -> float array -> violation list
+val violations : t -> float array -> violation list
 (** Every bound, integrality and constraint-row violation of an
     assignment, in that order, each reported once. Unlike {!feasible}
     this also checks integrality of [Binary]/[Integer] variables. Raises

@@ -12,7 +12,7 @@
 
 module G = Dataflow.Graph
 
-let default_rounds = 3
+let rounds = 3
 
 let mems_of ~random rng g =
   List.map
@@ -25,12 +25,9 @@ let mems_of ~random rng g =
       (name, a))
     (G.memories g)
 
-let check ?(rounds = default_rounds) ?(seed = 0xd1ff) ?config ~original ~variant () =
-  let config =
-    match config with
-    | Some c -> c
-    | None -> { Sim.Elastic.max_cycles = 200_000; deadlock_window = 256 }
-  in
+let config = { Sim.Elastic.max_cycles = 200_000; deadlock_window = 256 }
+
+let check ?(seed = 0xd1ff) ~original ~variant () =
   let mismatches = ref [] and n_mismatches = ref 0 in
   let add fmt =
     Printf.ksprintf

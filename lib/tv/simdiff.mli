@@ -3,20 +3,13 @@
     The translation-validation gate behind the narrowing optimizer
     ({!Absint.Narrow}): both graphs are simulated on identical initial
     memories and their observable outcomes — exit value and final memory
-    contents — are compared.  Round 0 runs on zero-initialised memories,
-    subsequent rounds on random images (stressing load-value masking at
-    narrowed widths).  Rounds where the original does not finish within
-    the cycle budget prove nothing and are skipped. *)
-
-val default_rounds : int
+    contents — are compared over three rounds.  Round 0 runs on
+    zero-initialised memories, the other two on random images (stressing
+    load-value masking at narrowed widths).  Rounds where the original
+    does not finish within the cycle budget prove nothing and are
+    skipped. *)
 
 val check :
-  ?rounds:int ->
-  ?seed:int ->
-  ?config:Sim.Elastic.config ->
-  original:Dataflow.Graph.t ->
-  variant:Dataflow.Graph.t ->
-  unit ->
-  string list
+  ?seed:int -> original:Dataflow.Graph.t -> variant:Dataflow.Graph.t -> unit -> string list
 (** Returns human-readable mismatch descriptions; [[]] means every
     conclusive round agreed. *)

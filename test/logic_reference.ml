@@ -118,16 +118,20 @@ let cone_eval aig root leaves idx =
   in
   ev root
 
-(* Every LUT's function as a table over its leaves, read off its cone:
-   raises if any LUT's cone is not cut by its leaves. *)
+(* Every LUT's function as a table over its leaves, read off its cone;
+   [None] for a LUT whose cone its leaves do not cut. *)
 let cover_tables (lg : L.t) =
   let aig = lg.L.synth.Synth.aig in
   Array.map
     (fun (l : L.lut) ->
-      Array.init (1 lsl Array.length l.L.leaves) (cone_eval aig l.L.root l.L.leaves))
+      match Array.init (1 lsl Array.length l.L.leaves) (cone_eval aig l.L.root l.L.leaves) with
+      | table -> Some table
+      | exception Invalid_argument _ -> None)
     lg.L.luts
 
-(* LUTs in root order: a leaf's LUT precedes its users. *)
+(* LUTs in root order: a leaf's LUT precedes its users.  A LUT without a
+   table, and a leaf that is neither a CI nor a mapped root, read false,
+   as in the validator's word evaluation of a malformed cover. *)
 let eval_with_tables (lg : L.t) tables ci_value =
   let aig = lg.L.synth.Synth.aig in
   let out = Array.make (L.n_luts lg) false in
@@ -138,10 +142,13 @@ let eval_with_tables (lg : L.t) tables ci_value =
       let idx = ref 0 in
       Array.iteri
         (fun i leaf ->
-          let v = if Aig.is_ci aig leaf then ci_value leaf else out.(lg.L.lut_of_node.(leaf)) in
+          let v =
+            if Aig.is_ci aig leaf then ci_value leaf
+            else match lg.L.lut_of_node.(leaf) with -1 -> false | l -> out.(l)
+          in
           if v then idx := !idx lor (1 lsl i))
         lg.L.luts.(lid).L.leaves;
-      out.(lid) <- tables.(lid).(!idx))
+      out.(lid) <- (match tables.(lid) with Some t -> t.(!idx) | None -> false))
     order;
   out
 
@@ -159,6 +166,8 @@ let cover_lit (lg : L.t) outs ci_value lit =
 let cover_equivalent ?(vectors = 256) ?(seed = 1) (lg : L.t) =
   let aig = lg.L.synth.Synth.aig in
   let tables = cover_tables lg in
+  if Array.exists Option.is_none tables then
+    invalid_arg "Logic_reference.cover_equivalent: a LUT's cone is not cut by its leaves";
   let rng = Support.Rng.create seed in
   let agrees () =
     let ci_vals = Array.init (Aig.n_nodes aig) (fun v -> Aig.is_ci aig v && Support.Rng.bool rng) in
@@ -194,24 +203,15 @@ let confirms net (lg : L.t) m =
     let civ = lookup lane.Tv.Equiv.lane_cis in
     (eval_net net (lookup lane.Tv.Equiv.lane_gates), eval_aig aig civ, civ)
   in
-  (* [None] for a cover with a LUT whose cone its leaves do not cut: it
-     has no function to replay, its [Cover_structural] report is the
-     finding, and every cover mismatch downstream of it stands *)
-  let cover_outs civ =
-    match cover_tables lg with
-    | exception Invalid_argument _ -> None
-    | tables -> Some (eval_with_tables lg tables civ)
-  in
+  let cover_outs civ = eval_with_tables lg (cover_tables lg) civ in
   match m with
   | Tv.Equiv.Aig_mismatch { tag; lane; _ } ->
     let net_vals, aig_vals, _ = lane_values lane in
     net_co net_vals tag <> lit_value aig_vals (lit_of tag)
-  | Tv.Equiv.Cover_co_mismatch { tag; lane; _ } -> (
+  | Tv.Equiv.Cover_co_mismatch { tag; lane; _ } ->
     let net_vals, _, civ = lane_values lane in
-    match cover_outs civ with
-    | None -> true
-    | Some outs -> net_co net_vals tag <> cover_lit lg outs civ (lit_of tag))
-  | Tv.Equiv.Cover_mismatch { lut; lane } -> (
+    net_co net_vals tag <> cover_lit lg (cover_outs civ) civ (lit_of tag)
+  | Tv.Equiv.Cover_mismatch { lut; lane } ->
     let l = lg.L.luts.(lut) in
     (* the stored table against the cone, exhaustively: 2^|leaves| cases *)
     let table_differs =
@@ -225,6 +225,5 @@ let confirms net (lg : L.t) m =
           (List.init (1 lsl Array.length l.L.leaves) Fun.id)
     in
     let _, aig_vals, civ = lane_values lane in
-    table_differs
-    || match cover_outs civ with None -> true | Some outs -> outs.(lut) <> aig_vals.(l.L.root))
+    table_differs || (cover_outs civ).(lut) <> aig_vals.(l.L.root)
   | Tv.Equiv.Cover_structural _ -> false

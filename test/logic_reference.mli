@@ -56,9 +56,10 @@ val cover_equivalent : ?vectors:int -> ?seed:int -> Techmap.Lutgraph.t -> bool
 val confirms : Net.t -> Techmap.Lutgraph.t -> Tv.Equiv.mismatch -> bool
 (** Replay a reported mismatch's counterexample lane through the scalar
     evaluators: [true] iff the two representations it names disagree
-    there. A cover mismatch also counts as confirmed when the LUT's
-    stored truth table ({!Techmap.Truth.lut_table}) differs from its
-    cone's function, or when some LUT's cone is not cut by its leaves:
-    such a cover has no function to replay, and its [Cover_structural]
-    report is the finding. [Cover_structural] itself carries no lane and
-    is never confirmed. *)
+    there. A LUT whose cone its leaves do not cut, and a leaf that is
+    neither a CI nor a mapped root, read [false] in the replay, as in the
+    validator's evaluation of a malformed cover, so cover lanes are
+    replayed on malformed covers too. A cover mismatch also counts as
+    confirmed when the LUT's truth table ({!Techmap.Truth.lut_table})
+    differs from its cone's function. [Cover_structural] itself carries
+    no lane and is never confirmed. *)

@@ -151,11 +151,11 @@ let test_mutations_additive () =
    - seed 107: netlist elaboration must compute operators at the result
      width — a width-8 multiplier fed by two 1-bit comparison outputs
      indexed its operand rows out of bounds;
-   - seed 987 (again, post-narrowing): a Control_merge with one live
-     input rewrites to Fork2 + Consts; the fork must take the live
-     input's (possibly zero) width, not the cmerge's index width, or
-     fork elaboration reads data bits past the control channel (direct
-     probe in test_absint.ml). *)
+   - seed 987 (again, post-narrowing): it has a Control_merge with one
+     live input, which a former structural rewrite of the narrowing pass
+     turned into a fork that read data bits past a width-0 control
+     channel; narrowing now changes widths only, and the seed stays
+     pinned (direct probe in test_absint.ml). *)
 let test_pinned_regression_seeds () =
   List.iter
     (fun seed ->
