@@ -4,8 +4,11 @@ let format_version = 1
 
 (* Bump the "m" number whenever any cached value's layout or meaning
    changes (Lutgraph fields, mapper cost function, MILP solution tuple,
-   unit-delay semantics). The OCaml version rides along because payloads
-   are Marshal-encoded and the marshal format is compiler-dependent. *)
+   unit-delay semantics, and for the [sta] kind the Placeroute.Sta report
+   fields, the annealer in Placeroute.Place and the grid and wire-delay
+   model of Placeroute.Arch). The OCaml version rides along because
+   payloads are Marshal-encoded and the marshal format is
+   compiler-dependent. *)
 let model_version = "m3-ocaml" ^ Sys.ocaml_version
 
 type t = {

@@ -34,7 +34,9 @@ type t
 val model_version : string
 (** Stamp written into every entry header. Bump {e the constant in the
     implementation} whenever a cached value's meaning or layout changes
-    (a new mapper cost function, a changed record); entries with a
+    (a new mapper cost function, a changed record, a change to the
+    placer, its architecture model or the static-timing report that the
+    [sta] kind stores); entries with a
     different stamp read as misses. The OCaml version is appended
     automatically because values are [Marshal]-encoded. *)
 

@@ -99,8 +99,8 @@ let with_cache_session dir f =
 let no_narrow_arg =
   let doc =
     "Disable the abstract-interpretation narrowing stage (on by default: the flow shrinks unit \
-     widths to their proven value envelopes, folds constant units and deletes dead branches \
-     before synthesis, gated by random-simulation equivalence). See `regulate absint`."
+     widths to their proven value envelopes before synthesis, gated by random-simulation \
+     equivalence). See `regulate absint`."
   in
   Arg.(value & flag & info [ "no-narrow" ] ~doc)
 

@@ -20,13 +20,34 @@ type row = {
   iter : metrics;
 }
 
-let measure (outcome : Flow.outcome) kernel =
+(* Place & route of the final circuit, memoised in the session (kind
+   [sta]): the placement is a pure function of the netlist and its LUT
+   graph, which the final synthesis's key determines, and of the
+   placer's seed and effort. *)
+let place_seed = 7
+let place_effort = 1.0
+
+let place_and_route ~(session : Session.t) (outcome : Flow.outcome) =
+  let analyze () =
+    Placeroute.Sta.analyze ~seed:place_seed ~effort:place_effort outcome.Flow.net
+      outcome.Flow.lutgraph
+  in
+  match outcome.Flow.synth_key with
+  | None -> analyze ()
+  | Some synth_key ->
+    let key =
+      Cache.Hash.combine
+        [ synth_key; Printf.sprintf "place:seed=%d;effort=%h" place_seed place_effort ]
+    in
+    Cache.Session.memo session.Session.cache ~kind:"sta" ~key analyze
+
+let measure ~session (outcome : Flow.outcome) kernel =
   Trace.with_span ~cat:"experiment" "experiment:measure" @@ fun () ->
   let g = outcome.Flow.graph in
   (* the flow already synthesised its final circuit; measuring from the
      outcome's netlist avoids a full re-synthesis per kernel run *)
-  let net = outcome.Flow.net and lg = outcome.Flow.lutgraph in
-  let pr = Placeroute.Sta.analyze ~seed:7 net lg in
+  let lg = outcome.Flow.lutgraph in
+  let pr = place_and_route ~session outcome in
   let mems = kernel.Hls.Kernels.mems () in
   let sim = Trace.with_span ~cat:"sim" "sim:elastic" (fun () -> Sim.Elastic.run ~memories:mems g) in
   let reference = Hls.Kernels.reference kernel in
@@ -46,10 +67,10 @@ let measure (outcome : Flow.outcome) kernel =
     value_ok;
   }
 
-let run_flow ?(config = Flow.default_config) ?session ~flavor kernel =
+let run_flow ?(config = Flow.default_config) ?(session = Session.make ()) ~flavor kernel =
   let g = Hls.Kernels.graph kernel in
-  let outcome = Flow.run ~config ?session flavor g in
-  (measure outcome kernel, outcome)
+  let outcome = Flow.run ~config ~session flavor g in
+  (measure ~session outcome kernel, outcome)
 
 (* ------------------------------------------------------------------ *)
 (* Domain-parallel engine: one task per kernel x flavor. Each task

@@ -33,7 +33,10 @@ val run_flow :
   metrics * Flow.outcome
 (** [session] is threaded into the flow: cache handle, MILP budget
     overrides, cancellation, status sink. Without one the flow runs
-    uncached on [config]'s budgets. *)
+    uncached on [config]'s budgets. With a cache, the place & route of
+    the final circuit is memoised too (kind [sta]), keyed by the final
+    synthesis's key ({!Flow.outcome.synth_key}) plus the placer's seed
+    and effort, so a warm recompile places nothing. *)
 
 type task_timing = {
   t_bench : string;

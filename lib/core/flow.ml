@@ -54,6 +54,7 @@ type outcome = {
   graph : G.t;
   net : Net.t;
   lutgraph : Techmap.Lutgraph.t;
+  synth_key : string option;
   iterations : iteration list;
   met_target : bool;
   final_levels : int;
@@ -83,22 +84,25 @@ let synth_map_net cfg net =
   let synth = if cfg.balance then Techmap.Balance.run synth else synth in
   Techmap.Mapper.run synth
 
-let synth_map ?(session = Session.make ()) cfg g =
+(* [synth_map], plus the key it memoised under ([None] without a cache):
+   the flows keep their final synthesis's key in the outcome. *)
+let synthesize ?(session = Session.make ()) cfg g =
   Trace.with_span "flow:synth+map" @@ fun () ->
   let cache = session.Session.cache in
   let net = Elaborate.run g in
-  let lg =
-    if Cache.Session.enabled cache then
-      let key =
-        Cache.Hash.combine
-          [
-            Cache.Hash.netlist net;
-            Printf.sprintf "k=%d;balance=%b" Techmap.Lutgraph.lut_k cfg.balance;
-          ]
-      in
-      Cache.Session.memo cache ~kind:"synthmap" ~key (fun () -> synth_map_net cfg net)
-    else synth_map_net cfg net
-  in
+  if Cache.Session.enabled cache then
+    let key =
+      Cache.Hash.combine
+        [
+          Cache.Hash.netlist net;
+          Printf.sprintf "k=%d;balance=%b" Techmap.Lutgraph.lut_k cfg.balance;
+        ]
+    in
+    (net, Cache.Session.memo cache ~kind:"synthmap" ~key (fun () -> synth_map_net cfg net), Some key)
+  else (net, synth_map_net cfg net, None)
+
+let synth_map ?session cfg g =
+  let net, lg, _ = synthesize ?session cfg g in
   (net, lg)
 
 let apply_buffers base channels =
@@ -139,10 +143,12 @@ let run_gate audit ~stage check =
   audit.a_stages <- stage :: audit.a_stages
 
 (* Translation-validation gates (the equiv-* rules). The signature pass
-   is cheap (a few 64-lane simulation rounds per representation) and
-   runs on every synthesised artefact. The [flow:tv] span bounds
-   the whole family, so the CI budget guard can hold the validator
-   under a fixed share of flow wall time. *)
+   is cheap and runs on every synthesised artefact: four 64-lane word
+   rounds over the netlist, the AIG and the cover, where each LUT's
+   truth table is read off its cone in one word pass ([Techmap.Truth])
+   and applied to its leaf words as a mux tree ([Tv.Equiv]). The
+   [flow:tv] span bounds the whole family, so the CI budget guard can
+   hold the validator under a fixed share of flow wall time. *)
 let tv_gate audit ~stage net lg =
   run_gate audit ~stage (fun () ->
       Trace.with_span "flow:tv" (fun () -> Lint.Engine.check_translation net lg))
@@ -249,7 +255,7 @@ let iteration ~it ~(model : Timing.Model.t) ~(placement : Buffering.Formulation.
 
 (* Finish: validate the final synthesis ([tv_stage] names the gate),
    audit the result graph, and record the outcome. *)
-let finish config audit ~tv_stage ~narrowing ~iterations ~cert graph (net, lg) =
+let finish config audit ~tv_stage ~narrowing ~iterations ~cert graph (net, lg, synth_key) =
   tv_gate audit ~stage:tv_stage net lg;
   let final_levels = lg.Techmap.Lutgraph.max_level in
   run_gate audit ~stage:"final-dfg" (fun () -> Lint.Engine.check_graph graph);
@@ -257,6 +263,7 @@ let finish config audit ~tv_stage ~narrowing ~iterations ~cert graph (net, lg) =
     graph;
     net;
     lutgraph = lg;
+    synth_key;
     iterations;
     met_target = final_levels <= config.target_levels;
     final_levels;
@@ -305,7 +312,7 @@ let slack_match ~session config audit candidate synthesized =
     let allowed = List.map (fun (cid, slots) -> (cid, { G.transparent = true; slots })) pads in
     List.iter (fun (cid, spec) -> G.set_buffer candidate cid (Some spec)) allowed;
     refine_gate audit ~stage:"tv-slack" ~base:before ~buffered:candidate ~allowed;
-    synth_map ~session config candidate
+    synthesize ~session config candidate
   end
 
 let iterative ?(config = default_config) ?(session = Session.make ()) input =
@@ -344,7 +351,7 @@ let iterative ?(config = default_config) ?(session = Session.make ()) input =
     let placement, candidate, cert, phi =
       solve_and_audit ~name:"Flow.iterative" audit session ?warm milp g model cfdfcs
     in
-    let cand_net, cand_lg = synth_map ~session config candidate in
+    let ((_, cand_lg, _) as synthesized) = synthesize ~session config candidate in
     let achieved = cand_lg.Techmap.Lutgraph.max_level in
     let stop = achieved <= config.target_levels || it >= config.max_iterations in
     let kept =
@@ -354,8 +361,8 @@ let iterative ?(config = default_config) ?(session = Session.make ()) input =
       iteration ~it ~model ~placement ~cert ~phi ~achieved ~kept:(List.length kept) :: !iterations;
     if stop then
       let final =
-        if config.slack_match then slack_match ~session config audit candidate (cand_net, cand_lg)
-        else (cand_net, cand_lg)
+        if config.slack_match then slack_match ~session config audit candidate synthesized
+        else synthesized
       in
       (* slack matching only adds transparent capacity, which cannot
          lower the bound or break liveness, so the pre-slack certificate
@@ -393,7 +400,7 @@ let baseline ?(config = default_config) ?(session = Session.make ()) input =
   in
   (* the baseline synthesises once, at the end: its single tv gate
      validates that final netlist/AIG/cover triple *)
-  let ((_, lg) as synthesized) = synth_map ~session config final in
+  let ((_, lg, _) as synthesized) = synthesize ~session config final in
   let achieved = lg.Techmap.Lutgraph.max_level in
   finish config audit ~tv_stage:"tv" ~narrowing
     ~iterations:[ iteration ~it:1 ~model ~placement ~cert ~phi ~achieved ~kept:0 ]

@@ -102,6 +102,12 @@ type outcome = {
       (** LUT mapping of {!field:net}; [lutgraph.max_level] always equals
           {!field:final_levels}, including under [slack_match] (the
           transparent buffers are part of this netlist) *)
+  synth_key : string option;
+      (** the artifact-cache key of that final synthesis ({!synth_map}'s
+          memo key: canonical netlist hash, LUT size, balance switch);
+          [None] when the flow ran without a cache. Artifacts derived
+          from {!field:net} and {!field:lutgraph} extend it (kind [sta]
+          in {!Experiment}), so their keys cannot drift from it. *)
   iterations : iteration list;
   met_target : bool;
   final_levels : int;           (** levels of the {e final} circuit, after slack matching *)
@@ -115,8 +121,8 @@ type outcome = {
       (** audit trail: the gate stages that actually ran, in order; both
           flavors end with ["final-dfg"] *)
   narrowing : Absint.Narrow.report option;
-      (** what the value-range narrowing stage did (widths shrunk, units
-          folded, dead code deleted); [None] when [config.narrow] is off *)
+      (** what the value-range narrowing stage did (which unit widths
+          shrank); [None] when [config.narrow] is off *)
 }
 
 val seed_back_edges : Dataflow.Graph.t -> Dataflow.Graph.channel_id list
@@ -175,4 +181,7 @@ val synth_map :
   ?session:Session.t -> config -> Dataflow.Graph.t -> Net.t * Techmap.Lutgraph.t
 (** Elaborate, synthesise (with the configured optimisation passes) and
     LUT-map the graph, memoizing through the session's cache (default
-    [Session.make ()], which computes in place). *)
+    [Session.make ()], which computes in place) under kind [synthmap],
+    keyed by the canonical netlist hash, the LUT size and the balance
+    switch. *)
+

@@ -105,7 +105,7 @@ let check_program ?(config = flow_config) ?(session = Core.Session.make ()) ?(mu
   in
   (match (graph, reference) with
   | Some g0, Some ref_value ->
-    (* narrowing differential: the Absint.Narrow rewrite alone (no
+    (* narrowing differential: Absint.Narrow's width narrowing alone (no
        buffering, so failures implicate the analysis and not the MILP)
        must keep the interpreter's exit value and memory state, and
        random simulation against the un-narrowed graph must agree. *)

@@ -100,15 +100,6 @@ let ff t ~owner ~dom =
   t.regs <- id :: t.regs;
   id
 
-let clone_map_kind t f =
-  let t' = { nname = t.nname; gates = Support.Vec.create (); ins = t.ins; outs = t.outs; regs = t.regs } in
-  iter t (fun g ->
-      let kind = f g in
-      ignore
-        (Support.Vec.push t'.gates
-           { id = g.id; kind; fanins = Array.copy g.fanins; owner = g.owner; dom = g.dom }));
-  t'
-
 let inputs t = List.rev t.ins
 let outputs t = List.rev t.outs
 let ffs t = List.rev t.regs

@@ -71,13 +71,6 @@ val ff : t -> owner:int -> dom:domain -> int
 (** Flip-flop with reset value [false]; connect its D input later with
     {!connect}. *)
 
-val clone_map_kind : t -> (gate -> kind) -> t
-(** Structural copy with every gate's kind rewritten by the callback
-    (gate ids, fanins, owners and domains are preserved). The new kind
-    must keep the gate's arity or {!validate} will reject the clone.
-    The test suite's mutation harness injects seeded gate flips with
-    it. *)
-
 val inputs : t -> int list
 val outputs : t -> int list
 val ffs : t -> int list

@@ -59,6 +59,15 @@ let signature_hex r =
        (fun acc (tag, h) -> mix acc (Int64.logxor (Int64.of_int tag) h))
        0x5851F42D4C957F2DL r.signatures)
 
+(* 64-lane words live unboxed in bigarrays: a boxed [int64 array] pays
+   an allocation and a write barrier for every word stored. *)
+type words = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+let zero_words n : words =
+  let a = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout n in
+  Bigarray.Array1.fill a 0L;
+  a
+
 (* ---- netlist word evaluation ---- *)
 
 (* Kahn topological order over the combinational dependency edges
@@ -76,16 +85,15 @@ let topo_order net =
 
 (* One combinational frame over 64 lanes; [stim] holds the word of every
    Input/Ff gate (the frame's free variables). *)
-let eval_net_words net order stim =
-  let n = Net.n_gates net in
-  let value = Array.make n 0L in
+let eval_net_words net order (stim : words) =
+  let value = zero_words (Net.n_gates net) in
   Array.iter
     (fun id ->
       let g = Net.gate net id in
-      let f i = if g.Net.fanins.(i) >= 0 then value.(g.Net.fanins.(i)) else 0L in
-      value.(id) <-
+      let f i = if g.Net.fanins.(i) >= 0 then value.{g.Net.fanins.(i)} else 0L in
+      value.{id} <-
         (match g.Net.kind with
-        | Net.Input _ | Net.Ff _ -> stim.(id)
+        | Net.Input _ | Net.Ff _ -> stim.{id}
         | Net.Const b -> if b then -1L else 0L
         | Net.Buf | Net.Output _ -> f 0
         | Net.Not -> Int64.lognot (f 0)
@@ -97,18 +105,18 @@ let eval_net_words net order stim =
 
 (* ---- AIG word evaluation ---- *)
 
-let word_of_lit w lit =
-  let x = w.(Aig.node_of_lit lit) in
+let word_of_lit (w : words) lit =
+  let x = w.{Aig.node_of_lit lit} in
   if Aig.is_complement lit then Int64.lognot x else x
 
-let eval_aig_words aig ci_words =
+let eval_aig_words aig (ci_words : words) =
   let n = Aig.n_nodes aig in
-  let w = Array.make n 0L in
+  let w = zero_words n in
   for v = 1 to n - 1 do
-    if Aig.is_ci aig v then w.(v) <- ci_words.(v)
+    if Aig.is_ci aig v then w.{v} <- ci_words.{v}
     else begin
       let f0, f1 = Aig.fanins aig v in
-      w.(v) <- Int64.logand (word_of_lit w f0) (word_of_lit w f1)
+      w.{v} <- Int64.logand (word_of_lit w f0) (word_of_lit w f1)
     end
   done;
   w
@@ -122,43 +130,68 @@ let lut_order (lg : L.t) =
   Array.sort (fun a b -> compare lg.L.luts.(a).L.root lg.L.luts.(b).L.root) order;
   order
 
-let eval_cover_words (lg : L.t) tables order ci_words =
+(* A truth table over its leaves' words as a Shannon mux tree: [mux i t]
+   is the function of leaves 0..i-1 whose table is the low 2^i bits of
+   [t], split on leaf i-1 into its two halves; k leaves take at most
+   2^k - 1 word muxes. A constant sub-table is its constant word and
+   equal halves need no mux, which leaves every lane as the full tree
+   computes it. *)
+let eval_table table leaf_words =
+  let rec mux i t =
+    let bits = 1 lsl i in
+    let ones = if bits = 64 then -1L else Int64.pred (Int64.shift_left 1L bits) in
+    let t = Int64.logand t ones in
+    if Int64.equal t 0L then 0L
+    else if Int64.equal t ones then -1L
+    else
+      let half = bits lsr 1 in
+      let lo = Int64.logand t (Int64.pred (Int64.shift_left 1L half)) in
+      let hi = Int64.shift_right_logical t half in
+      if Int64.equal lo hi then mux (i - 1) lo
+      else
+        let w = leaf_words.(i - 1) in
+        Int64.logor
+          (Int64.logand w (mux (i - 1) hi))
+          (Int64.logand (Int64.lognot w) (mux (i - 1) lo))
+  in
+  mux (Array.length leaf_words) table
+
+let eval_cover_words (lg : L.t) tables order (ci_words : words) =
   let aig = lg.L.synth.Synth.aig in
-  let out = Array.make (Array.length lg.L.luts) 0L in
+  let out = zero_words (Array.length lg.L.luts) in
   let leaf_word leaf =
     if leaf = 0 then 0L
-    else if Aig.is_ci aig leaf then ci_words.(leaf)
-    else match lg.L.lut_of_node.(leaf) with -1 -> 0L | lid -> out.(lid)
+    else if Aig.is_ci aig leaf then ci_words.{leaf}
+    else match lg.L.lut_of_node.(leaf) with -1 -> 0L | lid -> out.{lid}
   in
   Array.iter
     (fun lid ->
       match tables.(lid) with
       | Error _ -> ()
-      | Ok table ->
-        let l = lg.L.luts.(lid) in
-        let nl = Array.length l.L.leaves in
-        let words = Array.map leaf_word l.L.leaves in
-        let r = ref 0L in
-        for bit = 0 to 63 do
-          let idx = ref 0 in
-          for i = 0 to nl - 1 do
-            if Int64.logand (Int64.shift_right_logical words.(i) bit) 1L = 1L then
-              idx := !idx lor (1 lsl i)
-          done;
-          if Int64.logand (Int64.shift_right_logical table !idx) 1L = 1L then
-            r := Int64.logor !r (Int64.shift_left 1L bit)
-        done;
-        out.(lid) <- !r)
+      | Ok table -> out.{lid} <- eval_table table (Array.map leaf_word lg.L.luts.(lid).L.leaves))
     order;
   out
 
-let cover_word_of_lit (lg : L.t) out ci_words lit =
+let truth_table lg lid =
+  match Truth.lut_table lg lid with
+  | table -> Ok table
+  | exception Invalid_argument msg -> Error msg
+
+let cover_words (lg : L.t) ci_words =
+  let tables = Array.init (L.n_luts lg) (truth_table lg) in
+  let out =
+    eval_cover_words lg tables (lut_order lg)
+      (Bigarray.Array1.of_array Bigarray.int64 Bigarray.c_layout ci_words)
+  in
+  Array.init (Bigarray.Array1.dim out) (Bigarray.Array1.get out)
+
+let cover_word_of_lit (lg : L.t) (out : words) (ci_words : words) lit =
   let aig = lg.L.synth.Synth.aig in
   let v = Aig.node_of_lit lit in
   let base =
     if v = 0 then 0L
-    else if Aig.is_ci aig v then ci_words.(v)
-    else match lg.L.lut_of_node.(v) with -1 -> 0L | lid -> out.(lid)
+    else if Aig.is_ci aig v then ci_words.{v}
+    else match lg.L.lut_of_node.(v) with -1 -> 0L | lid -> out.{lid}
   in
   if Aig.is_complement lit then Int64.lognot base else base
 
@@ -172,12 +205,12 @@ let stim_gates net =
       | _ -> ());
   List.rev !acc
 
-let lane_of ~bit net aig stim ci_words =
+let lane_of ~bit net aig (stim : words) (ci_words : words) =
   let bitv w = Int64.logand (Int64.shift_right_logical w bit) 1L = 1L in
-  let lane_gates = List.map (fun gid -> (gid, bitv stim.(gid))) (stim_gates net) in
+  let lane_gates = List.map (fun gid -> (gid, bitv stim.{gid})) (stim_gates net) in
   let lane_cis = ref [] in
   for v = Aig.n_nodes aig - 1 downto 1 do
-    if Aig.is_ci aig v then lane_cis := (v, bitv ci_words.(v)) :: !lane_cis
+    if Aig.is_ci aig v then lane_cis := (v, bitv ci_words.{v}) :: !lane_cis
   done;
   { lane_gates; lane_cis = !lane_cis }
 
@@ -213,25 +246,25 @@ let run net (lg : L.t) =
       if l.L.root <= 0 || l.L.root >= Aig.n_nodes aig then bad "root node out of range"
       else if lg.L.lut_of_node.(l.L.root) <> l.L.lid then
         bad "root does not map back to this LUT";
-      let seen = Hashtbl.create 8 in
-      Array.iter
-        (fun leaf ->
-          if Hashtbl.mem seen leaf then bad (Printf.sprintf "duplicate leaf %d" leaf)
-          else Hashtbl.replace seen leaf ();
+      let leaves = l.L.leaves in
+      Array.iteri
+        (fun i leaf ->
+          let rec seen j = j < i && (leaves.(j) = leaf || seen (j + 1)) in
+          if seen 0 then bad (Printf.sprintf "duplicate leaf %d" leaf);
           if leaf <> 0 && (not (Aig.is_ci aig leaf)) && lg.L.lut_of_node.(leaf) = -1 then
             bad (Printf.sprintf "leaf %d is neither a CI nor a mapped LUT root" leaf))
-        l.L.leaves)
+        leaves)
     lg.L.luts;
   let tables =
     Array.init n_luts (fun lid ->
         if struct_bad.(lid) then Error "structurally invalid"
         else
-          match Truth.lut_table lg lid with
-          | table -> Ok table
-          | exception Invalid_argument msg ->
+          match truth_table lg lid with
+          | Ok _ as table -> table
+          | Error msg as table ->
             struct_bad.(lid) <- true;
             add_mis (Cover_structural { lut = lid; reason = "truth table: " ^ msg });
-            Error msg)
+            table)
   in
   let order = topo_order net in
   let lorder = lut_order lg in
@@ -243,18 +276,21 @@ let run net (lg : L.t) =
   let aig_flagged = Hashtbl.create 8 in
   let cover_co_flagged = Hashtbl.create 8 in
   let cover_lut_flagged = ref false in
+  (* shared stimulus: one word per netlist Input/Ff gate, replicated
+     onto the matching AIG CI through [gate_of_ci] *)
+  let stim_ids = stim_gates net in
+  let ci_gates = ref [] in
+  for v = 1 to Aig.n_nodes aig - 1 do
+    if Aig.is_ci aig v then
+      match Hashtbl.find_opt synth.Synth.gate_of_ci v with
+      | Some gid -> ci_gates := (v, gid) :: !ci_gates
+      | None -> ()
+  done;
+  let stim = zero_words (Net.n_gates net) in
+  let ci_words = zero_words (Aig.n_nodes aig) in
   for _round = 1 to rounds do
-    (* shared stimulus: one word per netlist Input/Ff gate, replicated
-       onto the matching AIG CI through [gate_of_ci] *)
-    let stim = Array.make (Net.n_gates net) 0L in
-    List.iter (fun gid -> stim.(gid) <- Rng.int64 rng) (stim_gates net);
-    let ci_words = Array.make (Aig.n_nodes aig) 0L in
-    for v = 1 to Aig.n_nodes aig - 1 do
-      if Aig.is_ci aig v then
-        match Hashtbl.find_opt synth.Synth.gate_of_ci v with
-        | Some gid -> ci_words.(v) <- stim.(gid)
-        | None -> ()
-    done;
+    List.iter (fun gid -> stim.{gid} <- Rng.int64 rng) stim_ids;
+    List.iter (fun (v, gid) -> ci_words.{v} <- stim.{gid}) !ci_gates;
     let net_words = eval_net_words net order stim in
     let aig_words = eval_aig_words aig ci_words in
     let cover_out = eval_cover_words lg tables lorder ci_words in
@@ -262,7 +298,7 @@ let run net (lg : L.t) =
     List.iter
       (fun (co, tag, lit) ->
         let g = Net.gate net tag in
-        let wn = if g.Net.fanins.(0) >= 0 then net_words.(g.Net.fanins.(0)) else 0L in
+        let wn = if g.Net.fanins.(0) >= 0 then net_words.{g.Net.fanins.(0)} else 0L in
         sign.(co) <- mix sign.(co) wn;
         let wa = word_of_lit aig_words lit in
         if wn <> wa && not (Hashtbl.mem aig_flagged tag) then begin
@@ -284,10 +320,10 @@ let run net (lg : L.t) =
         (fun lid ->
           if (not !cover_lut_flagged) && not struct_bad.(lid) then begin
             let l = lg.L.luts.(lid) in
-            let wa = aig_words.(l.L.root) in
-            if cover_out.(lid) <> wa then begin
+            let wa = aig_words.{l.L.root} in
+            if cover_out.{lid} <> wa then begin
               cover_lut_flagged := true;
-              let bit = lowest_diff_bit cover_out.(lid) wa in
+              let bit = lowest_diff_bit cover_out.{lid} wa in
               add_mis (Cover_mismatch { lut = lid; lane = lane_of ~bit net aig stim ci_words })
             end
           end)

@@ -51,6 +51,15 @@ val run : Net.t -> Techmap.Lutgraph.t -> result
     trace counters. Raises [Failure] on a combinationally cyclic
     netlist. *)
 
+val cover_words : Techmap.Lutgraph.t -> int64 array -> int64 array
+(** [cover_words lg ci_words] is the 64-lane output word of every LUT,
+    by LUT id, when each AIG CI node [v] carries [ci_words.(v)]: the
+    cover evaluation of {!run}. Each LUT's truth table
+    ({!Techmap.Truth.lut_table}) is applied to its leaf words as a
+    Shannon mux tree, 2{^k} - 1 word muxes for [k] leaves. A LUT whose
+    table cannot be built, and a leaf that is neither a CI nor a mapped
+    root, read 0. *)
+
 val signature_hex : result -> string
 (** All per-CO signatures folded to one 16-hex-digit digest — the
     "semantic hash" of the compile, stable across pool widths. *)

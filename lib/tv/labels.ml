@@ -16,12 +16,11 @@ type violation =
   | Domain_inconsistent of { lut : int; dom : Net.domain; expect : Net.domain }
 
 let cone aig (l : L.lut) =
-  let is_leaf = Hashtbl.create 8 in
-  Array.iter (fun leaf -> Hashtbl.replace is_leaf leaf ()) l.L.leaves;
   let visited = Hashtbl.create 16 in
   let acc = ref [] in
   let rec walk u =
-    if (not (Hashtbl.mem visited u)) && (not (Hashtbl.mem is_leaf u)) && u <> 0 then begin
+    if (not (Hashtbl.mem visited u)) && (not (Array.exists (Int.equal u) l.L.leaves)) && u <> 0
+    then begin
       Hashtbl.replace visited u ();
       acc := u :: !acc;
       if not (Aig.is_ci aig u) then begin
@@ -54,13 +53,13 @@ let check (lg : L.t) =
   Array.iter
     (fun (l : L.lut) ->
       let nodes = cone aig l in
-      let units = cone_units aig nodes in
       (* owner -1 means "undetermined" and is audited elsewhere
          ([lut-owner-undetermined]); a concrete owner must be a unit
          that actually contributed at least one cone node *)
-      if l.L.owner >= 0 && not (List.mem l.L.owner units) then
+      if l.L.owner >= 0 && not (List.exists (fun u -> Aig.owner aig u = l.L.owner) nodes) then
         violations :=
-          Owner_unsound { lut = l.L.lid; owner = l.L.owner; cone_units = units } :: !violations;
+          Owner_unsound { lut = l.L.lid; owner = l.L.owner; cone_units = cone_units aig nodes }
+          :: !violations;
       let expect = cone_dom aig nodes in
       if l.L.dom <> expect then
         violations := Domain_inconsistent { lut = l.L.lid; dom = l.L.dom; expect } :: !violations)

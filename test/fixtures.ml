@@ -124,3 +124,17 @@ let cheap_flow_config =
     Core.Flow.max_iterations = 1;
     milp = { d.Core.Flow.milp with Buffering.Formulation.node_limit = 20 };
   }
+
+(* All nine paper kernels as the flows first synthesise them: back edges
+   seeded, elaborated, synthesised and LUT-mapped, with no MILP. Shared
+   by the tests that check the word-parallel logic evaluators against
+   their scalar references. *)
+let seeded_covers =
+  lazy
+    (List.map
+       (fun k ->
+         let g = Hls.Kernels.graph k in
+         ignore (Core.Flow.seed_back_edges g);
+         let net, lg = Core.Flow.synth_map Core.Flow.default_config g in
+         (k.Hls.Kernels.name, net, lg))
+       Hls.Kernels.all)

@@ -132,7 +132,7 @@ let cover_tables (lg : L.t) =
 (* LUTs in root order: a leaf's LUT precedes its users.  A LUT without a
    table, and a leaf that is neither a CI nor a mapped root, read false,
    as in the validator's word evaluation of a malformed cover. *)
-let eval_with_tables (lg : L.t) tables ci_value =
+let eval_cover (lg : L.t) tables ci_value =
   let aig = lg.L.synth.Synth.aig in
   let out = Array.make (L.n_luts lg) false in
   let order = Array.init (L.n_luts lg) Fun.id in
@@ -173,7 +173,7 @@ let cover_equivalent ?(vectors = 256) ?(seed = 1) (lg : L.t) =
     let ci_vals = Array.init (Aig.n_nodes aig) (fun v -> Aig.is_ci aig v && Support.Rng.bool rng) in
     let ci_value v = ci_vals.(v) in
     let reference = eval_aig aig ci_value in
-    let mapped = eval_with_tables lg tables ci_value in
+    let mapped = eval_cover lg tables ci_value in
     List.for_all
       (fun (_, _, lit) -> lit_value reference lit = cover_lit lg mapped ci_value lit)
       (Aig.cos aig)
@@ -203,7 +203,7 @@ let confirms net (lg : L.t) m =
     let civ = lookup lane.Tv.Equiv.lane_cis in
     (eval_net net (lookup lane.Tv.Equiv.lane_gates), eval_aig aig civ, civ)
   in
-  let cover_outs civ = eval_with_tables lg (cover_tables lg) civ in
+  let cover_outs civ = eval_cover lg (cover_tables lg) civ in
   match m with
   | Tv.Equiv.Aig_mismatch { tag; lane; _ } ->
     let net_vals, aig_vals, _ = lane_values lane in

@@ -45,6 +45,18 @@ val sim_step : sim -> unit
 val eval_aig : Techmap.Aig.t -> (int -> bool) -> bool array
 (** Every node's value, given the CI values by node id. *)
 
+val cover_tables : Techmap.Lutgraph.t -> bool array option array
+(** Every LUT's function as a table over its leaves, by LUT id: entry
+    [idx] is the cone's value when leaf [i] takes bit [i] of [idx]
+    (walking the cone once per assignment; a leaf listed twice reads its
+    first index). [None] for a LUT whose cone its leaves do not cut. *)
+
+val eval_cover : Techmap.Lutgraph.t -> bool array option array -> (int -> bool) -> bool array
+(** [eval_cover lg tables ci_value] is every LUT's output, by LUT id,
+    through [tables] (from {!cover_tables}) under one CI valuation. A
+    LUT without a table, and a leaf that is neither a CI nor a mapped
+    root, read [false]. *)
+
 val cover_equivalent : ?vectors:int -> ?seed:int -> Techmap.Lutgraph.t -> bool
 (** The LUT cover and its AIG agree at every combinational output on
     [vectors] (default 256) random CI assignments. Each LUT computes the

@@ -286,6 +286,52 @@ let test_unitdelay_session_only () =
   Alcotest.(check int) "warm run misses nothing" 0 warm_misses;
   Alcotest.(check bool) "same model" true (cold = warm)
 
+(* Place & route of a flow's final circuit is memoised (kind [sta]) under
+   the final synthesis's key plus the placer's seed and effort: a warm
+   run places nothing and measures exactly what the cold and the
+   uncached runs measured. The balance switch is part of the key: gsum's
+   baseline synthesises the same netlist with and without it, but maps
+   it differently, so a balanced run must not read the unbalanced
+   entry. *)
+let test_sta_memo () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let kernel = Hls.Kernels.by_name "gsum" in
+  let run ?(balance = false) ?cache flavor =
+    let config = { Core.Flow.default_config with Core.Flow.balance } in
+    let session = Core.Session.make ?cache ~milp_nodes:200 ~milp_budget_s:1e9 () in
+    Support.Trace.start ();
+    let result =
+      try Ok (Core.Experiment.run_flow ~config ~session ~flavor kernel) with e -> Error e
+    in
+    let report = Support.Trace.stop () in
+    let metrics, outcome = match result with Ok r -> r | Error e -> raise e in
+    let placed =
+      List.exists
+        (fun sp -> sp.Support.Trace.sp_name = "placeroute:place")
+        report.Support.Trace.r_spans
+    in
+    (metrics, Cache.Hash.netlist outcome.Core.Flow.net, placed)
+  in
+  let cached ?balance flavor = with_session dir (fun cache -> run ?balance ~cache flavor) in
+  List.iter
+    (fun flavor ->
+      let name = Core.Flow.flavor_name flavor in
+      let cold, _, cold_placed = cached flavor in
+      let warm, _, warm_placed = cached flavor in
+      let uncached, _, _ = run flavor in
+      Alcotest.(check bool) (name ^ ": cold run places") true cold_placed;
+      Alcotest.(check bool) (name ^ ": warm run places nothing") false warm_placed;
+      Alcotest.(check bool) (name ^ ": warm metrics == cold") true (warm = cold);
+      Alcotest.(check bool) (name ^ ": cached metrics == uncached") true (cold = uncached))
+    [ `Iterative; `Baseline ];
+  let _, plain_net, _ = cached `Baseline in
+  let balanced, balanced_net, balanced_placed = cached ~balance:true `Baseline in
+  let balanced_uncached, _, _ = run ~balance:true `Baseline in
+  Alcotest.(check string) "balance keeps the baseline's netlist" plain_net balanced_net;
+  Alcotest.(check bool) "balanced run misses the unbalanced entry" true balanced_placed;
+  Alcotest.(check bool) "balanced metrics == uncached" true (balanced = balanced_uncached)
+
 let suite =
   [
     Alcotest.test_case "sha256 vectors" `Quick test_sha_vectors;
@@ -302,4 +348,5 @@ let suite =
     Alcotest.test_case "lru front" `Quick test_lru;
     Alcotest.test_case "unit delays via session only" `Quick test_unitdelay_session_only;
     Alcotest.test_case "cold vs warm byte-identical" `Slow test_cold_warm_identical;
+    Alcotest.test_case "place & route memoised per synthesis" `Slow test_sta_memo;
   ]

@@ -399,6 +399,99 @@ let test_truth_oversized_cut () =
          | _ -> false)
        r.Tv.Equiv.mismatches)
 
+(* The word-parallel tables against the scalar oracle on every LUT of
+   all nine kernels: exhaustively against the cone tables of
+   [Logic_reference], and at the leaf values of random CI assignments
+   against a whole-AIG scalar evaluation. *)
+let test_truth_kernels_vs_reference () =
+  List.iter
+    (fun (name, _, (lg : Lutgraph.t)) ->
+      let aig = lg.Lutgraph.synth.Synth.aig in
+      let tables = Array.init (Lutgraph.n_luts lg) (Techmap.Truth.lut_table lg) in
+      let bit table idx = Int64.logand (Int64.shift_right_logical table idx) 1L = 1L in
+      Array.iteri
+        (fun lid reference ->
+          match reference with
+          | None -> Alcotest.failf "%s: LUT %d has no cone table" name lid
+          | Some cone ->
+            let n = Array.length cone in
+            if n < 64 && Int64.shift_right_logical tables.(lid) n <> 0L then
+              Alcotest.failf "%s: LUT %d table %Lx has bits above 2^%d" name lid tables.(lid)
+                (Array.length lg.Lutgraph.luts.(lid).Lutgraph.leaves);
+            Array.iteri
+              (fun idx v ->
+                if bit tables.(lid) idx <> v then
+                  Alcotest.failf "%s: LUT %d table bit %d is %b, the cone's is %b" name lid idx
+                    (not v) v)
+              cone)
+        (Logic_reference.cover_tables lg);
+      let rng = Support.Rng.create 11 in
+      for _ = 1 to 16 do
+        let ci = Array.init (Aig.n_nodes aig) (fun v -> Aig.is_ci aig v && Support.Rng.bool rng) in
+        let values = Logic_reference.eval_aig aig (Array.get ci) in
+        Array.iter
+          (fun (l : Lutgraph.lut) ->
+            let idx = ref 0 in
+            Array.iteri (fun i leaf -> if values.(leaf) then idx := !idx lor (1 lsl i)) l.Lutgraph.leaves;
+            if bit tables.(l.Lutgraph.lid) !idx <> values.(l.Lutgraph.root) then
+              Alcotest.failf "%s: LUT %d disagrees with its AIG root at leaf index %d" name
+                l.Lutgraph.lid !idx)
+          lg.Lutgraph.luts
+      done)
+    (Lazy.force Fixtures.seeded_covers)
+
+(* A one-LUT cover over a hand-built AIG, with whatever leaves a test
+   needs. *)
+let one_lut aig ~root leaves =
+  let lut_of_node = Array.make (Aig.n_nodes aig) (-1) in
+  lut_of_node.(root) <- 0;
+  {
+    Lutgraph.synth = { Synth.aig; lit_of_gate = [||]; gate_of_ci = Hashtbl.create 1 };
+    luts = [| { Lutgraph.lid = 0; root; leaves; owner = 0; dom = Net.Data; cone_size = 1 } |];
+    lut_of_node;
+    edges = [];
+    levels = [| 1 |];
+    max_level = 1;
+  }
+
+(* r = a AND b with leaves [a; b; a]: a reads its last index (2), so the
+   table is set where bits 2 and 1 are (0xC0); first-index-wins would
+   give 0x88. *)
+let test_truth_duplicate_last_wins () =
+  let aig = Aig.create () in
+  let a = Aig.ci aig ~owner:0 ~dom:Net.Data and b = Aig.ci aig ~owner:0 ~dom:Net.Data in
+  let r = Aig.node_of_lit (Aig.band aig ~owner:0 a b) in
+  let a = Aig.node_of_lit a and b = Aig.node_of_lit b in
+  check Alcotest.int64 "last index wins" 0xC0L
+    (Techmap.Truth.lut_table (one_lut aig ~root:r [| a; b; a |]) 0)
+
+(* A CI inside the cone raises once some assignment reads it; one behind
+   an AND whose first fanin is false under every assignment is never
+   read, and the table stands. *)
+let test_truth_ci_outside_leaves () =
+  let aig = Aig.create () in
+  let ci () = Aig.ci aig ~owner:0 ~dom:Net.Data in
+  let a = ci () and b = ci () and c = ci () in
+  let ab = Aig.band aig ~owner:0 a b in
+  let raises leaves =
+    match Techmap.Truth.lut_table (one_lut aig ~root:(Aig.node_of_lit ab) leaves) 0 with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  check Alcotest.bool "second fanin outside the leaves" true (raises [| Aig.node_of_lit a |]);
+  check Alcotest.bool "first fanin outside the leaves" true (raises [| Aig.node_of_lit b |]);
+  (* (a b)(a' c) is false without being folded; d is created after it,
+     so it is the second fanin of the root and never read *)
+  let never = Aig.band aig ~owner:0 ab (Aig.band aig ~owner:0 (Aig.bnot a) c) in
+  let d = ci () in
+  let root = Aig.band aig ~owner:0 never d in
+  check Alcotest.int "d is the root's second fanin" (Aig.node_of_lit d)
+    (Aig.node_of_lit (snd (Aig.fanins aig (Aig.node_of_lit root))));
+  check Alcotest.int64 "unread stray CI" 0L
+    (Techmap.Truth.lut_table
+       (one_lut aig ~root:(Aig.node_of_lit root) (Array.map Aig.node_of_lit [| a; b; c |]))
+       0)
+
 let suite =
   [
     ("aig constant folding", `Quick, test_aig_folding);
@@ -419,4 +512,7 @@ let suite =
     ("truth constant cone", `Quick, test_truth_constant_cone);
     ("truth duplicate leaves", `Quick, test_truth_duplicate_leaves);
     ("truth oversized cut", `Quick, test_truth_oversized_cut);
+    ("truth tables = scalar oracle (9 kernels)", `Quick, test_truth_kernels_vs_reference);
+    ("truth duplicate leaf: last index wins", `Quick, test_truth_duplicate_last_wins);
+    ("truth CI outside the leaves", `Quick, test_truth_ci_outside_leaves);
   ]

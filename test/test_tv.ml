@@ -219,6 +219,31 @@ let test_cycle_cap_truncation () =
   check Alcotest.bool "generous limit is exhaustive" false untruncated;
   check Alcotest.bool "loop fixture has a cycle" true (all <> [])
 
+(* The cover's word evaluation against the scalar cover replay of
+   [Logic_reference], on every lane of one 64-lane round, for every LUT
+   of all nine kernels. *)
+let test_cover_words_vs_reference () =
+  List.iter
+    (fun (name, _, (lg : Techmap.Lutgraph.t)) ->
+      let aig = lg.Techmap.Lutgraph.synth.Techmap.Synth.aig in
+      let rng = Support.Rng.create 0x7ea in
+      let ci_words =
+        Array.init (Techmap.Aig.n_nodes aig) (fun v ->
+            if Techmap.Aig.is_ci aig v then Support.Rng.int64 rng else 0L)
+      in
+      let words = Equiv.cover_words lg ci_words in
+      let tables = Logic_reference.cover_tables lg in
+      for bit = 0 to 63 do
+        let lane w = Int64.logand (Int64.shift_right_logical w bit) 1L = 1L in
+        Array.iteri
+          (fun lid v ->
+            if lane words.(lid) <> v then
+              Alcotest.failf "%s: LUT %d lane %d: words say %b, the scalar replay %b" name lid bit
+                (not v) v)
+          (Logic_reference.eval_cover lg tables (fun v -> lane ci_words.(v)))
+      done)
+    (Lazy.force Fixtures.seeded_covers)
+
 let suite =
   [
     Alcotest.test_case "clean circuits validate cleanly" `Quick test_clean;
@@ -237,4 +262,6 @@ let suite =
     Alcotest.test_case "allowed selection is a refinement" `Quick test_refinement_allows_selection;
     Alcotest.test_case "flow audits include the tv gates" `Quick test_flow_stages;
     Alcotest.test_case "cycle cap truncation flag" `Quick test_cycle_cap_truncation;
+    Alcotest.test_case "cover words = scalar replay (9 kernels)" `Quick
+      test_cover_words_vs_reference;
   ]

@@ -37,6 +37,33 @@ let flip_kind = function
   | Net.Xor2 -> Net.And2
   | k -> k
 
+(* A copy of [net] with gate [gid]'s kind flipped, rebuilt gate by gate
+   through the public constructors. Each adds exactly one gate, so ids,
+   fanins, owners, domains and the IO lists come out as in [net]; wires
+   and flip-flops are connected once every gate exists. *)
+let with_flipped_gate net gid =
+  let t = Net.create (Net.name net) in
+  Net.iter net (fun g ->
+      let owner = g.Net.owner and dom = g.Net.dom and fi = g.Net.fanins in
+      let id =
+        match if g.Net.id = gid then flip_kind g.Net.kind else g.Net.kind with
+        | Net.Input nm -> Net.input t ~owner ~dom nm
+        | Net.Output nm -> Net.output t ~owner nm fi.(0)
+        | Net.Const b -> Net.const t ~owner ~dom b
+        | Net.Buf -> Net.wire t ~owner ~dom
+        | Net.Ff _ -> Net.ff t ~owner ~dom
+        | Net.Not -> Net.not_ t ~owner fi.(0)
+        | Net.And2 -> Net.and2 t ~owner fi.(0) fi.(1)
+        | Net.Or2 -> Net.or2 t ~owner fi.(0) fi.(1)
+        | Net.Xor2 -> Net.xor2 t ~owner fi.(0) fi.(1)
+      in
+      assert (id = g.Net.id));
+  Net.iter net (fun g ->
+      match g.Net.kind with
+      | (Net.Buf | Net.Ff _) when g.Net.fanins.(0) >= 0 -> Net.connect t g.Net.id g.Net.fanins.(0)
+      | _ -> ());
+  t
+
 (* Every combinational output (outputs, then flip-flop D inputs) of
    [net] on 64 fixed random frames, by the scalar reference. *)
 let co_values net =
@@ -62,9 +89,7 @@ let flip_gate ~seed net =
   let reference = co_values net in
   array_find_map
     (fun gid ->
-      let mutated =
-        Net.clone_map_kind net (fun g -> if g.Net.id = gid then flip_kind g.Net.kind else g.Net.kind)
-      in
+      let mutated = with_flipped_gate net gid in
       if co_values mutated <> reference then Some (mutated, gid) else None)
     cands
 
