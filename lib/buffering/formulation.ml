@@ -309,8 +309,8 @@ let solve ?(cache = Cache.Session.disabled) ?warm cfg g (model : M.t) cfdfcs =
      that somehow served a wrong assignment would be flagged, not
      silently trusted. *)
   let bb_result =
-    if Cache.Session.enabled cache then
-      let key =
+    Cache.Session.memo cache ~kind:"milp"
+      ~key:(fun () ->
         (* the warm hint participates in the key: among equal-objective
            optima branch & bound returns the first one found, which a
            different incumbent seed can legitimately change — the cache
@@ -318,23 +318,16 @@ let solve ?(cache = Cache.Session.disabled) ?warm cfg g (model : M.t) cfdfcs =
            search budgets participate too: a tighter budget can stop at
            a weaker incumbent, and an entry computed under one budget
            must not answer for another. *)
-        Cache.Hash.combine
-          ([
-             Cache.Hash.lp lp;
-             Printf.sprintf "node_limit=%d;time_limit=%g" cfg.node_limit cfg.time_limit;
-           ]
-          @
-          match warm with
-          | None -> []
-          | Some buffered ->
-            [
-              "warm="
-              ^ String.concat ","
-                  (List.map string_of_int (List.sort_uniq compare buffered));
-            ])
-      in
-      Cache.Session.memo cache ~kind:"milp" ~key run_solver
-    else run_solver ()
+        [
+          Cache.Hash.lp lp;
+          Printf.sprintf "node_limit=%d;time_limit=%g" cfg.node_limit cfg.time_limit;
+        ]
+        @
+        match warm with
+        | None -> []
+        | Some buffered ->
+          [ "warm=" ^ String.concat "," (List.map string_of_int (List.sort_uniq compare buffered)) ])
+      run_solver
   in
   match bb_result with
   | Milp.Bb.Infeasible -> Error Infeasible

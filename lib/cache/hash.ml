@@ -104,6 +104,19 @@ let dfg g =
     mems;
   Sha256.hex (Buffer.contents b)
 
+let memories mems =
+  let b = Buffer.create 1024 in
+  str b "mem:v1";
+  let mems = List.sort (fun (a, _) (c, _) -> String.compare a c) mems in
+  int b (List.length mems);
+  List.iter
+    (fun (name, a) ->
+      str b name;
+      int b (Array.length a);
+      Array.iter (int b) a)
+    mems;
+  Sha256.hex (Buffer.contents b)
+
 (* ------------------------------------------------------------------ *)
 
 let domain_tag = function Net.Data -> 0 | Net.Valid -> 1 | Net.Ready -> 2 | Net.Mixed -> 3

@@ -25,6 +25,10 @@ val dfg : Dataflow.Graph.t -> string
     channels (endpoints, ports, width, buffer annotation, back-edge
     mark) and memories (sorted by name). *)
 
+val memories : (string * int array) list -> string
+(** A memory image: every memory's name, size and contents, sorted by
+    name. *)
+
 val netlist : Net.t -> string
 (** Gates in id order (kind, fanins, owner, timing domain) plus the
     sorted input/output/register id lists. *)

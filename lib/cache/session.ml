@@ -17,15 +17,21 @@ let of_flag ?mem_bytes flag =
   | None -> Ok disabled
   | Some dir -> ( try Ok (of_dir ?mem_bytes dir) with Sys_error msg -> Error msg)
 
-let memo t ~kind ~key f =
+let memo_keyed t ~kind ~key f =
   match t.store with
-  | None -> f ()
-  | Some s -> (
-    match Store.get s ~kind ~key with
-    | Some payload -> Marshal.from_string payload 0
-    | None ->
-      let v = f () in
-      Store.put s ~kind ~key (Marshal.to_string v []);
-      v)
+  | None -> (f (), None)
+  | Some s ->
+    let key = Hash.combine (key ()) in
+    let v =
+      match Store.get s ~kind ~key with
+      | Some payload -> Marshal.from_string payload 0
+      | None ->
+        let v = f () in
+        Store.put s ~kind ~key (Marshal.to_string v []);
+        v
+    in
+    (v, Some key)
+
+let memo t ~kind ~key f = fst (memo_keyed t ~kind ~key f)
 
 let finish t = match t.store with None -> () | Some s -> Store.finish s

@@ -42,14 +42,26 @@ val of_flag : ?mem_bytes:int -> string option -> (t, string) result
 val enabled : t -> bool
 val store : t -> Store.t option
 
-val memo : t -> kind:string -> key:string -> (unit -> 'a) -> 'a
-(** [memo t ~kind ~key f] returns the cached value for [(kind, key)] or
-    computes [f ()] and stores it. Values are [Marshal]-encoded; the
-    store's header checksums and version stamps guarantee a decoded
-    payload is byte-exact and written by this model version, so the
-    only type obligation is the caller's: {b one [kind] string must map
-    to exactly one result type} across the whole code base. On the
-    disabled session this is exactly [f ()]. *)
+val memo_keyed :
+  t -> kind:string -> key:(unit -> string list) -> (unit -> 'a) -> 'a * string option
+(** The one memoisation helper: every cached stage goes through it, so
+    every key is built the same way. [memo_keyed t ~kind ~key f] returns
+    the cached value for [(kind, Hash.combine (key ()))], or computes
+    [f ()] and stores it, together with that combined key. [key] lists
+    the stage's inputs as content hashes ({!Hash.dfg}, {!Hash.netlist},
+    an earlier stage's key, ...) plus a rendering of every parameter the
+    result depends on; on the disabled session it is never called, so
+    nothing is hashed, the result is exactly [(f (), None)]. [key] is
+    called before [f], so it may hash an input that [f] mutates.
+
+    Values are [Marshal]-encoded; the store's header checksums and
+    version stamps guarantee a decoded payload is byte-exact and written
+    by this model version, so the only type obligation is the caller's:
+    {b one [kind] string must map to exactly one result type} across the
+    whole code base. *)
+
+val memo : t -> kind:string -> key:(unit -> string list) -> (unit -> 'a) -> 'a
+(** {!memo_keyed} without the key. *)
 
 val finish : t -> unit
 (** {!Store.finish} on the underlying store, if any: appends the

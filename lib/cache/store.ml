@@ -6,9 +6,15 @@ let format_version = 1
    changes (Lutgraph fields, mapper cost function, MILP solution tuple,
    unit-delay semantics, and for the [sta] kind the Placeroute.Sta report
    fields, the annealer in Placeroute.Place and the grid and wire-delay
-   model of Placeroute.Arch). The OCaml version rides along because
-   payloads are Marshal-encoded and the marshal format is
-   compiler-dependent. *)
+   model of Placeroute.Arch). The [tv-narrow] kind stores Tv.Simdiff's
+   verdict as a lint report: bump on a change to what it compares or
+   reports, or to its rounds, seed or config (its key names only their
+   values). The [sim] kind stores what Sim.Elastic reports: bump on a
+   change to the simulator's semantics. The [model] kind stores
+   Timing.Lut_map's mapping and Timing.Generate's model (with the
+   routing surcharge): bump on a change to either, or to Timing.Model's
+   fields. The OCaml version rides along because payloads are
+   Marshal-encoded and the marshal format is compiler-dependent. *)
 let model_version = "m3-ocaml" ^ Sys.ocaml_version
 
 type t = {

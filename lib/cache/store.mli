@@ -36,7 +36,10 @@ val model_version : string
     implementation} whenever a cached value's meaning or layout changes
     (a new mapper cost function, a changed record, a change to the
     placer, its architecture model or the static-timing report that the
-    [sta] kind stores); entries with a
+    [sta] kind stores; [Tv.Simdiff]'s verdict semantics, rounds, seed
+    or config behind [tv-narrow]; [Sim.Elastic]'s semantics behind
+    [sim]; [Timing.Lut_map] or [Timing.Generate] behind [model]);
+    entries with a
     different stamp read as misses. The OCaml version is appended
     automatically because values are [Marshal]-encoded. *)
 

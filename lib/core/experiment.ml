@@ -32,14 +32,48 @@ let place_and_route ~(session : Session.t) (outcome : Flow.outcome) =
     Placeroute.Sta.analyze ~seed:place_seed ~effort:place_effort outcome.Flow.net
       outcome.Flow.lutgraph
   in
+  (* an outcome from an uncached flow carries no synthesis key to extend *)
   match outcome.Flow.synth_key with
   | None -> analyze ()
   | Some synth_key ->
-    let key =
-      Cache.Hash.combine
-        [ synth_key; Printf.sprintf "place:seed=%d;effort=%h" place_seed place_effort ]
-    in
-    Cache.Session.memo session.Session.cache ~kind:"sta" ~key analyze
+    Cache.Session.memo session.Session.cache ~kind:"sta"
+      ~key:(fun () ->
+        [ synth_key; Printf.sprintf "place:seed=%d;effort=%h" place_seed place_effort ])
+      analyze
+
+(* The measurement simulation, memoised in the session (kind [sim]):
+   [Sim.Elastic] is deterministic, so what it reports is a pure function
+   of the circuit's content, the initial memory image and the simulator
+   config. The key hashes [mems] before the run mutates it in place; the
+   cached value carries the final image, so a warm hit still checks the
+   memories against the interpreter's. *)
+type sim_run = {
+  finished : bool;
+  exit_value : int option;
+  cycles : int;
+  final_mems : (string * int array) list;
+}
+
+let simulate ~(session : Session.t) g mems =
+  let config = Sim.Elastic.default_config in
+  Cache.Session.memo session.Session.cache ~kind:"sim"
+    ~key:(fun () ->
+      [
+        Cache.Hash.dfg g;
+        Cache.Hash.memories mems;
+        Printf.sprintf "elastic:max_cycles=%d;deadlock_window=%d" config.Sim.Elastic.max_cycles
+          config.Sim.Elastic.deadlock_window;
+      ])
+    (fun () ->
+      let r =
+        Trace.with_span ~cat:"sim" "sim:elastic" (fun () -> Sim.Elastic.run ~config ~memories:mems g)
+      in
+      {
+        finished = r.Sim.Elastic.finished;
+        exit_value = r.Sim.Elastic.exit_value;
+        cycles = r.Sim.Elastic.cycles;
+        final_mems = mems;
+      })
 
 let measure ~session (outcome : Flow.outcome) kernel =
   Trace.with_span ~cat:"experiment" "experiment:measure" @@ fun () ->
@@ -48,16 +82,17 @@ let measure ~session (outcome : Flow.outcome) kernel =
      outcome's netlist avoids a full re-synthesis per kernel run *)
   let lg = outcome.Flow.lutgraph in
   let pr = place_and_route ~session outcome in
-  let mems = kernel.Hls.Kernels.mems () in
-  let sim = Trace.with_span ~cat:"sim" "sim:elastic" (fun () -> Sim.Elastic.run ~memories:mems g) in
-  let reference = Hls.Kernels.reference kernel in
-  let value_ok =
-    sim.Sim.Elastic.finished && sim.Sim.Elastic.exit_value = Some reference
-  in
+  let sim = simulate ~session g (kernel.Hls.Kernels.mems ()) in
+  (* the circuit must agree with the interpreter on everything the
+     kernel observes: the exit value and the final memory image, both
+     run from fresh copies of the kernel's inputs *)
+  let ref_mems = kernel.Hls.Kernels.mems () in
+  let reference = Hls.Interp.run (Hls.Kernels.func kernel) ~args:[] ~memories:ref_mems in
+  let value_ok = sim.finished && sim.exit_value = Some reference && sim.final_mems = ref_mems in
   {
     cp = pr.Placeroute.Sta.cp;
-    cycles = sim.Sim.Elastic.cycles;
-    exec_ns = pr.Placeroute.Sta.cp *. float_of_int sim.Sim.Elastic.cycles;
+    cycles = sim.cycles;
+    exec_ns = pr.Placeroute.Sta.cp *. float_of_int sim.cycles;
     luts = pr.Placeroute.Sta.n_luts;
     ffs = pr.Placeroute.Sta.n_ffs;
     levels = lg.Techmap.Lutgraph.max_level;

@@ -3,8 +3,9 @@
 
     For one kernel and one flow: optimise buffering → re-synthesise →
     place & route (CP, LUTs, FFs, logic levels) → simulate the kernel's
-    workload (clock cycles, with the exit value checked against the AST
-    interpreter) → execution time = CP × cycles. *)
+    workload (clock cycles, with the exit value and the final memory
+    image checked against the AST interpreter) → execution time = CP ×
+    cycles. *)
 
 type metrics = {
   cp : float;             (** achieved clock period after P&R, ns *)
@@ -16,7 +17,9 @@ type metrics = {
   buffers : int;          (** opaque buffers placed *)
   iterations : int;       (** optimisation iterations used *)
   met_target : bool;
-  value_ok : bool;        (** simulation matched the reference interpreter *)
+  value_ok : bool;
+      (** the simulation finished with the reference interpreter's exit
+          value and final memory image *)
 }
 
 type row = {
@@ -24,6 +27,16 @@ type row = {
   prev : metrics;   (** mapping-agnostic baseline *)
   iter : metrics;   (** iterative mapping-aware flow *)
 }
+
+val measure : session:Session.t -> Flow.outcome -> Hls.Kernels.t -> metrics
+(** Place, route and simulate a flow's final circuit on the kernel's
+    workload. With a cache, the place & route is memoised (kind [sta]),
+    keyed by the final synthesis's key ({!Flow.outcome.synth_key}) plus
+    the placer's seed and effort, and the simulation (kind [sim]) by the
+    circuit's {!Cache.Hash.dfg}, the initial memory image and the
+    simulator config, so a warm recompile places and simulates nothing.
+    The interpreter runs every time: [value_ok] compares it with the
+    simulation, served or not. *)
 
 val run_flow :
   ?config:Flow.config ->
@@ -33,10 +46,7 @@ val run_flow :
   metrics * Flow.outcome
 (** [session] is threaded into the flow: cache handle, MILP budget
     overrides, cancellation, status sink. Without one the flow runs
-    uncached on [config]'s budgets. With a cache, the place & route of
-    the final circuit is memoised too (kind [sta]), keyed by the final
-    synthesis's key ({!Flow.outcome.synth_key}) plus the placer's seed
-    and effort, so a warm recompile places nothing. *)
+    uncached on [config]'s budgets; the measurement is {!measure}'s. *)
 
 type task_timing = {
   t_bench : string;

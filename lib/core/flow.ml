@@ -74,7 +74,7 @@ let seed_back_edges g =
   back
 
 (* Synthesis + mapping of an already-elaborated netlist: the expensive
-   half of [synth_map], and the unit of artifact caching — keyed by the
+   half of [synthesize], and the unit of artifact caching — keyed by the
    canonical netlist hash plus the LUT size and the balance switch, so
    warm runs skip AIG construction and cut enumeration entirely
    (cross-iteration, cross-flavor, cross-process and cross-request hits
@@ -84,26 +84,19 @@ let synth_map_net cfg net =
   let synth = if cfg.balance then Techmap.Balance.run synth else synth in
   Techmap.Mapper.run synth
 
-(* [synth_map], plus the key it memoised under ([None] without a cache):
-   the flows keep their final synthesis's key in the outcome. *)
 let synthesize ?(session = Session.make ()) cfg g =
   Trace.with_span "flow:synth+map" @@ fun () ->
-  let cache = session.Session.cache in
   let net = Elaborate.run g in
-  if Cache.Session.enabled cache then
-    let key =
-      Cache.Hash.combine
+  let lg, key =
+    Cache.Session.memo_keyed session.Session.cache ~kind:"synthmap"
+      ~key:(fun () ->
         [
           Cache.Hash.netlist net;
           Printf.sprintf "k=%d;balance=%b" Techmap.Lutgraph.lut_k cfg.balance;
-        ]
-    in
-    (net, Cache.Session.memo cache ~kind:"synthmap" ~key (fun () -> synth_map_net cfg net), Some key)
-  else (net, synth_map_net cfg net, None)
-
-let synth_map ?session cfg g =
-  let net, lg, _ = synthesize ?session cfg g in
-  (net, lg)
+        ])
+      (fun () -> synth_map_net cfg net)
+  in
+  (net, lg, key)
 
 let apply_buffers base channels =
   let g = G.copy base in
@@ -163,7 +156,12 @@ let refine_gate audit ~stage ~base ~buffered ~allowed =
    unit widths to it, and the narrowed graph replaces the input of every
    later stage.  The narrowing is translation-validated by random
    simulation ([equiv-narrow]): a mismatch aborts the flow, because it
-   means the optimizer changed observable behaviour. *)
+   means the optimizer changed observable behaviour.  The verdict is
+   memoised in the session (kind [tv-narrow]): [Tv.Simdiff] runs fixed
+   rounds from a fixed seed under a fixed cycle budget, so its report is
+   a pure function of the two graphs' content and [Tv.Simdiff.params].
+   A served report still passes through the gate, so a failing verdict
+   aborts a warm run as it did the cold one. *)
 let narrow_stage config audit session g =
   if not config.narrow then (g, None)
   else begin
@@ -174,8 +172,11 @@ let narrow_stage config audit session g =
     let narrowed, report = Absint.Narrow.run res g in
     if Absint.Narrow.changed report then begin
       run_gate audit ~stage:"tv-narrow" (fun () ->
-          Trace.with_span "flow:tv" (fun () ->
-              Lint.Engine.check_narrowing ~original:g ~variant:narrowed));
+          Cache.Session.memo session.Session.cache ~kind:"tv-narrow"
+            ~key:(fun () -> [ Cache.Hash.dfg g; Cache.Hash.dfg narrowed; Tv.Simdiff.params ])
+            (fun () ->
+              Trace.with_span "flow:tv" (fun () ->
+                  Lint.Engine.check_narrowing ~original:g ~variant:narrowed)));
       (narrowed, Some report)
     end
     else (g, Some report)
@@ -333,15 +334,28 @@ let iterative ?(config = default_config) ?(session = Session.make ()) input =
     Session.status session (Printf.sprintf "iteration %d" it);
     (* the working circuit for this iteration: base + fixed buffers *)
     let g = apply_buffers g0 fixed in
-    let net, lg = synth_map ~session config g in
+    let net, lg, synth_key = synthesize ~session config g in
     run_gate audit ~stage:"netlist" (fun () -> Lint.Engine.check_netlist g net);
     (* every iteration's netlist/AIG/cover triple is validated, whether
        it came from a fresh synthesis or a warm artifact-cache hit *)
     tv_gate audit ~stage:"tv" net lg;
-    let lut_extra = if config.routing_aware then routing_extra net lg else fun _ -> 0. in
+    (* the timing model is a pure function of the graph and its
+       synthesis (which [synth_key] names; the routing surcharge is
+       computed from that synthesis too), so it is memoised under both
+       plus the routing switch; the lut-mapping gate below still audits
+       a served model *)
     let tg, model =
-      Trace.with_span "flow:model" (fun () ->
-          Timing.Mapping_aware.build_with_graph ~lut_extra g ~net lg)
+      Cache.Session.memo session.Session.cache ~kind:"model"
+        ~key:(fun () ->
+          [
+            Option.get synth_key (* present whenever the session caches *);
+            Cache.Hash.dfg g;
+            Printf.sprintf "routing_aware=%b" config.routing_aware;
+          ])
+        (fun () ->
+          let lut_extra = if config.routing_aware then routing_extra net lg else fun _ -> 0. in
+          Trace.with_span "flow:model" (fun () ->
+              Timing.Mapping_aware.build_with_graph ~lut_extra g ~net lg))
     in
     run_gate audit ~stage:"lut-mapping" (fun () -> Lint.Engine.check_mapping g lg tg model);
     let cfdfcs = Buffering.Cfdfc.extract g in

@@ -103,11 +103,13 @@ type outcome = {
           {!field:final_levels}, including under [slack_match] (the
           transparent buffers are part of this netlist) *)
   synth_key : string option;
-      (** the artifact-cache key of that final synthesis ({!synth_map}'s
+      (** the artifact-cache key of that final synthesis ({!synthesize}'s
           memo key: canonical netlist hash, LUT size, balance switch);
           [None] when the flow ran without a cache. Artifacts derived
           from {!field:net} and {!field:lutgraph} extend it (kind [sta]
-          in {!Experiment}), so their keys cannot drift from it. *)
+          in {!Experiment}; the iterative flow's per-iteration timing
+          model, kind [model], extends that iteration's key the same
+          way), so their keys cannot drift from it. *)
   iterations : iteration list;
   met_target : bool;
   final_levels : int;           (** levels of the {e final} circuit, after slack matching *)
@@ -177,11 +179,16 @@ val audit_placement :
     report. Both flows and the [lint] / [verify --milp] commands audit a
     placement through this one function. *)
 
-val synth_map :
-  ?session:Session.t -> config -> Dataflow.Graph.t -> Net.t * Techmap.Lutgraph.t
+val synthesize :
+  ?session:Session.t ->
+  config ->
+  Dataflow.Graph.t ->
+  Net.t * Techmap.Lutgraph.t * string option
 (** Elaborate, synthesise (with the configured optimisation passes) and
     LUT-map the graph, memoizing through the session's cache (default
     [Session.make ()], which computes in place) under kind [synthmap],
     keyed by the canonical netlist hash, the LUT size and the balance
-    switch. *)
+    switch. Returns that key too ([None] without a cache): the flows
+    keep their final synthesis's key in the outcome, and the iterative
+    flow keys each iteration's timing model on that iteration's. *)
 

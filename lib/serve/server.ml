@@ -44,7 +44,7 @@ let with_lock mu f =
 let flow_config cfg (req : Protocol.request) =
   match req.levels with Some l -> Core.Flow.with_levels l cfg.flow | None -> cfg.flow
 
-(* Key for whole-completion memoisation: every input that can change
+(* Key part for whole-completion memoisation: every input that can change
    the result — the request minus its id (program, flavor, overrides),
    and the effective flow config with the session-effective MILP
    budgets. Both are marshalled whole, so a config field added later is
@@ -60,8 +60,7 @@ let flow_config cfg (req : Protocol.request) =
 let completion_key cfg session (req : Protocol.request) =
   let fc = flow_config cfg req in
   let fc = { fc with Core.Flow.milp = Core.Session.milp_config session fc.Core.Flow.milp } in
-  Cache.Hash.combine
-    [ Marshal.to_string ({ req with Protocol.id = "" }, fc) [ Marshal.No_sharing ] ]
+  Marshal.to_string ({ req with Protocol.id = "" }, fc) [ Marshal.No_sharing ]
 
 (* The real compile path. A named kernel runs the full evaluation
    harness (flow + P&R + simulation), exactly the work the one-shot
@@ -89,7 +88,7 @@ let default_runner cfg : runner =
     | None, None -> assert false (* command_of_line requires one *)
   in
   Cache.Session.memo session.Core.Session.cache ~kind:"serve.completion"
-    ~key:(completion_key cfg session req)
+    ~key:(fun () -> [ completion_key cfg session req ])
     compute
 
 let create ?runner cfg =

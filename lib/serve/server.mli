@@ -47,8 +47,8 @@ type runner = Core.Session.t -> Protocol.request -> Protocol.completion
 type t
 
 val completion_key : config -> Core.Session.t -> Protocol.request -> string
-(** The memo key the default runner stores a completion under: a hash of
-    the request without its [id] and of the effective
+(** What the default runner keys a memoised completion on: an encoding
+    of the request without its [id] and of the effective
     {!Core.Flow.config} — the server's base config with the request's
     level target, and the MILP budgets of the request's session. Both are
     encoded whole, so every config field is part of the key. A named

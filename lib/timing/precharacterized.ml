@@ -54,7 +54,7 @@ let characterize g uid =
 (* The session's artifact cache makes characterisation harness runs
    survive across processes, --jobs domains and daemon requests. *)
 let memo_delay cs key g uid =
-  Cache.Session.memo cs ~kind:"unitdelay" ~key (fun () -> characterize g uid)
+  Cache.Session.memo cs ~kind:"unitdelay" ~key:(fun () -> [ key ]) (fun () -> characterize g uid)
 
 let unit_delay ?cache:(cs = Cache.Session.disabled) g uid = memo_delay cs (signature g uid) g uid
 

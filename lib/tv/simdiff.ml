@@ -26,8 +26,13 @@ let mems_of ~random rng g =
     (G.memories g)
 
 let config = { Sim.Elastic.max_cycles = 200_000; deadlock_window = 256 }
+let default_seed = 0xd1ff
 
-let check ?(seed = 0xd1ff) ~original ~variant () =
+let params =
+  Printf.sprintf "simdiff:rounds=%d;seed=%d;max_cycles=%d;deadlock_window=%d" rounds default_seed
+    config.Sim.Elastic.max_cycles config.Sim.Elastic.deadlock_window
+
+let check ?(seed = default_seed) ~original ~variant () =
   let mismatches = ref [] and n_mismatches = ref 0 in
   let add fmt =
     Printf.ksprintf

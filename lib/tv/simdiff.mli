@@ -13,3 +13,8 @@ val check :
   ?seed:int -> original:Dataflow.Graph.t -> variant:Dataflow.Graph.t -> unit -> string list
 (** Returns human-readable mismatch descriptions; [[]] means every
     conclusive round agreed. *)
+
+val params : string
+(** The fixed parameters behind {!check}'s default verdict: rounds,
+    seed and the simulator's cycle budget. With the two graphs, they
+    determine the verdict, so a memo of it keys on this string. *)

@@ -135,6 +135,6 @@ let seeded_covers =
        (fun k ->
          let g = Hls.Kernels.graph k in
          ignore (Core.Flow.seed_back_edges g);
-         let net, lg = Core.Flow.synth_map Core.Flow.default_config g in
+         let net, lg, _ = Core.Flow.synthesize Core.Flow.default_config g in
          (k.Hls.Kernels.name, net, lg))
        Hls.Kernels.all)

@@ -266,7 +266,7 @@ let test_delay_uncovered_rule () =
   expect_fired "perf-delay-uncovered" r;
   check Alcotest.bool "warning only" true (E.ok r);
   (* the real mapping pipeline produces a fully covered timing graph *)
-  let net, lg = Core.Flow.synth_map Core.Flow.default_config g in
+  let net, lg, _ = Core.Flow.synthesize Core.Flow.default_config g in
   let real = LM.build g ~net lg in
   expect_quiet "perf-delay-uncovered" (E.of_diagnostics (Lint.Perf_rules.check_domains g real));
   expect_quiet "perf-domain-crossing" (E.of_diagnostics (Lint.Perf_rules.check_domains g real))

@@ -29,6 +29,61 @@ let replace_first s ~sub ~by =
   | Some i ->
     String.sub s 0 i ^ by ^ String.sub s (i + String.length sub) (String.length s - i - String.length sub)
 
+(* One session over [dir] for the duration of [f], finished afterwards:
+   what a CLI invocation with --cache-dir does. *)
+let with_session dir f =
+  let s = Cache.Session.of_dir dir in
+  Fun.protect ~finally:(fun () -> Cache.Session.finish s) (fun () -> f s)
+
+(* A traced gsum compile and measurement at 200 MILP nodes. Returns what
+   the run decided (metrics, [Flow.summary], lint report), its final
+   netlist's hash, and which memoised stages it computed rather than
+   read from the store. *)
+let run_gsum ?(balance = false) ?(routing_aware = false) ?cache flavor =
+  let config = { Core.Flow.default_config with Core.Flow.balance; routing_aware } in
+  let session = Core.Session.make ?cache ~milp_nodes:200 ~milp_budget_s:1e9 () in
+  Support.Trace.start ();
+  let result =
+    try Ok (Core.Experiment.run_flow ~config ~session ~flavor (Hls.Kernels.by_name "gsum"))
+    with e -> Error e
+  in
+  let report = Support.Trace.stop () in
+  let metrics, outcome = match result with Ok r -> r | Error e -> raise e in
+  let opened ?parent name =
+    List.exists
+      (fun sp ->
+        sp.Support.Trace.sp_name = name && (parent = None || sp.Support.Trace.sp_parent = parent))
+      report.Support.Trace.r_spans
+  in
+  ( (metrics, Core.Flow.summary outcome, outcome.Core.Flow.lint),
+    Cache.Hash.netlist outcome.Core.Flow.net,
+    function
+    | `Place -> opened "placeroute:place"
+    | `Sim -> opened "sim:elastic"
+    | `Narrow -> opened ~parent:"lint:tv-narrow" "flow:tv"
+    | `Model -> opened "flow:model" )
+
+(* Flip one payload byte of every entry of the given kinds. *)
+let flip_entries dir kinds =
+  let flipped = ref 0 in
+  let rec walk path =
+    if Sys.is_directory path then
+      Array.iter (fun f -> walk (Filename.concat path f)) (Sys.readdir path)
+    else begin
+      let contents = In_channel.with_open_bin path In_channel.input_all in
+      match String.split_on_char ' ' (List.hd (String.split_on_char '\n' contents)) with
+      | "repro-cache" :: _ :: kind :: _ when List.mem kind kinds ->
+        let b = Bytes.of_string contents in
+        let i = Bytes.length b - 1 in
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+        Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b);
+        incr flipped
+      | _ -> ()
+    end
+  in
+  walk (Filename.concat dir "objects");
+  !flipped
+
 (* ------------------------------------------------------------------ *)
 (* SHA-256 against FIPS 180-4 test vectors *)
 
@@ -113,7 +168,21 @@ let test_store_corruption () =
   (* a rewrite recovers *)
   Cache.Store.put store ~kind:"k" ~key:"x" "the payload";
   Alcotest.(check (option string)) "rewritten entry reads back" (Some "the payload")
-    (Cache.Store.get store ~kind:"k" ~key:"x")
+    (Cache.Store.get store ~kind:"k" ~key:"x");
+  (* a flipped byte in a flow's narrowing verdict, simulation or timing
+     model: a miss, so each stage recomputes and the run decides and
+     measures what it did *)
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let run () = with_session dir (fun cache -> run_gsum ~cache `Iterative) in
+  let cold, _, _ = run () in
+  Alcotest.(check int) "one entry per flipped kind" 3
+    (flip_entries dir [ "tv-narrow"; "sim"; "model" ]);
+  let again, _, opened = run () in
+  List.iter
+    (fun (stage, what) -> Alcotest.(check bool) ("corrupt entry recomputed: " ^ what) true (opened stage))
+    [ (`Narrow, "narrowing"); (`Sim, "simulation"); (`Model, "timing model") ];
+  Alcotest.(check bool) "outcome unchanged" true (again = cold)
 
 let test_store_version_invalidation () =
   with_store ~mem_bytes:0 @@ fun _dir store ->
@@ -163,35 +232,34 @@ let test_store_gc_clear () =
 (* ------------------------------------------------------------------ *)
 (* memoization through Cache.Session *)
 
-(* One session over [dir] for the duration of [f], finished afterwards:
-   what a CLI invocation with --cache-dir does. *)
-let with_session dir f =
-  let s = Cache.Session.of_dir dir in
-  Fun.protect ~finally:(fun () -> Cache.Session.finish s) (fun () -> f s)
-
 let test_memo () =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let calls = ref 0 in
   let f () = incr calls; [ !calls * 10 ] in
-  let memo s = Cache.Session.memo s ~kind:"t" ~key:"k" f in
+  let memo s = Cache.Session.memo s ~kind:"t" ~key:(fun () -> [ "k" ]) f in
   let ints = Alcotest.(list int) in
   (* the disabled session always computes *)
   Alcotest.(check bool) "disabled" false (Cache.Session.enabled Cache.Session.disabled);
   Alcotest.check ints "disabled memo is transparent" [ 10 ] (memo Cache.Session.disabled);
   Alcotest.check ints "and computes every time" [ 20 ] (memo Cache.Session.disabled);
+  Alcotest.(check (pair ints (option string)))
+    "and hashes nothing" ([ 30 ], None)
+    (Cache.Session.memo_keyed Cache.Session.disabled ~kind:"t"
+       ~key:(fun () -> Alcotest.fail "key built on the disabled session")
+       f);
   with_session dir (fun s ->
-      Alcotest.check ints "first enabled call computes" [ 30 ] (memo s);
-      Alcotest.check ints "second call served from cache" [ 30 ] (memo s);
-      Alcotest.(check int) "f ran three times in total" 3 !calls;
+      Alcotest.check ints "first enabled call computes" [ 40 ] (memo s);
+      Alcotest.check ints "second call served from cache" [ 40 ] (memo s);
+      Alcotest.(check int) "f ran four times in total" 4 !calls;
       (* a second session over the same open store shares the artifacts *)
       let shared = Cache.Session.of_store (Option.get (Cache.Session.store s)) in
-      Alcotest.check ints "shared store" [ 30 ] (memo shared);
-      Alcotest.(check int) "still three computes" 3 !calls);
+      Alcotest.check ints "shared store" [ 40 ] (memo shared);
+      Alcotest.(check int) "still four computes" 4 !calls);
   (* a fresh process-equivalent: new session, same directory *)
   with_session dir (fun s ->
-      Alcotest.check ints "persists across sessions" [ 30 ] (memo s);
-      Alcotest.(check int) "no recomputation" 3 !calls);
+      Alcotest.check ints "persists across sessions" [ 40 ] (memo s);
+      Alcotest.(check int) "no recomputation" 4 !calls);
   (* each finished session appended its counters to stats.log *)
   Alcotest.(check int) "two sessions logged" 2 (Cache.Store.disk_stats dir).Cache.Store.ds_sessions
 
@@ -200,11 +268,15 @@ let test_memo_corruption_rewrite () =
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let calls = ref 0 in
   let f () = incr calls; "value" in
-  let memo s = Cache.Session.memo s ~kind:"t" ~key:"c" f in
+  let memo_keyed s = Cache.Session.memo_keyed s ~kind:"t" ~key:(fun () -> [ "c" ]) f in
+  let memo s = fst (memo_keyed s) in
   with_session dir (fun s ->
-      Alcotest.(check string) "computed" "value" (memo s);
+      let v, key = memo_keyed s in
+      Alcotest.(check string) "computed" "value" v;
+      Alcotest.(check (option string)) "the key combines its parts"
+        (Some (Cache.Hash.combine [ "c" ])) key;
       let store = Option.get (Cache.Session.store s) in
-      let path = Cache.Store.entry_path store ~kind:"t" ~key:"c" in
+      let path = Cache.Store.entry_path store ~kind:"t" ~key:(Option.get key) in
       Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc "garbage"));
   (* new session: the in-memory front is gone, the disk entry is garbage *)
   with_session dir (fun s ->
@@ -286,51 +358,52 @@ let test_unitdelay_session_only () =
   Alcotest.(check int) "warm run misses nothing" 0 warm_misses;
   Alcotest.(check bool) "same model" true (cold = warm)
 
-(* Place & route of a flow's final circuit is memoised (kind [sta]) under
-   the final synthesis's key plus the placer's seed and effort: a warm
-   run places nothing and measures exactly what the cold and the
-   uncached runs measured. The balance switch is part of the key: gsum's
+(* Every pure stage behind the flow's gates is memoised per content: a
+   warm run places nothing (kind [sta], keyed by the final synthesis's
+   key plus the placer's seed and effort), simulates nothing (kind
+   [sim]), re-runs no narrowing verdict (kind [tv-narrow]) and, in the
+   iterative flavor, builds no timing model (kind [model]; its
+   [flow:model] span opens only around a build). The warm run still
+   decides, lints and measures exactly what the cold and the uncached
+   runs did. The balance switch is part of the synthesis key: gsum's
    baseline synthesises the same netlist with and without it, but maps
-   it differently, so a balanced run must not read the unbalanced
+   it differently, so a balanced run must not read the unbalanced entry;
+   likewise the routing-aware model must not be read from a plain run's
    entry. *)
 let test_sta_memo () =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let kernel = Hls.Kernels.by_name "gsum" in
-  let run ?(balance = false) ?cache flavor =
-    let config = { Core.Flow.default_config with Core.Flow.balance } in
-    let session = Core.Session.make ?cache ~milp_nodes:200 ~milp_budget_s:1e9 () in
-    Support.Trace.start ();
-    let result =
-      try Ok (Core.Experiment.run_flow ~config ~session ~flavor kernel) with e -> Error e
-    in
-    let report = Support.Trace.stop () in
-    let metrics, outcome = match result with Ok r -> r | Error e -> raise e in
-    let placed =
-      List.exists
-        (fun sp -> sp.Support.Trace.sp_name = "placeroute:place")
-        report.Support.Trace.r_spans
-    in
-    (metrics, Cache.Hash.netlist outcome.Core.Flow.net, placed)
+  (* one store per flavor: the flavors share their narrowing verdict *)
+  let cached ?balance ?routing_aware flavor =
+    with_session
+      (Filename.concat dir (Core.Flow.flavor_name flavor))
+      (fun cache -> run_gsum ?balance ?routing_aware ~cache flavor)
   in
-  let cached ?balance flavor = with_session dir (fun cache -> run ?balance ~cache flavor) in
   List.iter
     (fun flavor ->
       let name = Core.Flow.flavor_name flavor in
-      let cold, _, cold_placed = cached flavor in
-      let warm, _, warm_placed = cached flavor in
-      let uncached, _, _ = run flavor in
-      Alcotest.(check bool) (name ^ ": cold run places") true cold_placed;
-      Alcotest.(check bool) (name ^ ": warm run places nothing") false warm_placed;
-      Alcotest.(check bool) (name ^ ": warm metrics == cold") true (warm = cold);
-      Alcotest.(check bool) (name ^ ": cached metrics == uncached") true (cold = uncached))
+      let cold, _, cold_opened = cached flavor in
+      let warm, _, warm_opened = cached flavor in
+      let uncached, _, _ = run_gsum flavor in
+      List.iter
+        (fun (stage, what) ->
+          Alcotest.(check bool) (name ^ ": cold run " ^ what) true (cold_opened stage);
+          Alcotest.(check bool) (name ^ ": warm run never " ^ what) false (warm_opened stage))
+        ([ (`Place, "places"); (`Sim, "simulates"); (`Narrow, "checks the narrowing") ]
+        @ if flavor = `Iterative then [ (`Model, "builds a timing model") ] else []);
+      Alcotest.(check bool) (name ^ ": warm metrics, summary, lint == cold") true (warm = cold);
+      Alcotest.(check bool) (name ^ ": cached == uncached") true (cold = uncached))
     [ `Iterative; `Baseline ];
   let _, plain_net, _ = cached `Baseline in
-  let balanced, balanced_net, balanced_placed = cached ~balance:true `Baseline in
-  let balanced_uncached, _, _ = run ~balance:true `Baseline in
+  let balanced, balanced_net, balanced_opened = cached ~balance:true `Baseline in
+  let balanced_uncached, _, _ = run_gsum ~balance:true `Baseline in
   Alcotest.(check string) "balance keeps the baseline's netlist" plain_net balanced_net;
-  Alcotest.(check bool) "balanced run misses the unbalanced entry" true balanced_placed;
-  Alcotest.(check bool) "balanced metrics == uncached" true (balanced = balanced_uncached)
+  Alcotest.(check bool) "balanced run misses the unbalanced entry" true (balanced_opened `Place);
+  Alcotest.(check bool) "balanced metrics == uncached" true (balanced = balanced_uncached);
+  let routed, _, routed_opened = cached ~routing_aware:true `Iterative in
+  let routed_uncached, _, _ = run_gsum ~routing_aware:true `Iterative in
+  Alcotest.(check bool) "routing-aware run misses the plain model" true (routed_opened `Model);
+  Alcotest.(check bool) "routing-aware == its uncached run" true (routed = routed_uncached)
 
 let suite =
   [

@@ -103,6 +103,31 @@ let test_measure_uses_flow_netlist () =
         outcome.Core.Flow.final_levels metrics.Core.Experiment.levels)
     [ `Baseline; `Iterative ]
 
+(* [value_ok] checks the memory the circuit writes, not only its exit
+   value: a circuit that exits with the interpreter's value but stores
+   one different word is not ok. *)
+let test_value_ok_compares_memories () =
+  let kernel src = Fixtures.tiny_kernel "tstore" src (fun () -> [ ("a", [| 1; 2; 3; 4 |]) ]) in
+  let source add =
+    Printf.sprintf {|
+int tstore(int a[4]) {
+  a[2] = a[1] + %d;
+  return a[0];
+}
+|} add
+  in
+  let reference = kernel (source 5) in
+  let measure add =
+    let outcome =
+      Core.Flow.baseline ~config:Fixtures.cheap_flow_config (Hls.Kernels.graph (kernel (source add)))
+    in
+    Core.Experiment.measure ~session:(Core.Session.make ()) outcome reference
+  in
+  let own = measure 5 and other = measure 6 in
+  check Alcotest.bool "the kernel's own circuit" true own.Core.Experiment.value_ok;
+  check Alcotest.int "the exit value matches" 1 (Hls.Kernels.reference reference);
+  check Alcotest.bool "one memory word differs" false other.Core.Experiment.value_ok
+
 (* Both flavors finish with the final-dfg lint gate; the baseline used
    to skip it entirely. *)
 let test_final_lint_gate_runs () =
@@ -244,4 +269,5 @@ let suite =
     ("report renders", `Quick, test_report_renders);
     ("report csv", `Quick, test_report_csv);
     ("perfbench task digests", `Quick, test_perfbench_digests);
+    ("value_ok compares memories", `Quick, test_value_ok_compares_memories);
   ]

@@ -14,7 +14,8 @@ let positions (t : P.t) = Hashtbl.fold (fun it xy acc -> (it, xy) :: acc) t.P.po
 let mapped (k : Hls.Kernels.t) =
   let g = Hls.Kernels.graph k in
   ignore (Core.Flow.seed_back_edges g);
-  Core.Flow.synth_map Core.Flow.default_config g
+  let net, lg, _ = Core.Flow.synthesize Core.Flow.default_config g in
+  (net, lg)
 
 let test_kernel (k : Hls.Kernels.t) () =
   let net, lg = mapped k in

@@ -8,12 +8,12 @@ let check = Alcotest.check
    and a mapped sequential one (the buffered loop). *)
 let mapped_fig2 () =
   let g, _, _, _, _ = Fixtures.fig2 () in
-  let net, lg = Core.Flow.synth_map Core.Flow.default_config g in
+  let net, lg, _ = Core.Flow.synthesize Core.Flow.default_config g in
   (g, net, lg)
 
 let mapped_loop () =
   let g, _ = Fixtures.loop ~buffered:true () in
-  let net, lg = Core.Flow.synth_map Core.Flow.default_config g in
+  let net, lg, _ = Core.Flow.synthesize Core.Flow.default_config g in
   (g, net, lg)
 
 let rule_fired id ds = List.exists (fun d -> d.Lint.Diagnostic.rule = id) ds
